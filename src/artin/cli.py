@@ -24,14 +24,27 @@ from .errors import ArtinError
 FORMAT_VERSION = 1
 
 
-def _env_cap() -> int:
+def _positive_cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap <= 0:
+        raise argparse.ArgumentTypeError(f"cap must be positive, got {cap}")
+    return cap
+
+
+def _env_cap(parser) -> int:
     raw = os.environ.get("ARTIN_CAP")
     if raw is None:
         return DEFAULT_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ArtinError(f"ARTIN_CAP must be an integer, got {raw!r}") from None
+    if cap <= 0:
+        parser.error(f"ARTIN_CAP must be positive, got {cap}")
+    return cap
 
 
 def _split_subset(text: str) -> tuple[str, ...]:
@@ -473,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=formats, default="json")
         sp.add_argument(
             "--cap",
-            type=int,
+            type=_positive_cap,
             default=None,
             help="closure/enumeration size cap (default ARTIN_CAP or 10^6)",
         )
@@ -533,7 +546,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if args.cap is None:
-            args.cap = _env_cap()
+            args.cap = _env_cap(args.subparser)
         if args.chamber_cmd:
             obj, text, dot = args.handler(args, args.subparser)
         else:
@@ -558,3 +571,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

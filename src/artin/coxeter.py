@@ -1,22 +1,50 @@
-"""Coxeter group word problem by braid-move closure, plus enumeration tools.
+"""Coxeter group word problem from the exact action of W on its roots.
 
-A word over the generators is reduced exactly when no member of its
-braid-move closure contains an adjacent repeated letter; the normal form of
-an element is the ShortLex minimum of the closure of any reduced
-representative.  ShortLex uses the diagram's declared vertex order, which is
-therefore part of the normal-form contract.  The closure method is
-exponential in the worst case but total, exact, and matches the defining
-relation set with nothing added.
+W acts on the real space with basis {alpha_s : s in S} by
+s(v) = v - 2 B(alpha_s, v) alpha_s, where B(alpha_s, alpha_t) = -cos(pi/m_st),
+and -1 when m_st is infinite.  This geometric representation is faithful, so
+an element w is determined by its signature (w^-1(alpha_t))_t, and every
+root is positive or negative: its nonzero coordinates share one sign.  A
+generator s is a left descent of w exactly when w^-1(alpha_s) < 0
+(Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 4).
+
+Exact ring.  Every coefficient 2cos(pi/m) lies in Z[zeta], zeta a primitive
+2M-th root of unity, where M is the lcm of the diagram's finite labels >= 4
+and M = 1 when every label is 2, 3 or infinity (the ring is then Z).  A
+coefficient is a tuple of integers reduced modulo the cyclotomic polynomial
+Phi_2M.  Reduced tuples are canonical, so the zero test is exact and roots
+are interned by their coordinates.
+
+Sign rule.  s(r) has the sign of r unless r = +-alpha_s, so applying a
+generator needs no numerics.  Only left multiplication by s forms a root of
+unknown sign, w^-1(alpha_t) + 2cos(pi/m_st) w^-1(alpha_s).  When the two
+summands have one sign, or one of them vanishes at a coordinate where the
+sum does not, the sign is known.  Otherwise one nonzero coordinate is
+evaluated in floating point under a rounding bound and, where the bound does
+not decide, in decimal arithmetic at rising precision until it does.
+
+Normal forms.  The normal form of an element is its ShortLex-minimal reduced
+word, ShortLex taken in the diagram's declared vertex order, which is
+therefore part of the normal-form contract.  It is read off by taking the
+smallest left descent first (Casselman, Electron. J. Combin. 9, 2002).  One
+engine per diagram interns roots and elements as small integers and fills
+the action tables and Cayley-graph edges lazily, so a repeated normalize is
+one table step per letter plus a memo lookup.  The ``cap`` argument of every
+function here bounds the number of new roots one call may create.
+
+The positive monoid still compares words through braid-move closures
+(``_Rewriter``); those are the definition of its word classes.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .diagram import INF, CoxeterDiagram
+from .diagram import INF, CoxeterDiagram, is_finite_type
 from .errors import CapExceededError, DiagramError, FiniteTypeRequiredError, RankGuardError
 
 DEFAULT_CAP = 10**6
@@ -28,7 +56,7 @@ def _alternating(a: str, b: str, m: int) -> tuple[str, ...]:
 
 
 class _Rewriter:
-    """Per-diagram braid-move machinery with memoized closures.
+    """Per-diagram braid-move closures of positive words, memoized.
 
     Closure classes are cached under their ShortLex-minimal member, and
     every encountered word is mapped to that representative, so repeated
@@ -49,11 +77,6 @@ class _Rewriter:
         self.rels_by_first = by_first
         self._canon: dict[tuple, tuple] = {}
         self._class_of: dict[tuple, frozenset] = {}
-        # Representatives whose class is known to contain no adjacent repeat.
-        # A closure cached by the monoid side may contain repeats even when
-        # the queried word does not, so reduce() must not trust a bare
-        # _canon hit as evidence of reducedness.
-        self._repeat_free: set[tuple] = set()
 
     def shortlex_key(self, word: tuple):
         return (len(word), tuple(self.key[x] for x in word))
@@ -101,67 +124,342 @@ class _Rewriter:
         self.closure(word, cap)
         return self._canon[word]
 
-    @staticmethod
-    def _delete_repeat(w: tuple):
-        for i in range(len(w) - 1):
-            if w[i] == w[i + 1]:
-                return w[:i] + w[i + 2 :]
-        return None
-
-    def reduce(self, word: tuple, cap: int) -> tuple:
-        """Coxeter normal form: delete an adjacent repeat found anywhere in
-        the closure, restart, and return the ShortLex minimum once the
-        closure is repetition-free."""
-        w = word
-        while True:
-            shorter = self._delete_repeat(w)
-            if shorter is not None:
-                w = shorter
-                continue
-            known = self._canon.get(w)
-            if known is not None:
-                if known in self._repeat_free:
-                    return known
-                for member in self._class_of[known]:
-                    shorter = self._delete_repeat(member)
-                    if shorter is not None:
-                        break
-                if shorter is not None:
-                    w = shorter
-                    continue
-                self._repeat_free.add(known)
-                return known
-            seen = {w}
-            dq = deque([w])
-            deleted = None
-            while dq and deleted is None:
-                x = dq.popleft()
-                for x2 in self._neighbors(x):
-                    if x2 in seen:
-                        continue
-                    shorter = self._delete_repeat(x2)
-                    if shorter is not None:
-                        deleted = shorter
-                        break
-                    if len(seen) >= cap:
-                        raise CapExceededError("braid-move closure", cap)
-                    seen.add(x2)
-                    dq.append(x2)
-            if deleted is not None:
-                w = deleted
-                continue
-            cl = frozenset(seen)
-            rep = min(cl, key=self.shortlex_key)
-            for x in cl:
-                self._canon[x] = rep
-            self._class_of[rep] = cl
-            self._repeat_free.add(rep)
-            return rep
-
 
 @lru_cache(maxsize=None)
 def _rewriter(d: CoxeterDiagram) -> _Rewriter:
     return _Rewriter(d)
+
+
+# ---------------------------------------------------------------- exact ring
+
+
+def _cyclotomic(n: int) -> list[int]:
+    """Coefficients of the n-th cyclotomic polynomial, constant term first:
+    x^k - 1 divided by Phi_j for every proper divisor j of k, for each
+    divisor k of n in turn."""
+    phis: dict[int, list[int]] = {}
+    for k in range(1, n + 1):
+        if n % k:
+            continue
+        poly = [-1] + [0] * (k - 1) + [1]
+        for j, phi in phis.items():
+            if k % j == 0:
+                quot = [0] * (len(poly) - len(phi) + 1)
+                for i in range(len(quot) - 1, -1, -1):
+                    c = quot[i] = poly[i + len(phi) - 1]
+                    for h, x in enumerate(phi):
+                        poly[i + h] -= c * x
+                poly = quot
+        phis[k] = poly
+    return phis[n]
+
+
+def _decimal_pi():
+    """pi at the current decimal precision, by Machin's formula."""
+    from decimal import Decimal
+
+    def atan_inv(k: int) -> Decimal:
+        x = Decimal(1) / k
+        power, total, i, last = x, x, 1, None
+        while total != last:
+            last = total
+            power /= -k * k
+            i += 2
+            total += power / i
+        return total
+
+    return 4 * (4 * atan_inv(5) - atan_inv(239))
+
+
+def _decimal_cos(x):
+    from decimal import Decimal
+
+    total, term, k, last = Decimal(1), Decimal(1), 0, None
+    while total != last:
+        last = total
+        k += 2
+        term = -term * x * x / (k * (k - 1))
+        total += term
+    return total
+
+
+# math.cos is accurate to a few units in the last place, and the arguments
+# pi*j/M lie in [0, pi], so each product x*cos(pi*j/M) is within
+# |x| * 4e-15 of its true value; fsum adds them with one final rounding.
+_FLOAT_ERROR = 1e-14
+
+
+class _Ring:
+    """Z[zeta] for zeta = exp(i pi / M), an element being the integer tuple of
+    its coefficients on 1, zeta, ..., zeta^(deg-1), reduced modulo Phi_2M."""
+
+    def __init__(self, M: int):
+        phi = _cyclotomic(2 * M)
+        deg = len(phi) - 1
+        self.M = M
+        self.deg = deg
+        self.zero = (0,) * deg
+        # power[j] is zeta^j reduced, for 0 <= j < 2M: multiply by zeta and
+        # replace zeta^deg by -(phi_0 + phi_1 zeta + ... ).
+        power, cur = [], [1] + [0] * (deg - 1)
+        for _ in range(2 * M):
+            power.append(tuple(cur))
+            top = cur[-1]
+            cur = [0] + cur[:-1]
+            if top:
+                cur = [c - top * p for c, p in zip(cur, phi)]
+        self.power = power
+        self.cos = [math.cos(math.pi * j / M) for j in range(deg)]
+
+    def two_cos(self, m) -> tuple[tuple[int, int], ...]:
+        """2cos(pi/m) as (exponent, multiplicity) pairs: sum of mult * zeta^exp."""
+        if m == INF:
+            return ((0, 2),)
+        if m == 3:
+            return ((0, 1),)
+        k = self.M // int(m)
+        return ((k, 1), (2 * self.M - k, 1))
+
+    def times(self, a: tuple, c) -> tuple:
+        """a * c for c given as (exponent, multiplicity) pairs."""
+        out = [0] * self.deg
+        period = 2 * self.M
+        for exp, mult in c:
+            for j, x in enumerate(a):
+                if x:
+                    x *= mult
+                    for i, y in enumerate(self.power[(j + exp) % period]):
+                        if y:
+                            out[i] += x * y
+        return tuple(out)
+
+    @staticmethod
+    def add(a: tuple, b: tuple) -> tuple:
+        return tuple(x + y for x, y in zip(a, b))
+
+    @staticmethod
+    def neg(a: tuple) -> tuple:
+        return tuple(-x for x in a)
+
+    def _float_sign(self, a: tuple) -> int | None:
+        """Sign of a nonzero real element when the floating-point value
+        clears its rounding bound, else None."""
+        if self.deg == 1:
+            return 1 if a[0] > 0 else -1
+        try:
+            value = math.fsum(x * c for x, c in zip(a, self.cos))
+        except OverflowError:
+            return None
+        if abs(value) > _FLOAT_ERROR * sum(map(abs, a)):
+            return 1 if value > 0 else -1
+        return None
+
+    def sign(self, a: tuple) -> int:
+        """Certified sign of a nonzero real element of the ring."""
+        sgn = self._float_sign(a)
+        if sgn is not None:
+            return sgn
+        import decimal  # rarely needed, so kept out of the import cost
+
+        digits = 30
+        while sgn is None:
+            with decimal.localcontext() as ctx:
+                # ten guard digits: each term's error stays below
+                # |x| * 10^-(digits + 8), so the total is below `bound`
+                ctx.prec = digits + 10
+                pi = _decimal_pi()
+                value = sum(x * _decimal_cos(pi * j / self.M) for j, x in enumerate(a) if x)
+                bound = sum(map(abs, a)) * decimal.Decimal(10) ** -digits
+                if abs(value) > bound:
+                    sgn = 1 if value > 0 else -1
+            digits *= 2
+        return sgn
+
+
+# ---------------------------------------------------------------- root engine
+
+
+class _Engine:
+    """Per-diagram exact root action with interned roots and elements.
+
+    Roots are ids into ``coords`` (coordinate tuples over the ring) and
+    ``positive``; ``act[s][r]`` is the id of s(r), -1 until first needed.
+    Root ids 0..n-1 are the simple roots and n..2n-1 their negatives.
+    Elements are ids keyed by their signature tuple of root ids; element 0
+    is the identity.  ``right[e*n + s]`` and ``left[e*n + s]`` are the ids of
+    e*s and s*e (-1 until first needed), and ``nf[e]`` the normal form.
+    """
+
+    def __init__(self, d: CoxeterDiagram):
+        n = d.rank
+        self.diagram = d
+        self.n = n
+        self.names = d.vertices
+        self.key = {s: i for i, s in enumerate(d.vertices)}
+        ring = self.ring = _Ring(math.lcm(1, *(m for _, _, m in d.edges if m != INF and m >= 4)))
+        # coupling[s]: (t, 2cos(pi/m_st)) for every t joined to s
+        self.coupling: list[list] = [[] for _ in range(n)]
+        for a, b, m in d.edges:
+            i, j = self.key[a], self.key[b]
+            c = ring.two_cos(m)
+            self.coupling[i].append((j, c))
+            self.coupling[j].append((i, c))
+        self.coords: list[tuple] = []
+        self.root_id: dict[tuple, int] = {}
+        self.positive: list[bool] = []
+        self.act: list[list[int]] = [[] for _ in range(n)]
+        self.limit, self.cap, self.what = math.inf, 0, ""
+        one = ring.power[0]
+        for unit, positive in ((one, True), (ring.neg(one), False)):
+            for s in range(n):
+                self._root(tuple(unit if t == s else ring.zero for t in range(n)), positive)
+        for s in range(n):
+            self.act[s][s], self.act[s][n + s] = n + s, s
+        self.blank = [-1] * n
+        self.sig: list[tuple] = []
+        self.elem_id: dict[tuple, int] = {}
+        self.right: list[int] = []
+        self.left: list[int] = []
+        self.nf: list[tuple | None] = []
+        self.objs: list[CoxeterElement | None] = []
+        self._element(tuple(range(n)))
+        self.nf[0] = ()
+        self.longest: int | None = None
+
+    def begin(self, cap: int, what: str) -> None:
+        """Start a call that may create at most `cap` new roots."""
+        self.limit = len(self.coords) + cap
+        self.cap, self.what = cap, what
+
+    def letters(self, word) -> list[int]:
+        try:
+            return [self.key[x] for x in word]
+        except KeyError as exc:
+            raise DiagramError(f"unknown generator {exc.args[0]!r}") from None
+
+    # ------------------------------------------------------------ roots
+    def _root(self, vec: tuple, positive: bool) -> int:
+        r = self.root_id.get(vec)
+        if r is None:
+            r = len(self.coords)
+            if r >= self.limit:
+                raise CapExceededError(f"{self.what} root action", self.cap)
+            self.root_id[vec] = r
+            self.coords.append(vec)
+            self.positive.append(positive)
+            for row in self.act:
+                row.append(-1)
+        return r
+
+    def _apply(self, s: int, r: int) -> int:
+        """Id of s(r): the s-coordinate becomes -r_s + sum_t 2cos(pi/m_st) r_t,
+        and the sign is kept (r = +-alpha_s is filled in at construction)."""
+        ring, vec = self.ring, self.coords[r]
+        new = ring.neg(vec[s])
+        for t, c in self.coupling[s]:
+            if any(vec[t]):
+                new = ring.add(new, ring.times(vec[t], c))
+        image = self._root(vec[:s] + (new,) + vec[s + 1 :], self.positive[r])
+        self.act[s][r] = image
+        self.act[s][image] = r
+        return image
+
+    def _combine(self, b: int, c, a: int) -> int:
+        """Id of the root coords[b] + c * coords[a], for c = 2cos(pi/m) > 0."""
+        ring = self.ring
+        va, vb = self.coords[a], self.coords[b]
+        vec = tuple(ring.add(y, ring.times(x, c)) if any(x) else y for x, y in zip(va, vb))
+        pa, pb = self.positive[a], self.positive[b]
+        if pa == pb:
+            return self._root(vec, pa)
+        # The summands have opposite signs: a coordinate where one of them
+        # vanishes shows the other's sign, otherwise certify one numerically.
+        for x, y, z in zip(va, vb, vec):
+            if any(z):
+                if not any(x):
+                    return self._root(vec, pb)
+                if not any(y):
+                    return self._root(vec, pa)
+        z = next(z for z in vec if any(z))
+        return self._root(vec, ring.sign(z) > 0)
+
+    # ------------------------------------------------------------ elements
+    def _element(self, sig: tuple) -> int:
+        e = self.elem_id.get(sig)
+        if e is None:
+            e = len(self.sig)
+            self.elem_id[sig] = e
+            self.sig.append(sig)
+            self.right.extend(self.blank)
+            self.left.extend(self.blank)
+            self.nf.append(None)
+            self.objs.append(None)
+        return e
+
+    def times(self, e: int, s: int) -> int:
+        """e * s: (e s)^-1(alpha_t) = s(e^-1(alpha_t))."""
+        f = self.right[e * self.n + s]
+        if f < 0:
+            act = self.act[s]
+            sig = []
+            for r in self.sig[e]:
+                x = act[r]
+                sig.append(x if x >= 0 else self._apply(s, r))
+            f = self._element(tuple(sig))
+            self.right[e * self.n + s] = f
+            self.right[f * self.n + s] = e
+        return f
+
+    def left_times(self, s: int, e: int) -> int:
+        """s * e: (s e)^-1(alpha_t) = e^-1(alpha_t) + 2cos(pi/m_st) e^-1(alpha_s)."""
+        f = self.left[e * self.n + s]
+        if f < 0:
+            sig = self.sig[e]
+            a = sig[s]
+            new = list(sig)
+            new[s] = self._root(tuple(map(self.ring.neg, self.coords[a])), not self.positive[a])
+            for t, c in self.coupling[s]:
+                new[t] = self._combine(sig[t], c, a)
+            f = self._element(tuple(new))
+            self.left[e * self.n + s] = f
+            self.left[f * self.n + s] = e
+        return f
+
+    def walk(self, e: int, letters) -> int:
+        right, n = self.right, self.n
+        for s in letters:
+            f = right[e * n + s]
+            e = f if f >= 0 else self.times(e, s)
+        return e
+
+    def word(self, e: int) -> tuple[str, ...]:
+        """Normal form of e: its smallest left descent, then the normal form of
+        the rest; every suffix met on the way is memoized."""
+        nf, positive = self.nf, self.positive
+        chain = []
+        while nf[e] is None:
+            sig = self.sig[e]
+            s = 0
+            while positive[sig[s]]:
+                s += 1
+            chain.append((e, s))
+            e = self.left_times(s, e)
+        w = nf[e]
+        for e, s in reversed(chain):
+            w = (self.names[s],) + w
+            nf[e] = w
+        return w
+
+    def element(self, e: int) -> CoxeterElement:
+        el = self.objs[e]
+        if el is None:
+            el = self.objs[e] = CoxeterElement(self.diagram, self.word(e))
+        return el
+
+
+@lru_cache(maxsize=None)
+def _engine(d: CoxeterDiagram) -> _Engine:
+    return _Engine(d)
 
 
 @dataclass(frozen=True)
@@ -188,9 +486,9 @@ class CoxeterElement:
 
 def normalize(d: CoxeterDiagram, word, cap: int = DEFAULT_CAP) -> CoxeterElement:
     """Unique normal form of a word: reduced, ShortLex-minimal, idempotent."""
-    rw = _rewriter(d)
-    w = rw.check_letters(word)
-    return CoxeterElement(d, rw.reduce(w, cap))
+    eng = _engine(d)
+    eng.begin(cap, "normalize")
+    return eng.element(eng.walk(0, eng.letters(word)))
 
 
 def identity(d: CoxeterDiagram) -> CoxeterElement:
@@ -214,12 +512,11 @@ def enumerate_elements(
     cap: int = DEFAULT_CAP,
     size_guard: int = DEFAULT_SIZE_GUARD,
 ) -> list[list[CoxeterElement]]:
-    """BFS ball of the group, grouped by length (layer index = length).
+    """BFS ball of the group, grouped by length (layer index = length), each
+    layer in ShortLex order.
 
     max_length="all" walks the whole group and requires finite type.
     """
-    from .diagram import is_finite_type
-
     if max_length == "all":
         if not is_finite_type(d)[0]:
             raise FiniteTypeRequiredError(
@@ -230,37 +527,54 @@ def enumerate_elements(
         limit = int(max_length)
         if limit < 0:
             raise ValueError(f"max_length must be >= 0, got {limit}")
-    rw = _rewriter(d)
-    layers = [[identity(d)]]
-    seen = {()}
-    total = 1
-    while layers[-1] and (limit is None or len(layers) <= limit):
+    eng = _engine(d)
+    eng.begin(cap, "enumerate_elements")
+    n, names, nf, right = eng.n, eng.names, eng.nf, eng.right
+    layer = [0]
+    layers = [[eng.element(0)]]
+    seen = {0}
+    while limit is None or len(layers) <= limit:
+        # By parity an unseen neighbour of length k is one letter longer.
+        # Scanning the layer in ShortLex order and the letters in vertex
+        # order, the first path to reach it is its ShortLex-least word.
         nxt = []
-        for el in layers[-1]:
-            for s in d.vertices:
-                nf = rw.reduce(el.word + (s,), cap)
-                if len(nf) == el.length + 1 and nf not in seen:
-                    seen.add(nf)
-                    total += 1
-                    if total > size_guard:
+        for e in layer:
+            w = nf[e]
+            for s in range(n):
+                f = right[e * n + s]
+                if f < 0:
+                    f = eng.times(e, s)
+                if f not in seen:
+                    seen.add(f)
+                    if len(seen) > size_guard:
                         raise CapExceededError("element enumeration", size_guard)
-                    nxt.append(CoxeterElement(d, nf))
+                    if nf[f] is None:
+                        nf[f] = w + (names[s],)
+                    nxt.append(f)
         if not nxt:
             break
-        nxt.sort(key=lambda e: e.sort_key())
-        layers.append(nxt)
+        layers.append([eng.element(e) for e in nxt])
+        layer = nxt
     return layers
 
 
 def longest_element(d: CoxeterDiagram, cap: int = DEFAULT_CAP) -> CoxeterElement:
-    """The unique maximal-length element of a finite Coxeter group."""
-    layers = enumerate_elements(d, "all", cap)
-    top = layers[-1]
-    if len(top) != 1:
-        raise FiniteTypeRequiredError(
-            f"longest element is not unique (top layer has {len(top)} elements)"
-        )
-    return top[0]
+    """The unique maximal-length element of a finite Coxeter group, reached by
+    left-multiplying by non-descents until every generator is a descent."""
+    eng = _engine(d)
+    eng.begin(cap, "longest_element")
+    if eng.longest is None:
+        if not is_finite_type(d)[0]:
+            raise FiniteTypeRequiredError("longest_element needs a finite-type diagram")
+        e = 0
+        while True:
+            sig = eng.sig[e]
+            up = next((s for s in range(eng.n) if eng.positive[sig[s]]), None)
+            if up is None:
+                break
+            e = eng.left_times(up, e)
+        eng.longest = e
+    return eng.element(eng.longest)
 
 
 def reflections(
@@ -272,34 +586,36 @@ def reflections(
     Infinite type: requires a ball bound; conjugates w s w^-1 over all w of
     length <= ball.
     """
-    from .diagram import is_finite_type
-
-    gens = [normalize(d, (s,), cap) for s in d.vertices]
+    eng = _engine(d)
+    n = eng.n
     if is_finite_type(d)[0]:
-        rw = _rewriter(d)
-        out = {g.word for g in gens}
+        eng.begin(cap, "reflections")
+        out = {eng.times(0, s) for s in range(n)}
         frontier = list(out)
         while frontier:
             nxt = []
-            for w in frontier:
-                for s in d.vertices:
-                    conj = rw.reduce((s,) + w + (s,), cap)
+            for e in frontier:
+                for s in range(n):
+                    conj = eng.left_times(s, eng.times(e, s))
                     if conj not in out:
                         out.add(conj)
                         nxt.append(conj)
             frontier = nxt
-        return {CoxeterElement(d, w) for w in out}
+        return {eng.element(e) for e in out}
     if ball is None:
         raise FiniteTypeRequiredError(
             "reflections on a non-finite-type diagram needs a ball bound"
         )
-    rw = _rewriter(d)
+    layers = enumerate_elements(d, ball, cap)
+    eng.begin(cap, "reflections")
     out = set()
-    for layer in enumerate_elements(d, ball, cap):
+    for layer in layers:
         for el in layer:
-            for s in d.vertices:
-                out.add(rw.reduce(el.word + (s,) + el.word[::-1], cap))
-    return {CoxeterElement(d, w) for w in out}
+            letters = eng.letters(el.word)
+            e = eng.walk(0, letters)
+            for s in range(n):
+                out.add(eng.walk(eng.times(e, s), reversed(letters)))
+    return {eng.element(e) for e in out}
 
 
 def t_minimal_representative(
@@ -309,19 +625,22 @@ def t_minimal_representative(
     unknown = set(T) - set(d.vertices)
     if unknown:
         raise DiagramError(f"unknown generators {sorted(unknown)}")
-    T = [t for t in d.vertices if t in set(T)]
-    rw = _rewriter(d)
-    cur = w.word
+    eng = _engine(d)
+    eng.begin(cap, "t_minimal_representative")
+    keep = set(T)
+    T = eng.letters(t for t in d.vertices if t in keep)
+    e = eng.walk(0, eng.letters(w.word))
+    length = len(eng.word(e))
     improved = True
     while improved:
         improved = False
         for t in T:
-            cand = rw.reduce(cur + (t,), cap)
-            if len(cand) < len(cur):
-                cur = cand
+            f = eng.times(e, t)
+            if len(eng.word(f)) < length:
+                e, length = f, length - 1
                 improved = True
                 break
-    return CoxeterElement(d, cur)
+    return eng.element(e)
 
 
 def coxeter_elements(

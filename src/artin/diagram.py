@@ -257,10 +257,15 @@ def _from_json_obj(obj) -> CoxeterDiagram:
     verts = obj.get("vertices")
     if not isinstance(verts, list):
         raise DiagramError("diagram JSON needs a 'vertices' list")
+    raw_edges = obj.get("edges", [])
+    if not isinstance(raw_edges, list):
+        raise DiagramError("diagram JSON 'edges' must be a list")
     edges = []
-    for e in obj.get("edges", []):
+    for e in raw_edges:
         if not isinstance(e, dict) or set(e) - {"a", "b", "m"}:
             raise DiagramError(f"bad edge entry {e!r}")
+        if not isinstance(e.get("a"), str) or not isinstance(e.get("b"), str):
+            raise DiagramError(f"bad edge entry {e!r}: 'a' and 'b' must be vertex names")
         m = e.get("m")
         if m == "inf":
             m = INF
@@ -277,7 +282,7 @@ def parse_diagram(source) -> CoxeterDiagram:
     if not isinstance(source, str):
         raise DiagramError(f"cannot parse diagram from {type(source).__name__}")
     text = source.strip()
-    if text.startswith("{"):
+    if text.startswith(("{", "[")):
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:

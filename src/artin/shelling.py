@@ -224,8 +224,11 @@ def coxeter_chamber_system(
 
     Chambers are the group elements; the chamber of w is the (rank-1)-simplex
     whose vertex for each generator s is the coset w W_{S \\ {s}}, named by
-    its minimal representative.  The index function is Coxeter length, so
-    the unique index-0 chamber is the identity.
+    (s, its minimal representative).  The representative is written as its
+    joined letters ("e" for the identity) when every generator name is one
+    character other than "e", which keeps those names distinct, and as its
+    word tuple otherwise.  The index function is Coxeter length, so the
+    unique index-0 chamber is the identity.
     """
     if d.rank < 2:
         raise DiagramError("chamber system needs rank >= 2 (chambers must be simplices)")
@@ -234,13 +237,14 @@ def coxeter_chamber_system(
     else:
         layers = coxeter.enumerate_elements(d, int(ball), cap)
     elements = [w for layer in layers for w in layer]
+    joined = all(len(s) == 1 for s in d.vertices) and "e" not in d.vertices
     chambers = []
     for w in elements:
         verts = []
         for s in d.vertices:
             T = tuple(t for t in d.vertices if t != s)
             rep = coxeter.t_minimal_representative(d, w, T, cap)
-            verts.append((s, "".join(rep.word) or "e"))
+            verts.append((s, ("".join(rep.word) or "e") if joined else rep.word))
         chamber = frozenset(verts)
         if len(chamber) != d.rank:
             raise DiagramError(f"degenerate chamber for element {w!r}")
@@ -260,7 +264,14 @@ def parse_chamber_json(text: str) -> tuple[ChamberComplex, tuple[int, ...] | Non
     extra = set(obj) - {"n", "chambers", "index"}
     if extra:
         raise ValueError(f"unexpected chamber JSON keys {sorted(extra)}")
-    chambers = tuple(frozenset(c) for c in obj["chambers"])
-    cc = ChamberComplex(int(obj["n"]), chambers)
     idx = obj.get("index")
-    return cc, (None if idx is None else tuple(int(v) for v in idx))
+    try:
+        chambers = tuple(frozenset(c) for c in obj["chambers"])
+        n = int(obj["n"])
+        idx = None if idx is None else tuple(int(v) for v in idx)
+    except TypeError:
+        raise ValueError(
+            "chamber JSON needs an integer 'n', a list of vertex-id lists "
+            "'chambers' and a list of integers 'index'"
+        ) from None
+    return ChamberComplex(n, chambers), idx

@@ -1,9 +1,13 @@
 """CLI surface: subcommand coverage, output stability, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import artin
 from artin import cli
 
 SUBCOMMANDS = [
@@ -244,3 +248,40 @@ def test_json_matches_text_content(capsys):
     word = json.loads(out)["word"]
     _, text, _ = run(["longest", "--preset", "A3", "--format", "text"], capsys)
     assert "".join(word) == text.strip()
+
+
+@pytest.mark.parametrize("command, flag, text, message", [
+    ("classify", "--file", '{"vertices": ["s", "t"], "edges": 5}', "edges"),
+    ("classify", "--file", '{"vertices": ["s", "t"], "edges": [{"a": ["s"], "b": "t", "m": 3}]}',
+     "bad edge entry"),
+    ("classify", "--file", '[{"vertices": ["s"]}]', "must be an object"),
+    ("shelling-check", "--chambers", '{"n": 1, "chambers": 5}', "chambers"),
+    ("shelling-check", "--chambers", '{"n": 1, "chambers": [[["a"]], ["b"]]}', "chambers"),
+    ("shelling-check", "--chambers", '{"n": null, "chambers": [["a", "b"]]}', "integer"),
+])
+def test_malformed_json_is_a_domain_error(tmp_path, capsys, command, flag, text, message):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run([command, flag, str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_nonpositive_cap_is_a_usage_error(capsys, monkeypatch, cap):
+    code, _, err = run(["cox-nf", "--preset", "A2", "--word", "s t", "--cap", cap], capsys)
+    assert code == 2 and "positive" in err
+    monkeypatch.setenv("ARTIN_CAP", cap)
+    code2, _, err2 = run(["cox-nf", "--preset", "A2", "--word", "s t"], capsys)
+    assert code2 == 2 and "ARTIN_CAP" in err2
+
+
+def test_python_m_artin():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(artin.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for module in ("artin", "artin.cli"):
+        p = subprocess.run([sys.executable, "-m", module, "--version"],
+                           capture_output=True, text=True, env=env, timeout=60)
+        assert p.returncode == 0, p.stderr
+        assert p.stdout.startswith("artin ")

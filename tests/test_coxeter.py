@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artin import coxeter
-from artin.diagram import CoxeterDiagram, preset
+from artin.coxeter import _cyclotomic, _Ring
+from artin.diagram import INF, CoxeterDiagram, preset
 from artin.errors import (
     CapExceededError,
     DiagramError,
     FiniteTypeRequiredError,
     RankGuardError,
 )
+from braid_oracle import braid_reduce
+from conftest import random_diagram
 
 # ---------------------------------------------------------------- oracles
 # Exact matrix models, independent of the rewriting machinery.
@@ -110,6 +113,75 @@ def test_normalize_atilde2_terminates_and_is_stable(w):
     assert coxeter.normalize(d, nf.word) == nf
 
 
+def _rank3(labels):
+    """Triangle diagram on s, t, u with labels m_st, m_tu, m_su (2 = no edge)."""
+    pairs = (("s", "t"), ("t", "u"), ("s", "u"))
+    edges = tuple((a, b, m) for (a, b), m in zip(pairs, labels) if m != 2)
+    return CoxeterDiagram(("s", "t", "u"), edges)
+
+
+# Labels 3, 4, 5, 6, 7, 8 and infinity, in finite, affine and hyperbolic groups.
+DIFFERENTIAL_DIAGRAMS = {
+    "B3": preset("B3"),
+    "H3": preset("H3"),
+    "Atilde2": preset("Atilde2"),
+    "I2(8)": preset("I2(8)"),
+    "6-inf": _rank3((6, INF, 2)),
+    "7-8": _rank3((7, 8, 2)),
+    "4-4-5": _rank3((4, 4, 5)),
+    "3-6-inf": _rank3((3, 6, INF)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_DIAGRAMS))
+def test_normalize_matches_braid_move_oracle(name):
+    d = DIFFERENTIAL_DIAGRAMS[name]
+    for k in range(7):
+        for w in itertools.product(d.vertices, repeat=k):
+            assert coxeter.normalize(d, w).word == braid_reduce(d, w), w
+
+
+def test_normalize_matches_braid_move_oracle_on_random_diagrams(rng):
+    for _ in range(12):
+        d = random_diagram(rng, max_rank=4)
+        for _ in range(150):
+            w = tuple(rng.choice(d.vertices) for _ in range(rng.randint(0, 9)))
+            assert coxeter.normalize(d, w).word == braid_reduce(d, w), (d, w)
+
+
+# ---------------------------------------------------------------- exact ring
+
+def test_cyclotomic_polynomials():
+    assert _cyclotomic(2) == [1, 1]
+    assert _cyclotomic(10) == [1, -1, 1, -1, 1]
+    assert _cyclotomic(12) == [1, 0, -1, 0, 1]
+    assert _cyclotomic(16) == [1, 0, 0, 0, 0, 0, 0, 0, 1]
+
+
+def test_ring_golden_ratio_identity_is_exactly_zero():
+    ring = _Ring(5)
+    one = ring.power[0]
+    phi = ring.times(one, ring.two_cos(5))  # 2cos(pi/5), the golden ratio
+    lhs = ring.add(ring.times(phi, ring.two_cos(5)), ring.neg(phi))
+    assert ring.add(lhs, ring.neg(one)) == ring.zero
+    assert phi != one and ring.sign(phi) == 1
+
+
+def test_ring_sign_refines_past_floating_point():
+    # F_n * phi - F_(n+1) = -psi^n with psi = -1/phi: about 3e-13 at n = 60,
+    # far inside the rounding bound of coefficients near 10^12.
+    ring = _Ring(5)
+    one = ring.power[0]
+    phi = ring.times(one, ring.two_cos(5))
+    fib = [0, 1]
+    while len(fib) < 63:
+        fib.append(fib[-1] + fib[-2])
+    for n in (59, 60):
+        x = ring.add(ring.times(phi, ((0, fib[n]),)), ring.times(one, ((0, -fib[n + 1]),)))
+        assert ring._float_sign(x) is None
+        assert ring.sign(x) == (-1) ** (n + 1)
+
+
 # ---------------------------------------------------------------- group ops
 
 @given(words(["s", "t", "u"], 6))
@@ -160,6 +232,44 @@ def test_closure_cap():
     d = CoxeterDiagram(("p", "q"), (("p", "q", 3),))
     with pytest.raises(CapExceededError):
         coxeter.normalize(d, ("p", "q", "p"), cap=1)
+
+
+def poincare(degrees):
+    """Coefficients of prod_i [d_i]_q, the Poincare polynomial of a finite
+    Coxeter group with these degrees."""
+    poly = [1]
+    for deg in degrees:
+        out = [0] * (len(poly) + deg - 1)
+        for k, c in enumerate(poly):
+            for j in range(deg):
+                out[k + j] += c
+        poly = out
+    return poly
+
+
+@pytest.mark.parametrize("name, degrees", [
+    ("F4", (2, 6, 8, 12)),
+    ("H4", (2, 12, 20, 30)),
+    ("E6", (2, 5, 6, 8, 9, 12)),
+])
+def test_layer_counts_match_poincare_series(name, degrees):
+    d = preset(name)
+    layers = coxeter.enumerate_elements(d)
+    assert [len(l) for l in layers] == poincare(degrees)
+    assert layers[-1] == [coxeter.longest_element(d)]
+
+
+def test_affine_ball_matches_bott_series():
+    # Gtilde2: the finite part I2(6) has degrees 2 and 6, and Bott's formula
+    # gives W(q) = [2]_q [6]_q / ((1 - q)(1 - q^5)).
+    d = _rank3((3, 6, 2))
+    radius = 12
+    series = poincare((2, 6)) + [0] * radius
+    for deg in (2, 6):
+        for k in range(deg - 1, len(series)):
+            series[k] += series[k - deg + 1]
+    layers = coxeter.enumerate_elements(d, radius)
+    assert [len(l) for l in layers] == series[: radius + 1]
 
 
 def test_group_orders():

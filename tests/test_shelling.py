@@ -6,7 +6,7 @@ import json
 import pytest
 
 from artin import shelling
-from artin.diagram import preset
+from artin.diagram import CoxeterDiagram, preset
 from artin.errors import DiagramError
 from artin.shelling import (
     ChamberComplex,
@@ -86,6 +86,25 @@ def test_chamber_system_a3():
 def test_chamber_system_rank1_rejected():
     with pytest.raises(DiagramError):
         coxeter_chamber_system(preset("A1"))
+
+
+@pytest.mark.parametrize("names", [("e", "f", "g"), ("a", "b", "ab")])
+def test_chamber_system_vertex_names_stay_distinct(names):
+    # A3 on generators whose joined words collide: "e" with the identity
+    # coset, or a.b with ab.
+    x, y, z = names
+    d = CoxeterDiagram(names, ((x, y, 3), (y, z, 3)))
+    cc, idx = coxeter_chamber_system(d)
+    assert len(cc.vertices) == 4 + 6 + 4  # |W| / |W_(S-s)| for each s
+    rep = verify_claims(cc, idx)
+    assert rep.passed and rep.conclusion == "1-connected"
+
+
+def test_chamber_system_keeps_joined_names_for_one_letter_generators():
+    cc, _ = coxeter_chamber_system(preset("I2(3)"))
+    assert {v for c in cc.chambers for v in c} == {
+        ("s", "e"), ("s", "s"), ("s", "ts"), ("t", "e"), ("t", "t"), ("t", "st"),
+    }
 
 
 def test_chamber_system_infinite_needs_ball():
