@@ -9,11 +9,13 @@ generator s is a left descent of w exactly when w^-1(alpha_s) < 0
 (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 4).
 
 Exact ring.  Every coefficient 2cos(pi/m) lies in Z[zeta], zeta a primitive
-2M-th root of unity, where M is the lcm of the diagram's finite labels >= 4
-and M = 1 when every label is 2, 3 or infinity (the ring is then Z).  A
-coefficient is a tuple of integers reduced modulo the cyclotomic polynomial
-Phi_2M.  Reduced tuples are canonical, so the zero test is exact and roots
-are interned by their coordinates.
+2M-th root of unity, where M is the lcm of the diagram's finite labels >= 4;
+when every label is 2, 3 or infinity the ring is plain Z.  Z[zeta] is the
+tensor product of the cyclotomic rings of the prime powers dividing 2M, and
+a coefficient is the sparse tuple of its nonzero coordinates in the product
+of their power bases.  That representation is canonical, so the zero test
+is exact and roots are interned by their coordinates, and it stays as short
+as the coefficient is, however large the degree of the ring.
 
 Sign rule.  s(r) has the sign of r unless r = +-alpha_s, so applying a
 generator needs no numerics.  Only left multiplication by s forms a root of
@@ -30,7 +32,10 @@ smallest left descent first (Casselman, Electron. J. Combin. 9, 2002).  One
 engine per diagram interns roots and elements as small integers and fills
 the action tables and Cayley-graph edges lazily, so a repeated normalize is
 one table step per letter plus a memo lookup.  The ``cap`` argument of every
-function here bounds the number of new roots one call may create.
+function here bounds the new roots one call may create, counted in nonzero
+integer coefficients: a root over Z costs its number of nonzero
+coordinates, and a root over Z[zeta] the number of basis terms of all its
+coordinates.
 
 The positive monoid still compares words through braid-move closures
 (``_Rewriter``); those are the definition of its word classes.
@@ -55,6 +60,21 @@ def _alternating(a: str, b: str, m: int) -> tuple[str, ...]:
     return tuple(a if i % 2 == 0 else b for i in range(m))
 
 
+@lru_cache(maxsize=None)
+def _index(d: CoxeterDiagram) -> dict[str, int]:
+    """Position of each generator in the declared vertex order."""
+    return {s: i for i, s in enumerate(d.vertices)}
+
+
+def _check_letters(key: dict[str, int], word) -> tuple:
+    """The word as a tuple; DiagramError on a letter that is not in `key`."""
+    w = tuple(word)
+    for x in w:
+        if x not in key:
+            raise DiagramError(f"unknown generator {x!r}")
+    return w
+
+
 class _Rewriter:
     """Per-diagram braid-move closures of positive words, memoized.
 
@@ -65,7 +85,7 @@ class _Rewriter:
 
     def __init__(self, d: CoxeterDiagram):
         self.diagram = d
-        self.key = {s: i for i, s in enumerate(d.vertices)}
+        self.key = _index(d)
         by_first: dict[str, list[tuple[tuple, tuple]]] = {s: [] for s in d.vertices}
         for a, b, m in d.pairs():
             if m == INF:
@@ -82,11 +102,7 @@ class _Rewriter:
         return (len(word), tuple(self.key[x] for x in word))
 
     def check_letters(self, word) -> tuple:
-        w = tuple(word)
-        for x in w:
-            if x not in self.key:
-                raise DiagramError(f"unknown generator {x!r}")
-        return w
+        return _check_letters(self.key, word)
 
     def _neighbors(self, w: tuple):
         for i, letter in enumerate(w):
@@ -133,27 +149,6 @@ def _rewriter(d: CoxeterDiagram) -> _Rewriter:
 # ---------------------------------------------------------------- exact ring
 
 
-def _cyclotomic(n: int) -> list[int]:
-    """Coefficients of the n-th cyclotomic polynomial, constant term first:
-    x^k - 1 divided by Phi_j for every proper divisor j of k, for each
-    divisor k of n in turn."""
-    phis: dict[int, list[int]] = {}
-    for k in range(1, n + 1):
-        if n % k:
-            continue
-        poly = [-1] + [0] * (k - 1) + [1]
-        for j, phi in phis.items():
-            if k % j == 0:
-                quot = [0] * (len(poly) - len(phi) + 1)
-                for i in range(len(quot) - 1, -1, -1):
-                    c = quot[i] = poly[i + len(phi) - 1]
-                    for h, x in enumerate(phi):
-                        poly[i + h] -= c * x
-                poly = quot
-        phis[k] = poly
-    return phis[n]
-
-
 def _decimal_pi():
     """pi at the current decimal precision, by Machin's formula."""
     from decimal import Decimal
@@ -183,74 +178,151 @@ def _decimal_cos(x):
     return total
 
 
-# math.cos is accurate to a few units in the last place, and the arguments
+class _Integers:
+    """Z, the coefficient ring when every label is 2, 3 or infinity.
+
+    The ring interface used by the engine: ``combo(pairs)`` is the sum of
+    a * c over (element, constant) pairs, ``size`` counts an element's
+    nonzero integer coefficients, and ``sign`` is exact for a nonzero element.
+    """
+
+    zero, one, minus_one = 0, 1, -1
+
+    @staticmethod
+    def two_cos(m) -> int:
+        return 2 if m == INF else 1
+
+    @staticmethod
+    def combo(pairs) -> int:
+        return sum(a * c for a, c in pairs)
+
+    @staticmethod
+    def neg(a: int) -> int:
+        return -a
+
+    @staticmethod
+    def size(a: int) -> int:
+        return 1 if a else 0
+
+    @staticmethod
+    def sign(a: int) -> int:
+        return 1 if a > 0 else -1
+
+
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """(p, p^k) for each prime power p^k exactly dividing n."""
+    out, p = [], 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        if n % p == 0:
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            out.append((p, q))
+        p += 1
+    return out
+
+
+# math.cos is accurate to a few units in the last place and its arguments
 # pi*j/M lie in [0, pi], so each product x*cos(pi*j/M) is within
 # |x| * 4e-15 of its true value; fsum adds them with one final rounding.
 _FLOAT_ERROR = 1e-14
 
 
-class _Ring:
-    """Z[zeta] for zeta = exp(i pi / M), an element being the integer tuple of
-    its coefficients on 1, zeta, ..., zeta^(deg-1), reduced modulo Phi_2M."""
+class _Cyclotomic:
+    """Z[zeta] for zeta = exp(i pi / M), M > 1, in a sparse canonical basis.
+
+    2M is a product of coprime prime powers q = p^k, and Z[zeta] is the tensor
+    product of the rings Z[zeta_q], zeta_q = zeta^(2M/q), each with the power
+    basis 1, zeta_q, ..., zeta_q^(phi(q)-1).  A product of basis powers is
+    zeta^j for one j mod 2M, so an element is the sorted tuple of its
+    nonzero (j, coefficient) pairs on that basis: canonical, and only as long
+    as the element needs, whatever the degree phi(2M) of the ring.  zeta^k
+    is reduced factor by factor with
+    zeta_q^(phi(q)+r) = -(zeta_q^r + zeta_q^(r+q/p) + ... + zeta_q^(r+(p-2)q/p)),
+    and only the exponents a computation reaches are reduced and kept.
+    Constants are given the same way, as (exponent, multiplicity) pairs that
+    need not be reduced.
+    """
+
+    zero = ()
+    one = ((0, 1),)
+    minus_one = ((0, -1),)
 
     def __init__(self, M: int):
-        phi = _cyclotomic(2 * M)
-        deg = len(phi) - 1
         self.M = M
-        self.deg = deg
-        self.zero = (0,) * deg
-        # power[j] is zeta^j reduced, for 0 <= j < 2M: multiply by zeta and
-        # replace zeta^deg by -(phi_0 + phi_1 zeta + ... ).
-        power, cur = [], [1] + [0] * (deg - 1)
-        for _ in range(2 * M):
-            power.append(tuple(cur))
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            if top:
-                cur = [c - top * p for c, p in zip(cur, phi)]
-        self.power = power
-        self.cos = [math.cos(math.pi * j / M) for j in range(deg)]
+        self.period = 2 * M
+        # (q, q/p, phi(q), 2M/q, (2M/q)^-1 mod q): the exponent of zeta_q in
+        # zeta^k is k * (2M/q)^-1 mod q.
+        self.factors = [
+            (q, q // p, q - q // p, self.period // q, pow(self.period // q, -1, q))
+            for p, q in _prime_powers(self.period)
+        ]
+        self.reduced: dict[int, tuple] = {}
+        self.cos: dict[int, float] = {}
 
     def two_cos(self, m) -> tuple[tuple[int, int], ...]:
-        """2cos(pi/m) as (exponent, multiplicity) pairs: sum of mult * zeta^exp."""
+        """2cos(pi/m) = zeta^(M/m) + zeta^(-M/m)."""
         if m == INF:
             return ((0, 2),)
         if m == 3:
             return ((0, 1),)
         k = self.M // int(m)
-        return ((k, 1), (2 * self.M - k, 1))
+        return ((k, 1), (self.period - k, 1))
 
-    def times(self, a: tuple, c) -> tuple:
-        """a * c for c given as (exponent, multiplicity) pairs."""
-        out = [0] * self.deg
-        period = 2 * self.M
-        for exp, mult in c:
-            for j, x in enumerate(a):
-                if x:
-                    x *= mult
-                    for i, y in enumerate(self.power[(j + exp) % period]):
-                        if y:
-                            out[i] += x * y
-        return tuple(out)
+    def _reduce(self, k: int) -> tuple:
+        terms = [(0, 1)]
+        for q, qp, phi, step, inv in self.factors:
+            a = k * inv % q
+            if a < phi:
+                parts = [(a * step, 1)]
+            else:
+                parts = [((a - phi + i * qp) * step, -1) for i in range(q // qp - 1)]
+            terms = [(j + b, x * y) for j, x in terms for b, y in parts]
+        red = self.reduced[k] = tuple((j % self.period, x) for j, x in terms)
+        return red
 
-    @staticmethod
-    def add(a: tuple, b: tuple) -> tuple:
-        return tuple(x + y for x, y in zip(a, b))
+    def combo(self, pairs) -> tuple:
+        acc: dict[int, int] = {}
+        period, reduced = self.period, self.reduced
+        for a, c in pairs:
+            for e, y in c:
+                for j, x in a:
+                    k = (j + e) % period
+                    red = reduced.get(k)
+                    if red is None:
+                        red = self._reduce(k)
+                    xy = x * y
+                    for i, z in red:
+                        acc[i] = acc.get(i, 0) + xy * z
+        return tuple(sorted(item for item in acc.items() if item[1]))
 
     @staticmethod
     def neg(a: tuple) -> tuple:
-        return tuple(-x for x in a)
+        return tuple((j, -x) for j, x in a)
+
+    @staticmethod
+    def size(a: tuple) -> int:
+        return len(a)
+
+    def _angle(self, j: int) -> int:
+        """j' in [0, M] with cos(pi j / M) = cos(pi j' / M)."""
+        return min(j, self.period - j)
 
     def _float_sign(self, a: tuple) -> int | None:
         """Sign of a nonzero real element when the floating-point value
         clears its rounding bound, else None."""
-        if self.deg == 1:
-            return 1 if a[0] > 0 else -1
+        cos = self.cos
+        for j, _ in a:
+            if j not in cos:
+                cos[j] = math.cos(math.pi * self._angle(j) / self.M)
         try:
-            value = math.fsum(x * c for x, c in zip(a, self.cos))
+            value = math.fsum(x * cos[j] for j, x in a)
         except OverflowError:
             return None
-        if abs(value) > _FLOAT_ERROR * sum(map(abs, a)):
+        if abs(value) > _FLOAT_ERROR * sum(abs(x) for _, x in a):
             return 1 if value > 0 else -1
         return None
 
@@ -268,8 +340,8 @@ class _Ring:
                 # |x| * 10^-(digits + 8), so the total is below `bound`
                 ctx.prec = digits + 10
                 pi = _decimal_pi()
-                value = sum(x * _decimal_cos(pi * j / self.M) for j, x in enumerate(a) if x)
-                bound = sum(map(abs, a)) * decimal.Decimal(10) ** -digits
+                value = sum(x * _decimal_cos(pi * self._angle(j) / self.M) for j, x in a)
+                bound = sum(abs(x) for _, x in a) * decimal.Decimal(10) ** -digits
                 if abs(value) > bound:
                     sgn = 1 if value > 0 else -1
             digits *= 2
@@ -295,12 +367,13 @@ class _Engine:
         self.diagram = d
         self.n = n
         self.names = d.vertices
-        self.key = {s: i for i, s in enumerate(d.vertices)}
-        ring = self.ring = _Ring(math.lcm(1, *(m for _, _, m in d.edges if m != INF and m >= 4)))
+        key = self.key = _index(d)
+        M = math.lcm(1, *(m for _, _, m in d.edges if m != INF and m >= 4))
+        ring = self.ring = _Integers() if M == 1 else _Cyclotomic(M)
         # coupling[s]: (t, 2cos(pi/m_st)) for every t joined to s
         self.coupling: list[list] = [[] for _ in range(n)]
         for a, b, m in d.edges:
-            i, j = self.key[a], self.key[b]
+            i, j = key[a], key[b]
             c = ring.two_cos(m)
             self.coupling[i].append((j, c))
             self.coupling[j].append((i, c))
@@ -308,9 +381,8 @@ class _Engine:
         self.root_id: dict[tuple, int] = {}
         self.positive: list[bool] = []
         self.act: list[list[int]] = [[] for _ in range(n)]
-        self.limit, self.cap, self.what = math.inf, 0, ""
-        one = ring.power[0]
-        for unit, positive in ((one, True), (ring.neg(one), False)):
+        self.budget, self.cap, self.what = math.inf, 0, ""
+        for unit, positive in ((ring.one, True), (ring.neg(ring.one), False)):
             for s in range(n):
                 self._root(tuple(unit if t == s else ring.zero for t in range(n)), positive)
         for s in range(n):
@@ -324,26 +396,20 @@ class _Engine:
         self.objs: list[CoxeterElement | None] = []
         self._element(tuple(range(n)))
         self.nf[0] = ()
-        self.longest: int | None = None
 
     def begin(self, cap: int, what: str) -> None:
-        """Start a call that may create at most `cap` new roots."""
-        self.limit = len(self.coords) + cap
-        self.cap, self.what = cap, what
-
-    def letters(self, word) -> list[int]:
-        try:
-            return [self.key[x] for x in word]
-        except KeyError as exc:
-            raise DiagramError(f"unknown generator {exc.args[0]!r}") from None
+        """Start a call whose new roots may hold at most `cap` nonzero
+        integer coefficients in all."""
+        self.budget, self.cap, self.what = cap, cap, what
 
     # ------------------------------------------------------------ roots
     def _root(self, vec: tuple, positive: bool) -> int:
         r = self.root_id.get(vec)
         if r is None:
-            r = len(self.coords)
-            if r >= self.limit:
+            self.budget -= sum(map(self.ring.size, vec))
+            if self.budget < 0:
                 raise CapExceededError(f"{self.what} root action", self.cap)
+            r = len(self.coords)
             self.root_id[vec] = r
             self.coords.append(vec)
             self.positive.append(positive)
@@ -355,10 +421,9 @@ class _Engine:
         """Id of s(r): the s-coordinate becomes -r_s + sum_t 2cos(pi/m_st) r_t,
         and the sign is kept (r = +-alpha_s is filled in at construction)."""
         ring, vec = self.ring, self.coords[r]
-        new = ring.neg(vec[s])
-        for t, c in self.coupling[s]:
-            if any(vec[t]):
-                new = ring.add(new, ring.times(vec[t], c))
+        terms = [(vec[s], ring.minus_one)]
+        terms += [(vec[t], c) for t, c in self.coupling[s] if vec[t]]
+        new = ring.combo(terms)
         image = self._root(vec[:s] + (new,) + vec[s + 1 :], self.positive[r])
         self.act[s][r] = image
         self.act[s][image] = r
@@ -366,21 +431,21 @@ class _Engine:
 
     def _combine(self, b: int, c, a: int) -> int:
         """Id of the root coords[b] + c * coords[a], for c = 2cos(pi/m) > 0."""
-        ring = self.ring
+        ring, one = self.ring, self.ring.one
         va, vb = self.coords[a], self.coords[b]
-        vec = tuple(ring.add(y, ring.times(x, c)) if any(x) else y for x, y in zip(va, vb))
+        vec = tuple(ring.combo(((y, one), (x, c))) if x else y for x, y in zip(va, vb))
         pa, pb = self.positive[a], self.positive[b]
         if pa == pb:
             return self._root(vec, pa)
         # The summands have opposite signs: a coordinate where one of them
         # vanishes shows the other's sign, otherwise certify one numerically.
         for x, y, z in zip(va, vb, vec):
-            if any(z):
-                if not any(x):
+            if z:
+                if not x:
                     return self._root(vec, pb)
-                if not any(y):
+                if not y:
                     return self._root(vec, pa)
-        z = next(z for z in vec if any(z))
+        z = next(z for z in vec if z)
         return self._root(vec, ring.sign(z) > 0)
 
     # ------------------------------------------------------------ elements
@@ -425,9 +490,11 @@ class _Engine:
             self.left[f * self.n + s] = e
         return f
 
-    def walk(self, e: int, letters) -> int:
-        right, n = self.right, self.n
-        for s in letters:
+    def walk(self, e: int, word) -> int:
+        """e times the generators of a checked word, named as strings."""
+        right, n, key = self.right, self.n, self.key
+        for x in word:
+            s = key[x]
             f = right[e * n + s]
             e = f if f >= 0 else self.times(e, s)
         return e
@@ -478,7 +545,8 @@ class CoxeterElement:
         return len(self.word)
 
     def sort_key(self):
-        return _rewriter(self.diagram).shortlex_key(self.word)
+        key = _index(self.diagram)
+        return (len(self.word), tuple(key[x] for x in self.word))
 
     def __repr__(self):
         return f"CoxeterElement({''.join(self.word) or 'e'})"
@@ -488,7 +556,7 @@ def normalize(d: CoxeterDiagram, word, cap: int = DEFAULT_CAP) -> CoxeterElement
     """Unique normal form of a word: reduced, ShortLex-minimal, idempotent."""
     eng = _engine(d)
     eng.begin(cap, "normalize")
-    return eng.element(eng.walk(0, eng.letters(word)))
+    return eng.element(eng.walk(0, _check_letters(eng.key, word)))
 
 
 def identity(d: CoxeterDiagram) -> CoxeterElement:
@@ -561,20 +629,17 @@ def enumerate_elements(
 def longest_element(d: CoxeterDiagram, cap: int = DEFAULT_CAP) -> CoxeterElement:
     """The unique maximal-length element of a finite Coxeter group, reached by
     left-multiplying by non-descents until every generator is a descent."""
+    if not is_finite_type(d)[0]:
+        raise FiniteTypeRequiredError("longest_element needs a finite-type diagram")
     eng = _engine(d)
     eng.begin(cap, "longest_element")
-    if eng.longest is None:
-        if not is_finite_type(d)[0]:
-            raise FiniteTypeRequiredError("longest_element needs a finite-type diagram")
-        e = 0
-        while True:
-            sig = eng.sig[e]
-            up = next((s for s in range(eng.n) if eng.positive[sig[s]]), None)
-            if up is None:
-                break
-            e = eng.left_times(up, e)
-        eng.longest = e
-    return eng.element(eng.longest)
+    e = 0
+    while True:
+        sig = eng.sig[e]
+        up = next((s for s in range(eng.n) if eng.positive[sig[s]]), None)
+        if up is None:
+            return eng.element(e)
+        e = eng.left_times(up, e)
 
 
 def reflections(
@@ -611,10 +676,9 @@ def reflections(
     out = set()
     for layer in layers:
         for el in layer:
-            letters = eng.letters(el.word)
-            e = eng.walk(0, letters)
+            e = eng.walk(0, el.word)
             for s in range(n):
-                out.add(eng.walk(eng.times(e, s), reversed(letters)))
+                out.add(eng.walk(eng.times(e, s), reversed(el.word)))
     return {eng.element(e) for e in out}
 
 
@@ -628,8 +692,8 @@ def t_minimal_representative(
     eng = _engine(d)
     eng.begin(cap, "t_minimal_representative")
     keep = set(T)
-    T = eng.letters(t for t in d.vertices if t in keep)
-    e = eng.walk(0, eng.letters(w.word))
+    T = [eng.key[t] for t in d.vertices if t in keep]
+    e = eng.walk(0, _check_letters(eng.key, w.word))
     length = len(eng.word(e))
     improved = True
     while improved:

@@ -225,10 +225,10 @@ def coxeter_chamber_system(
     Chambers are the group elements; the chamber of w is the (rank-1)-simplex
     whose vertex for each generator s is the coset w W_{S \\ {s}}, named by
     (s, its minimal representative).  The representative is written as its
-    joined letters ("e" for the identity) when every generator name is one
-    character other than "e", which keeps those names distinct, and as its
-    word tuple otherwise.  The index function is Coxeter length, so the
-    unique index-0 chamber is the identity.
+    joined letters ("e" for the identity) unless two cosets of one W_{S \\ {s}}
+    would get the same name that way (a generator called "e", or names such as
+    a, b and ab), and then as its word tuple.  The index function is Coxeter
+    length, so the unique index-0 chamber is the identity.
     """
     if d.rank < 2:
         raise DiagramError("chamber system needs rank >= 2 (chambers must be simplices)")
@@ -237,15 +237,18 @@ def coxeter_chamber_system(
     else:
         layers = coxeter.enumerate_elements(d, int(ball), cap)
     elements = [w for layer in layers for w in layer]
-    joined = all(len(s) == 1 for s in d.vertices) and "e" not in d.vertices
-    chambers = []
+    rows = []
     for w in elements:
-        verts = []
+        row = []
         for s in d.vertices:
             T = tuple(t for t in d.vertices if t != s)
-            rep = coxeter.t_minimal_representative(d, w, T, cap)
-            verts.append((s, ("".join(rep.word) or "e") if joined else rep.word))
-        chamber = frozenset(verts)
+            row.append((s, coxeter.t_minimal_representative(d, w, T, cap).word))
+        rows.append(row)
+    cosets = {v for row in rows for v in row}
+    joined = len({(s, "".join(rep) or "e") for s, rep in cosets}) == len(cosets)
+    chambers = []
+    for w, row in zip(elements, rows):
+        chamber = frozenset((s, "".join(rep) or "e") if joined else (s, rep) for s, rep in row)
         if len(chamber) != d.rank:
             raise DiagramError(f"degenerate chamber for element {w!r}")
         chambers.append(chamber)

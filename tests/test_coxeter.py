@@ -1,6 +1,7 @@
 """Coxeter word problem against independent permutation-model oracles."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artin import coxeter
-from artin.coxeter import _cyclotomic, _Ring
+from artin.coxeter import _Cyclotomic, _prime_powers
 from artin.diagram import INF, CoxeterDiagram, preset
 from artin.errors import (
     CapExceededError,
@@ -151,35 +152,77 @@ def test_normalize_matches_braid_move_oracle_on_random_diagrams(rng):
 
 # ---------------------------------------------------------------- exact ring
 
-def test_cyclotomic_polynomials():
-    assert _cyclotomic(2) == [1, 1]
-    assert _cyclotomic(10) == [1, -1, 1, -1, 1]
-    assert _cyclotomic(12) == [1, 0, -1, 0, 1]
-    assert _cyclotomic(16) == [1, 0, 0, 0, 0, 0, 0, 0, 1]
+def test_prime_powers():
+    assert _prime_powers(2) == [(2, 2)]
+    assert _prime_powers(240) == [(2, 16), (3, 3), (5, 5)]
+    assert _prime_powers(18018) == [(2, 2), (3, 9), (7, 7), (11, 11), (13, 13)]
+
+
+def _value(ring, a):
+    return sum(x * np.exp(1j * np.pi * j / ring.M) for j, x in a)
+
+
+@pytest.mark.parametrize("M", [4, 5, 6, 60, 9009])
+def test_cyclotomic_reduction_keeps_the_value(M):
+    # Every reduced zeta^k has the value of zeta^k, uses only basis exponents
+    # (each reduces to itself), and zeta^k * zeta^-k is exactly one.
+    ring = _Cyclotomic(M)
+    step = max(1, ring.period // 600)
+    for k in range(0, ring.period, step):
+        a = ring.combo([(ring.one, ((k, 1),))])
+        assert abs(_value(ring, a) - np.exp(1j * np.pi * k / M)) < 1e-9
+        assert all(ring.combo([(ring.one, ((j, 1),))]) == ((j, 1),) for j, _ in a)
+        assert ring.combo([(a, ((ring.period - k, 1),))]) == ring.one
 
 
 def test_ring_golden_ratio_identity_is_exactly_zero():
-    ring = _Ring(5)
-    one = ring.power[0]
-    phi = ring.times(one, ring.two_cos(5))  # 2cos(pi/5), the golden ratio
-    lhs = ring.add(ring.times(phi, ring.two_cos(5)), ring.neg(phi))
-    assert ring.add(lhs, ring.neg(one)) == ring.zero
-    assert phi != one and ring.sign(phi) == 1
+    ring = _Cyclotomic(5)
+    phi = ring.combo([(ring.one, ring.two_cos(5))])  # 2cos(pi/5), the golden ratio
+    assert ring.combo([(phi, phi), (phi, ring.minus_one), (ring.one, ring.minus_one)]) == ring.zero
+    assert phi != ring.one and ring.sign(phi) == 1
 
 
 def test_ring_sign_refines_past_floating_point():
     # F_n * phi - F_(n+1) = -psi^n with psi = -1/phi: about 3e-13 at n = 60,
     # far inside the rounding bound of coefficients near 10^12.
-    ring = _Ring(5)
-    one = ring.power[0]
-    phi = ring.times(one, ring.two_cos(5))
+    ring = _Cyclotomic(5)
+    phi = ring.combo([(ring.one, ring.two_cos(5))])
     fib = [0, 1]
     while len(fib) < 63:
         fib.append(fib[-1] + fib[-2])
     for n in (59, 60):
-        x = ring.add(ring.times(phi, ((0, fib[n]),)), ring.times(one, ((0, -fib[n + 1]),)))
+        x = ring.combo([(phi, ((0, fib[n]),)), (ring.one, ((0, -fib[n + 1]),))])
         assert ring._float_sign(x) is None
         assert ring.sign(x) == (-1) ** (n + 1)
+
+
+def _path(*labels):
+    names = tuple(f"s{i}" for i in range(len(labels) + 1))
+    return CoxeterDiagram(names, tuple(zip(names, names[1:], labels)))
+
+
+def test_large_coprime_labels_stay_sparse():
+    # lcm(7, 9, 11, 13) = 9009: Z[zeta_18018] has degree 4320, yet short
+    # words only reach roots with a few coefficients each.
+    d = _path(7, 9, 11, 13)
+    start = time.perf_counter()
+    for k in range(5):
+        for w in itertools.product(d.vertices, repeat=k):
+            assert coxeter.normalize(d, w).word == braid_reduce(d, w), w
+    assert len(coxeter.enumerate_elements(d, 6)[-1]) == 380
+    assert time.perf_counter() - start < 60
+
+
+def test_cap_bounds_root_coefficients_on_a_huge_field():
+    # lcm(11, 13, 17, 19) = 46189, degree 34560: a deep ball runs into the
+    # cap after at most cap coefficients' worth of roots.
+    d = _path(11, 13, 17, 19)
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="enumerate_elements root action"):
+        coxeter.enumerate_elements(d, 30, cap=20_000)
+    eng = coxeter._engine(d)
+    assert sum(eng.ring.size(x) for root in eng.coords for x in root) <= 20_000 + 2 * d.rank
+    assert time.perf_counter() - start < 30
 
 
 # ---------------------------------------------------------------- group ops

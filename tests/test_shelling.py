@@ -88,16 +88,19 @@ def test_chamber_system_rank1_rejected():
         coxeter_chamber_system(preset("A1"))
 
 
-@pytest.mark.parametrize("names", [("e", "f", "g"), ("a", "b", "ab")])
-def test_chamber_system_vertex_names_stay_distinct(names):
-    # A3 on generators whose joined words collide: "e" with the identity
-    # coset, or a.b with ab.
-    x, y, z = names
-    d = CoxeterDiagram(names, ((x, y, 3), (y, z, 3)))
+@pytest.mark.parametrize("names, size, conclusion", [
+    (("e", "f", "g"), 4 + 6 + 4, "1-connected"),
+    (("a", "b", "c", "ab"), 5 + 10 + 10 + 5, "2-connected"),
+])
+def test_chamber_system_vertex_names_stay_distinct(names, size, conclusion):
+    # A3 and A4 paths whose joined coset words collide: "e" with the identity
+    # coset, and a.b.c with ab.c among the cosets of W_(S-c).
+    d = CoxeterDiagram(names, tuple((x, y, 3) for x, y in zip(names, names[1:])))
     cc, idx = coxeter_chamber_system(d)
-    assert len(cc.vertices) == 4 + 6 + 4  # |W| / |W_(S-s)| for each s
+    assert len(cc.vertices) == size  # sum over s of |W| / |W_(S-s)|
+    assert all(isinstance(rep, tuple) for _, rep in cc.vertices)
     rep = verify_claims(cc, idx)
-    assert rep.passed and rep.conclusion == "1-connected"
+    assert rep.passed and rep.conclusion == conclusion
 
 
 def test_chamber_system_keeps_joined_names_for_one_letter_generators():
@@ -105,6 +108,13 @@ def test_chamber_system_keeps_joined_names_for_one_letter_generators():
     assert {v for c in cc.chambers for v in c} == {
         ("s", "e"), ("s", "s"), ("s", "ts"), ("t", "e"), ("t", "t"), ("t", "st"),
     }
+
+
+def test_chamber_system_keeps_joined_names_that_do_not_collide():
+    d = CoxeterDiagram(("s1", "s2", "s3"), (("s1", "s2", 3), ("s2", "s3", 3)))
+    cc, _ = coxeter_chamber_system(d)
+    assert ("s3", "s1s2s3") in cc.vertices and ("s1", "e") in cc.vertices
+    assert all(isinstance(rep, str) for _, rep in cc.vertices)
 
 
 def test_chamber_system_infinite_needs_ball():
