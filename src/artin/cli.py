@@ -18,7 +18,7 @@ import numpy as np
 
 from . import complexes, coxeter, diagram, group, monoid, shelling, tits
 from .coxeter import DEFAULT_CAP
-from .diagram import INF, classify_taxonomy, finite_type_subsets, is_finite_type, preset
+from .diagram import INF, classify_taxonomy, is_finite_type, preset
 from .errors import ArtinError
 
 FORMAT_VERSION = 1
@@ -57,12 +57,6 @@ def _word(text: str) -> tuple[str, ...]:
 
 def _word_str(word) -> str:
     return "".join(word) or "e"
-
-
-def _sorted_sf(d):
-    return sorted(
-        finite_type_subsets(d), key=lambda T: (len(T), sorted(d.index(v) for v in T))
-    )
 
 
 def _subset_list(d, T) -> list[str]:
@@ -126,7 +120,7 @@ def _cmd_taxonomy(d, args):
 
 
 def _cmd_sf(d, args):
-    subsets = [_subset_list(d, T) for T in _sorted_sf(d)]
+    subsets = [_subset_list(d, T) for T in complexes._sf_sorted(d)]
     obj = {"count": len(subsets), "subsets": subsets}
     text = f"{len(subsets)} finite-type subsets\n" + "\n".join(
         "{" + ",".join(T) + "}" for T in subsets
@@ -488,7 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--cap",
             type=_positive_cap,
             default=None,
-            help="closure/enumeration size cap (default ARTIN_CAP or 10^6)",
+            help="work bound per call: new root coefficients, monoid and group "
+            "normal-form steps (default ARTIN_CAP or 10^6)",
         )
         if "tol" in opts:
             sp.add_argument("--tol", type=float, default=opts["tol"])

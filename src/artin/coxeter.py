@@ -35,17 +35,14 @@ one table step per letter plus a memo lookup.  The ``cap`` argument of every
 function here bounds the new roots one call may create, counted in nonzero
 integer coefficients: a root over Z costs its number of nonzero
 coordinates, and a root over Z[zeta] the number of basis terms of all its
-coordinates.
-
-The positive monoid still compares words through braid-move closures
-(``_Rewriter``); those are the definition of its word classes.
+coordinates.  The Artin monoid and group build their normal forms on the
+same engine (module ``greedy``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -54,10 +51,6 @@ from .errors import CapExceededError, DiagramError, FiniteTypeRequiredError, Ran
 
 DEFAULT_CAP = 10**6
 DEFAULT_SIZE_GUARD = 10**6
-
-
-def _alternating(a: str, b: str, m: int) -> tuple[str, ...]:
-    return tuple(a if i % 2 == 0 else b for i in range(m))
 
 
 @lru_cache(maxsize=None)
@@ -73,77 +66,6 @@ def _check_letters(key: dict[str, int], word) -> tuple:
         if x not in key:
             raise DiagramError(f"unknown generator {x!r}")
     return w
-
-
-class _Rewriter:
-    """Per-diagram braid-move closures of positive words, memoized.
-
-    Closure classes are cached under their ShortLex-minimal member, and
-    every encountered word is mapped to that representative, so repeated
-    equality tests across a session amortize to dictionary lookups.
-    """
-
-    def __init__(self, d: CoxeterDiagram):
-        self.diagram = d
-        self.key = _index(d)
-        by_first: dict[str, list[tuple[tuple, tuple]]] = {s: [] for s in d.vertices}
-        for a, b, m in d.pairs():
-            if m == INF:
-                continue
-            lhs = _alternating(a, b, int(m))
-            rhs = _alternating(b, a, int(m))
-            by_first[a].append((lhs, rhs))
-            by_first[b].append((rhs, lhs))
-        self.rels_by_first = by_first
-        self._canon: dict[tuple, tuple] = {}
-        self._class_of: dict[tuple, frozenset] = {}
-
-    def shortlex_key(self, word: tuple):
-        return (len(word), tuple(self.key[x] for x in word))
-
-    def check_letters(self, word) -> tuple:
-        return _check_letters(self.key, word)
-
-    def _neighbors(self, w: tuple):
-        for i, letter in enumerate(w):
-            for lhs, rhs in self.rels_by_first[letter]:
-                if w[i : i + len(lhs)] == lhs:
-                    yield w[:i] + rhs + w[i + len(lhs) :]
-
-    def closure(self, word: tuple, cap: int) -> frozenset:
-        """Full braid-move closure of the word (all members share its length)."""
-        known = self._canon.get(word)
-        if known is not None:
-            return self._class_of[known]
-        seen = {word}
-        dq = deque([word])
-        while dq:
-            w = dq.popleft()
-            for w2 in self._neighbors(w):
-                if w2 not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceededError("relation closure", cap)
-                    seen.add(w2)
-                    dq.append(w2)
-        cl = frozenset(seen)
-        rep = min(cl, key=self.shortlex_key)
-        for w in cl:
-            self._canon[w] = rep
-        self._class_of[rep] = cl
-        return cl
-
-    def canon(self, word: tuple, cap: int) -> tuple:
-        """ShortLex-minimal member of the closure class."""
-        known = self._canon.get(word)
-        if known is not None:
-            return known
-        self.closure(word, cap)
-        return self._canon[word]
-
-
-@lru_cache(maxsize=None)
-def _rewriter(d: CoxeterDiagram) -> _Rewriter:
-    return _Rewriter(d)
 
 
 # ---------------------------------------------------------------- exact ring

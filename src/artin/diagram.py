@@ -69,6 +69,15 @@ class CoxeterDiagram:
         object.__setattr__(self, "edges", tuple(canon))
         object.__setattr__(self, "_label_map", {(a, b): m for a, b, m in canon})
 
+    def __hash__(self) -> int:
+        # Per-diagram caches key on the diagram, so hash it once, on first
+        # use: most subdiagrams built while classifying are never hashed.
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.vertices, self.edges)))
+            return self._hash
+
     @property
     def rank(self) -> int:
         return len(self.vertices)

@@ -2,47 +2,23 @@
 
 Every element factors as Delta^k * a with a a positive-monoid element not
 left-divisible by Delta; taking k maximal makes the pair unique, so group
-equality is syntactic.  Inversion goes through the Garside normal form of
-the positive part: each block satisfies Delta_T^{-1} = Delta^{-1} * c_T with
-Delta = c_T * Delta_T, which keeps every intermediate closure small.
+equality is syntactic.  The work runs on the left-greedy normal form of a:
+Delta divides a exactly when the first factor is Delta, a * Delta^k =
+Delta^k * sigma^k(a) with sigma applied factor by factor, and an inverse
+letter s^-1 = Delta^-1 * (w0 s) is one more simple factor.  ``cap`` bounds
+the normal-form work of one call, as in ``monoid``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import coxeter, monoid
 from .coxeter import DEFAULT_CAP, CoxeterElement
-from .diagram import CoxeterDiagram, is_finite_type
-from .errors import DiagramError, FiniteTypeRequiredError, GarsideError
+from .diagram import CoxeterDiagram
+from .errors import DiagramError, FiniteTypeRequiredError
 from .monoid import MonoidElement
-
-
-@lru_cache(maxsize=None)
-def _delta(d: CoxeterDiagram) -> MonoidElement:
-    if not is_finite_type(d)[0]:
-        raise FiniteTypeRequiredError("group elements require a finite-type diagram")
-    return monoid.garside_element(d, d.vertices)
-
-
-@lru_cache(maxsize=None)
-def _sigma(d: CoxeterDiagram) -> dict:
-    return monoid.garside_permutation(d)
-
-
-def _sigma_power(d: CoxeterDiagram, word: tuple, n: int, cap: int) -> tuple:
-    """Apply sigma^n letterwise (sigma extended to positive words)."""
-    if n == 0 or not word:
-        return word
-    table = _sigma(d)
-    if n < 0:
-        table = {v: k for k, v in table.items()}
-        n = -n
-    for _ in range(n):
-        word = tuple(table[s] for s in word)
-    return word
 
 
 @dataclass(frozen=True)
@@ -60,32 +36,47 @@ class GroupElement:
         return {"k": self.k, "a": list(self.a.word)}
 
 
-def _normalized(d: CoxeterDiagram, k: int, a: MonoidElement, cap: int) -> GroupElement:
-    delta = _delta(d)
-    while a.length >= delta.length:
-        cof = monoid.divides(d, delta, a, side="left", cap=cap)
-        if cof is None:
-            break
-        a = cof
-        k += 1
-    return GroupElement(d, k, a)
+def _state(d: CoxeterDiagram, cap: int, what: str):
+    st = monoid._begin(d, cap, what)
+    if not st.finite:
+        raise FiniteTypeRequiredError("group elements require a finite-type diagram")
+    return st
+
+
+def _times(st, k: int, F: list, hk: int, G) -> tuple[int, list]:
+    """(Delta^k F) * (Delta^hk G) = Delta^(k+hk) sigma^hk(F) G, with the
+    leading Delta factors counted into the exponent.  A factor of G may be
+    trivial (s^-1 = Delta^-1 in rank one) and is then skipped."""
+    if hk % 2:
+        F = [st.twist(x) for x in F]
+    for y in G:
+        if y:
+            st.append(F, y)
+    w0, j = st.w0(), 0
+    while j < len(F) and F[j] == w0:
+        j += 1
+    return k + hk + j, F[j:]
+
+
+def _element(st, k: int, F: list) -> GroupElement:
+    return GroupElement(st.diagram, k, monoid._element(st, F))
 
 
 def identity(d: CoxeterDiagram) -> GroupElement:
-    _delta(d)
+    _state(d, DEFAULT_CAP, "identity")
     return GroupElement(d, 0, monoid.identity(d))
 
 
 def delta_element(d: CoxeterDiagram) -> GroupElement:
     """Delta as a group element: the pair (1, e)."""
-    _delta(d)
+    _state(d, DEFAULT_CAP, "delta_element")
     return GroupElement(d, 1, monoid.identity(d))
 
 
 def embed(d: CoxeterDiagram, a, cap: int = DEFAULT_CAP) -> GroupElement:
     """The image of a positive monoid element in the group."""
-    el = monoid.canonicalize(d, a, cap)
-    return _normalized(d, 0, el, cap)
+    st = _state(d, cap, "embed")
+    return _element(st, *_times(st, 0, [], 0, st.nf(monoid._word(st, a))))
 
 
 def parse_signed_word(text: str) -> tuple[tuple[str, int], ...]:
@@ -107,46 +98,35 @@ def from_letters(d: CoxeterDiagram, word, cap: int = DEFAULT_CAP) -> GroupElemen
     """
     if isinstance(word, str):
         word = parse_signed_word(word)
-    delta = _delta(d)
-    g = identity(d)
+    st = _state(d, cap, "from_letters")
+    k, F = 0, []
     for s, e in word:
-        if s not in d.vertices:
+        if s not in st.key:
             raise DiagramError(f"unknown generator {s!r}")
         if e == 1:
-            h = GroupElement(d, 0, monoid.canonicalize(d, (s,), cap))
+            k, F = _times(st, k, F, 0, [st.right(0, st.key[s])])
         elif e == -1:
-            b = monoid.divides(d, (s,), delta, side="right", cap=cap)
-            if b is None:
-                raise GarsideError(f"generator {s} does not right-divide Delta")
-            h = GroupElement(d, -1, b)
+            k, F = _times(st, k, F, -1, [st.right(st.w0(), st.key[s])])
         else:
             raise DiagramError(f"exponent must be +1 or -1, got {e}")
-        g = multiply(g, h, cap)
-    return g
+    return _element(st, k, F)
 
 
 def multiply(g: GroupElement, h: GroupElement, cap: int = DEFAULT_CAP) -> GroupElement:
     if g.diagram != h.diagram:
         raise DiagramError("cannot multiply elements over different diagrams")
-    d = g.diagram
-    twisted = _sigma_power(d, g.a.word, -h.k, cap)
-    a = monoid.canonicalize(d, twisted + h.a.word, cap)
-    return _normalized(d, g.k + h.k, a, cap)
+    st = _state(g.diagram, cap, "multiply")
+    return _element(st, *_times(st, g.k, list(st.nf(g.a.word)), h.k, st.nf(h.a.word)))
 
 
 def invert(g: GroupElement, cap: int = DEFAULT_CAP) -> GroupElement:
-    """g = Delta^k a  =>  g^{-1} = a^{-1} Delta^{-k}, with a^{-1} expanded
-    block by block through the Garside normal form of a."""
-    d = g.diagram
-    delta = _delta(d)
-    nf = monoid.garside_normal_form(d, g.a, cap)
-    res = identity(d)
-    for T in reversed(nf.blocks):
-        c = monoid.divides(d, monoid.garside_element(d, T, cap), delta, side="right", cap=cap)
-        if c is None:
-            raise GarsideError(f"Delta_{set(T)} does not right-divide Delta")
-        res = multiply(res, GroupElement(d, -1, c), cap)
-    return multiply(res, GroupElement(d, -g.k, monoid.identity(d)), cap)
+    """g = Delta^k x_1...x_r  =>  g^{-1} = x_r^{-1}...x_1^{-1} Delta^{-k}, with
+    each x^{-1} = Delta^{-1} c for the simple c with c x = Delta."""
+    st = _state(g.diagram, cap, "invert")
+    k, F = 0, []
+    for x in reversed(st.nf(g.a.word)):
+        k, F = _times(st, k, F, -1, [st.complement(x)])
+    return _element(st, *_times(st, k, F, -g.k, ()))
 
 
 def equal(g: GroupElement, h: GroupElement) -> bool:
@@ -162,22 +142,10 @@ def fraction_decomposition(
     (e, Delta^k a) otherwise, the common left gcd is cancelled so the pair
     is reduced.
     """
-    d = g.diagram
-    delta = _delta(d)
-    if g.k < 0:
-        a_raw = monoid.canonicalize(d, delta.word * (-g.k), cap)
-        b_raw = g.a
-    else:
-        a_raw = monoid.identity(d)
-        b_raw = monoid.canonicalize(d, delta.word * g.k + g.a.word, cap)
-    c = monoid.gcd(d, a_raw, b_raw, side="left", cap=cap)
-    if c.length:
-        a_red = monoid.divides(d, c, a_raw, side="left", cap=cap)
-        b_red = monoid.divides(d, c, b_raw, side="left", cap=cap)
-        if a_red is None or b_red is None:
-            raise GarsideError("gcd does not divide its arguments")
-        return a_red, b_red
-    return a_raw, b_raw
+    st = _state(g.diagram, cap, "fraction_decomposition")
+    A, B = [st.w0()] * max(-g.k, 0), [st.w0()] * max(g.k, 0) + list(st.nf(g.a.word))
+    st.common_prefix(A, B)
+    return monoid._element(st, A), monoid._element(st, B)
 
 
 def canonical_section(d: CoxeterDiagram, w: CoxeterElement, cap: int = DEFAULT_CAP) -> GroupElement:

@@ -1,27 +1,47 @@
 """Artin monoid word problem, divisibility, and Garside structure.
 
-Positive words are compared through their relation closure: the defining
-braid relations preserve length, so each element's word class is finite and
-the ShortLex minimum is a canonical representative.  Divisibility, gcd, lcm,
-the Garside element Delta, the permutation sigma, the block normal form
-Delta_{T_k}...Delta_{T_0}, and an exhaustive bounded axiom verifier are all
-built on top of that closure.
+Simple elements are the positive lifts of the elements of W.  Every positive
+element has a unique left-greedy normal form x_1 ... x_k over nontrivial
+simples, in which each pair is left-weighted: every left descent of x_{i+1}
+is a right descent of x_i, R(x_i) >= L(x_{i+1}) (Michel, J. Algebra 215,
+1999).  One state per diagram (module ``greedy``) keeps factors as element
+ids of the Coxeter root-action engine, so descent sets are bitmasks read off
+signatures, and restoring left-weightedness moves one letter at a time from
+x_{i+1} into x_i.  A letter appended on the right sweeps leftwards and a
+letter peeled off the left sweeps rightwards; both stop at the first pair
+that needs no move.
+
+The ShortLex word of an element (ShortLex in the diagram's vertex order)
+peels the smallest left-dividing letter, a letter of L(x_1), and repeats.
+Divisibility peels the divisor's letters, gcd peels common head letters,
+lcm reverses words with the complements s\\t = Pi(t, s; m_st - 1)
+(Brieskorn-Saito, Invent. Math. 17, 1972), and the right-handed versions go
+through the reversal anti-automorphism.  Delta_T climbs non-descents in T.
+
+``cap`` bounds the work of one call: a normal form of l letters in k
+factors counts l * (k + 1) steps, its ShortLex word l * k, each further
+peeled letter or appended simple the factors it may sweep over, and lcm one
+step per reversing cell.  These counts do not depend on what the memos hold,
+so a call trips the cap warm or cold alike; the engine's new roots are
+bounded by ``cap`` as well (see ``coxeter``).  ``relation_closure`` alone
+enumerates a braid-move class; there ``cap`` bounds the class size.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
-from . import coxeter
-from .coxeter import DEFAULT_CAP, _rewriter
-from .diagram import CoxeterDiagram, is_finite_type
-from .errors import DiagramError, FiniteTypeRequiredError, GarsideError
+from . import coxeter, greedy
+from .coxeter import DEFAULT_CAP, _check_letters
+from .greedy import _low
+from .diagram import INF, CoxeterDiagram, is_finite_type
+from .errors import CapExceededError, DiagramError, FiniteTypeRequiredError, GarsideError
 
 
 @dataclass(frozen=True)
 class MonoidElement:
-    """A positive-monoid element carried by the ShortLex-minimal word of its
-    relation-closure class."""
+    """A positive-monoid element carried by its ShortLex-minimal word."""
 
     diagram: CoxeterDiagram
     word: tuple[str, ...]
@@ -34,25 +54,66 @@ class MonoidElement:
         return f"MonoidElement({''.join(self.word) or 'e'})"
 
 
-def _as_word(d: CoxeterDiagram, w) -> tuple[str, ...]:
+def _begin(d: CoxeterDiagram, cap: int, what: str):
+    st = greedy._greedy(d)
+    st.begin(d, cap, what)
+    return st
+
+
+def _word(st, w) -> tuple[str, ...]:
+    """The letters of w, checked against the diagram of the call."""
     if isinstance(w, MonoidElement):
-        if w.diagram != d:
+        if w.diagram is not st.diagram and w.diagram != st.diagram:
             raise DiagramError("element belongs to a different diagram")
         return w.word
     if isinstance(w, str):
         w = w.split()
-    return _rewriter(d).check_letters(tuple(w))
+    return _check_letters(st.key, w)
+
+
+def _element(st, F, flip: bool = False) -> MonoidElement:
+    """The element with normal form F, or with F read through the reversal
+    anti-automorphism when flip is set."""
+    if flip:
+        word = [x for f in F for x in st.eng.word(f)]
+        return MonoidElement(st.diagram, st.canonical(tuple(reversed(word))))
+    return MonoidElement(st.diagram, st.shortlex(tuple(F)))
+
+
+def _check_side(side: str) -> None:
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def relation_closure(d: CoxeterDiagram, w, cap: int = DEFAULT_CAP) -> frozenset:
     """All positive words reachable from w by braid moves (same length)."""
-    word = _as_word(d, w)
-    return _rewriter(d).closure(word, cap)
+    word = _word(_begin(d, cap, "relation_closure"), w)
+    by_first: dict[str, list] = {s: [] for s in d.vertices}
+    for a, b, m in d.pairs():
+        if m != INF:
+            lhs = tuple((a, b)[i % 2] for i in range(int(m)))
+            rhs = tuple((b, a)[i % 2] for i in range(int(m)))
+            by_first[a].append((lhs, rhs))
+            by_first[b].append((rhs, lhs))
+    seen = {word}
+    dq = deque([word])
+    while dq:
+        w = dq.popleft()
+        for i, letter in enumerate(w):
+            for lhs, rhs in by_first[letter]:
+                if w[i : i + len(lhs)] == lhs:
+                    w2 = w[:i] + rhs + w[i + len(lhs) :]
+                    if w2 not in seen:
+                        if len(seen) >= cap:
+                            raise CapExceededError("relation closure", cap)
+                        seen.add(w2)
+                        dq.append(w2)
+    return frozenset(seen)
 
 
 def canonicalize(d: CoxeterDiagram, w, cap: int = DEFAULT_CAP) -> MonoidElement:
-    word = _as_word(d, w)
-    return MonoidElement(d, _rewriter(d).canon(word, cap))
+    st = _begin(d, cap, "canonicalize")
+    return MonoidElement(d, st.canonical(_word(st, w)))
 
 
 def identity(d: CoxeterDiagram) -> MonoidElement:
@@ -66,13 +127,10 @@ def product(a: MonoidElement, b: MonoidElement, cap: int = DEFAULT_CAP) -> Monoi
 
 
 def monoid_equal(d: CoxeterDiagram, u, v, cap: int = DEFAULT_CAP) -> bool:
-    """Two positive words are equal iff they have the same length and lie in
-    the same relation closure."""
-    uw, vw = _as_word(d, u), _as_word(d, v)
-    if len(uw) != len(vw):
-        return False
-    rw = _rewriter(d)
-    return rw.canon(uw, cap) == rw.canon(vw, cap)
+    """Two positive words are equal iff their normal forms are."""
+    st = _begin(d, cap, "monoid_equal")
+    uw, vw = _word(st, u), _word(st, v)
+    return len(uw) == len(vw) and st.nf(uw) == st.nf(vw)
 
 
 def divides(
@@ -83,70 +141,63 @@ def divides(
     side="left":  returns z with a = dvr * z when dvr left-divides a.
     side="right": returns z with a = z * dvr when dvr right-divides a.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    dw, aw = _as_word(d, dvr), _as_word(d, a)
-    k = len(dw)
-    if k > len(aw):
+    _check_side(side)
+    st = _begin(d, cap, "divides")
+    dw, aw = _word(st, dvr), _word(st, a)
+    if len(dw) > len(aw):
         return None
-    rw = _rewriter(d)
-    dcl = rw.closure(dw, cap)
-    for w in rw.closure(aw, cap):
-        if side == "left":
-            if w[:k] in dcl:
-                return MonoidElement(d, rw.canon(w[k:], cap))
-        else:
-            if w[len(w) - k :] in dcl:
-                return MonoidElement(d, rw.canon(w[: len(w) - k], cap))
-    return None
+    flip = side == "right"
+    if flip:
+        dw, aw = dw[::-1], aw[::-1]
+    F = st.divide(st.nf(aw), dw)
+    return None if F is None else _element(st, F, flip)
 
 
 def divisor_set(
     d: CoxeterDiagram, a, side: str = "left", cap: int = DEFAULT_CAP
 ) -> set[MonoidElement]:
-    """All left (right) divisors of a: canonical forms of all prefixes
-    (suffixes) of all words in the closure of a."""
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    aw = _as_word(d, a)
-    rw = _rewriter(d)
-    out = set()
-    for w in rw.closure(aw, cap):
-        for i in range(len(w) + 1):
-            piece = w[:i] if side == "left" else w[len(w) - i :]
-            out.add(rw.canon(piece, cap))
-    return {MonoidElement(d, w) for w in out}
+    """All left (right) divisors of a, by a search that extends a divisor by
+    each letter dividing its cofactor."""
+    _check_side(side)
+    st = _begin(d, cap, "divisor_set")
+    flip = side == "right"
+    aw = _word(st, a)
+    cofactor = {(): st.nf(aw[::-1] if flip else aw)}  # divisor -> cofactor
+    todo = [()]
+    while todo:
+        D = todo.pop()
+        C = cofactor[D]
+        mask = st.info[C[0]][0] if C else 0
+        while mask:
+            s = _low(mask)
+            mask &= mask - 1
+            G = list(D)
+            st.append(G, st.right(0, s))
+            G = tuple(G)
+            if G not in cofactor:
+                rest = list(C)
+                st.peel(rest, s)
+                cofactor[G] = tuple(rest)
+                todo.append(G)
+    return {_element(st, D, flip) for D in cofactor}
 
 
 def gcd(d: CoxeterDiagram, a, b, side: str = "left", cap: int = DEFAULT_CAP) -> MonoidElement:
-    """Maximal-length common divisor on the given side.
-
-    The common divisors of two elements always have a unique maximal one in
-    an Artin monoid; a violation would mean the closure machinery is broken,
-    so it raises GarsideError rather than returning an arbitrary choice.
-    """
-    ae, be = canonicalize(d, a, cap), canonicalize(d, b, cap)
-    if be.length < ae.length:
-        ae, be = be, ae
-    rw = _rewriter(d)
-    bcl = rw.closure(be.word, cap)
-    common = []
-    for dv in divisor_set(d, ae, side, cap):
-        k = dv.length
-        dcl = rw.closure(dv.word, cap)
-        if side == "left":
-            hit = any(w[:k] in dcl for w in bcl)
-        else:
-            hit = any(w[len(w) - k :] in dcl for w in bcl)
-        if hit:
-            common.append(dv)
-    top = max(dv.length for dv in common)
-    best = [dv for dv in common if dv.length == top]
-    if len(best) != 1:
-        raise GarsideError(
-            f"gcd is not unique: {len(best)} maximal common divisors of length {top}"
-        )
-    return best[0]
+    """Greatest common divisor on the given side: the common letters of the
+    heads, peeled off both arguments until none is left."""
+    _check_side(side)
+    st = _begin(d, cap, "gcd")
+    aw, bw = _word(st, a), _word(st, b)
+    flip = side == "right"
+    if flip:
+        aw, bw = aw[::-1], bw[::-1]
+    Fa, Fb = st.nf(aw), st.nf(bw)
+    A, B = list(Fa), list(Fb)
+    word = tuple(st.names[s] for s in st.common_prefix(A, B))
+    g = st.canonical(word[::-1] if flip else word)
+    key = g[::-1] if flip else g
+    st.quotients[(Fa, key)], st.quotients[(Fb, key)] = tuple(A), tuple(B)
+    return MonoidElement(d, g)
 
 
 def lcm(
@@ -157,68 +208,36 @@ def lcm(
     cap: int = DEFAULT_CAP,
     length_bound: int | None = None,
 ) -> MonoidElement | None:
-    """Least common multiple on the given side, or None when the bounded
-    search finds no common multiple.
+    """Least common multiple on the given side, or None when no common
+    multiple exists within the bound.
 
-    side="left" searches for the shortest c with a and b both left-dividing
-    c (candidates a*x); side="right" symmetrically (candidates x*a).  For a
-    finite-type diagram the default bound (l(a)+l(b))*l(Delta) always
-    contains the lcm, so None is impossible there; for other diagrams the
-    bounded search defaults to 2*(l(a)+l(b)) and None means "none within the
-    bound", not a nonexistence certificate.
+    side="left" gives the shortest c with a and b both left-dividing c
+    (c = a*x); side="right" symmetrically (c = x*a).  The lcm is returned
+    when its length is at most max(l(a), length_bound).  For a finite-type
+    diagram the default bound (l(a)+l(b))*l(Delta) always contains it, so
+    None is impossible there; for other diagrams the bound defaults to
+    2*(l(a)+l(b)), and None means either that no common multiple exists or
+    that the lcm is longer than the bound.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    ae, be = canonicalize(d, a, cap), canonicalize(d, b, cap)
-    finite = is_finite_type(d)[0]
+    _check_side(side)
+    st = _begin(d, cap, "lcm")
+    aw, bw = _word(st, a), _word(st, b)
+    finite = st.finite
     if length_bound is None:
+        scale = st.info[st.w0()][3] if finite else 2
+        length_bound = (len(aw) + len(bw)) * scale
+    flip = side == "right"
+    if flip:
+        aw, bw = aw[::-1], bw[::-1]
+    ext = st.reverse(aw, bw, max(len(aw), length_bound))
+    if ext is None:
         if finite:
-            delta_len = len(garside_element(d, d.vertices, cap).word)
-            length_bound = (ae.length + be.length) * max(delta_len, 1)
-        else:
-            length_bound = 2 * (ae.length + be.length)
-    rw = _rewriter(d)
-    bcl = rw.closure(be.word, cap)
-    k = be.length
-
-    def multiple_of_b(word: tuple) -> bool:
-        for w in rw.closure(word, cap):
-            piece = w[:k] if side == "left" else w[len(w) - k :]
-            if piece in bcl:
-                return True
-        return False
-
-    if multiple_of_b(ae.word):
-        return ae
-    frontier = [ae.word]
-    seen = {ae.word}
-    length = ae.length
-    while frontier and length < length_bound:
-        length += 1
-        nxt, hits = [], set()
-        for w in frontier:
-            for s in d.vertices:
-                cand = w + (s,) if side == "left" else (s,) + w
-                c = rw.canon(cand, cap)
-                if c in seen:
-                    continue
-                seen.add(c)
-                if multiple_of_b(c):
-                    hits.add(c)
-                else:
-                    nxt.append(c)
-        if hits:
-            if len(hits) > 1:
-                raise GarsideError(
-                    f"lcm is not unique: {len(hits)} minimal common multiples at length {length}"
-                )
-            return MonoidElement(d, next(iter(hits)))
-        frontier = nxt
-    if finite:
-        raise GarsideError(
-            f"lcm search exhausted its bound {length_bound} on a finite-type diagram"
-        )
-    return None
+            raise GarsideError(
+                f"lcm search exhausted its bound {length_bound} on a finite-type diagram"
+            )
+        return None
+    word = aw + tuple(st.names[s] for s in ext)
+    return MonoidElement(d, st.canonical(word[::-1] if flip else word))
 
 
 def garside_element(d: CoxeterDiagram, T, cap: int = DEFAULT_CAP) -> MonoidElement:
@@ -229,32 +248,20 @@ def garside_element(d: CoxeterDiagram, T, cap: int = DEFAULT_CAP) -> MonoidEleme
     T = tuple(t for t in d.vertices if t in set(T))
     if not T:
         return identity(d)
-    sub = d.subdiagram(T)
-    if not is_finite_type(sub)[0]:
+    if not is_finite_type(d.subdiagram(T))[0]:
         raise FiniteTypeRequiredError(
             f"Delta_T requires a finite-type subset, got T = {set(T) or '{}'}"
         )
-    w0 = coxeter.longest_element(sub, cap)
-    return canonicalize(d, w0.word, cap)
+    st = _begin(d, cap, "garside_element")
+    return MonoidElement(d, st.eng.word(st.delta(sum(1 << st.key[t] for t in T))))
 
 
 def garside_permutation(d: CoxeterDiagram, cap: int = DEFAULT_CAP) -> dict[str, str]:
     """The permutation sigma of the generators with Delta*s = sigma(s)*Delta."""
-    if not is_finite_type(d)[0]:
+    st = _begin(d, cap, "garside_permutation")
+    if not st.finite:
         raise FiniteTypeRequiredError("sigma requires a finite-type diagram")
-    delta = garside_element(d, d.vertices, cap)
-    sigma = {}
-    for s in d.vertices:
-        lhs = delta.word + (s,)
-        for t in d.vertices:
-            if monoid_equal(d, lhs, (t,) + delta.word, cap):
-                sigma[s] = t
-                break
-        else:
-            raise GarsideError(f"no generator t satisfies Delta*{s} = t*Delta")
-    if set(sigma.values()) != set(d.vertices):
-        raise GarsideError(f"sigma is not a bijection: {sigma}")
-    return sigma
+    return {st.names[s]: st.names[st.sigma(s)] for s in range(st.n)}
 
 
 @dataclass(frozen=True)
@@ -280,40 +287,38 @@ class NormalForm:
 
 def garside_normal_form(d: CoxeterDiagram, a, cap: int = DEFAULT_CAP) -> NormalForm:
     """Peel blocks off the right: T_0 is the set of length-1 right divisors,
-    divide by Delta_{T_0}, repeat.  Deterministic on the element, so any two
-    words of a closure class produce the identical block sequence."""
-    rest = canonicalize(d, a, cap)
-    rw = _rewriter(d)
+    divide by Delta_{T_0}, repeat.  On the reversed word these are the left
+    descents of the head, so Delta_{T_0} is peeled off the head."""
+    st = _begin(d, cap, "garside_normal_form")
+    F = list(st.nf(_word(st, a)[::-1]))
     blocks = []
-    while rest.length > 0:
-        cl = rw.closure(rest.word, cap)
-        lasts = {w[-1] for w in cl}
-        T = tuple(s for s in d.vertices if s in lasts)
-        sub = d.subdiagram(T)
-        if not is_finite_type(sub)[0]:
-            raise GarsideError(
-                f"length-1 right-divisor set {set(T)} is not finite type"
-            )
-        quotient = divides(d, garside_element(d, T, cap), rest, side="right", cap=cap)
-        if quotient is None:
-            raise GarsideError(f"Delta_{set(T)} does not right-divide {rest!r}")
-        blocks.append(T)
-        rest = quotient
+    while F:
+        mask = st.info[F[0]][0]
+        *first, last = st.eng.word(st.delta(mask))
+        for x in first:
+            F[0] = st.left(st.key[x], F[0])
+        st.peel(F, st.key[last])
+        blocks.append(tuple(st.names[s] for s in range(st.n) if mask >> s & 1))
     return NormalForm(d, tuple(reversed(blocks)))
 
 
 def monoid_elements(
     d: CoxeterDiagram, max_length: int, cap: int = DEFAULT_CAP
 ) -> list[list[MonoidElement]]:
-    """All monoid elements grouped by length, lengths 0..max_length."""
-    rw = _rewriter(d)
+    """All monoid elements grouped by length, lengths 0..max_length, each
+    layer in ShortLex order."""
+    st = _begin(d, cap, "monoid_elements")
+    layer = [()]
     layers = [[identity(d)]]
     for _ in range(max_length):
         nxt = set()
-        for el in layers[-1]:
-            for s in d.vertices:
-                nxt.add(rw.canon(el.word + (s,), cap))
-        layers.append([MonoidElement(d, w) for w in sorted(nxt, key=rw.shortlex_key)])
+        for F in layer:
+            for s in range(st.n):
+                G = list(F)
+                st.append(G, st.right(0, s))
+                nxt.add(tuple(G))
+        layer = sorted(nxt, key=lambda G: [st.key[x] for x in st.shortlex(G)])
+        layers.append([_element(st, G) for G in layer])
     return layers
 
 
@@ -365,21 +370,25 @@ class GarsideAxiomReport:
         }
 
 
+def _side_letters(d: CoxeterDiagram, x: MonoidElement, side: str, cap: int) -> set[str]:
+    return {s for s in d.vertices if divides(d, (s,), x, side, cap) is not None}
+
+
 def verify_garside_axioms(
     d: CoxeterDiagram, length_cap: int = 4, cap: int = DEFAULT_CAP
 ) -> GarsideAxiomReport:
     """Exhaustively check the Garside axioms on all elements up to length_cap.
 
-    (i) left/right cancellativity; (ii) length additivity; (iii) gcd
-    uniqueness on all pairs plus lcm existence (all pairs in finite type,
-    generator pairs otherwise, within the bound 2*length_cap); finite type
-    only: (iv) left-divisors(Delta) = right-divisors(Delta) = section image
-    of W, and (v) |divisors(Delta)| = |W|.
+    (i) left/right cancellativity; (ii) length additivity; (iii) on all
+    pairs, the gcd on each side divides both and leaves cofactors with no
+    common letter on that side; lcm existence and minimality, a*x = b*y with
+    x, y sharing no right letter (all pairs in finite type, generator pairs
+    otherwise, within the bound 2*length_cap); finite type only: (iv)
+    left-divisors(Delta) = right-divisors(Delta) = section image of W, and
+    (v) |divisors(Delta)| = |W|.
     """
     finite = is_finite_type(d)[0]
-    rw = _rewriter(d)
-    layers = monoid_elements(d, length_cap, cap)
-    elements = [el for layer in layers for el in layer]
+    elements = [el for layer in monoid_elements(d, length_cap, cap) for el in layer]
 
     cancellative = True
     additive = True
@@ -387,8 +396,8 @@ def verify_garside_axioms(
         right_img = {}
         left_img = {}
         for x in elements:
-            xc = rw.canon(x.word + c.word, cap)
-            cx = rw.canon(c.word + x.word, cap)
+            xc = canonicalize(d, x.word + c.word, cap).word
+            cx = canonicalize(d, c.word + x.word, cap).word
             if len(xc) != x.length + c.length or len(cx) != x.length + c.length:
                 additive = False
             if xc in right_img and right_img[xc] != x.word:
@@ -399,24 +408,28 @@ def verify_garside_axioms(
             left_img[cx] = x.word
 
     gcd_ok = True
-    lcm_ok = True
-    lcm_failures = []
     for a in elements:
         for b in elements:
-            try:
-                gcd(d, a, b, "left", cap)
-                gcd(d, a, b, "right", cap)
-            except GarsideError:
-                gcd_ok = False
+            for side in ("left", "right"):
+                g = gcd(d, a, b, side, cap)
+                x, y = divides(d, g, a, side, cap), divides(d, g, b, side, cap)
+                if x is None or y is None or (
+                    _side_letters(d, x, side, cap) & _side_letters(d, y, side, cap)
+                ):
+                    gcd_ok = False
     if finite:
         lcm_pairs = [(a, b) for a in elements for b in elements]
     else:
         gens = [canonicalize(d, (s,), cap) for s in d.vertices]
         lcm_pairs = [(a, b) for a in gens for b in gens]
+    lcm_failures = []
     for a, b in lcm_pairs:
-        bound = None if finite else 2 * length_cap
-        if lcm(d, a, b, "left", cap, length_bound=bound) is None:
-            lcm_ok = False
+        m = lcm(d, a, b, "left", cap, length_bound=None if finite else 2 * length_cap)
+        x = None if m is None else divides(d, a, m, "left", cap)
+        y = None if m is None else divides(d, b, m, "left", cap)
+        if x is None or y is None or (
+            _side_letters(d, x, "right", cap) & _side_letters(d, y, "right", cap)
+        ):
             lcm_failures.append((a.word, b.word))
 
     divisors_symmetric = None
@@ -441,7 +454,7 @@ def verify_garside_axioms(
         cancellative=cancellative,
         length_additive=additive,
         gcd_ok=gcd_ok,
-        lcm_ok=lcm_ok,
+        lcm_ok=not lcm_failures,
         lcm_failures=tuple(lcm_failures),
         divisors_symmetric=divisors_symmetric,
         divisors_match_section=divisors_match_section,
