@@ -14,9 +14,7 @@ import os
 import re
 import sys
 
-import numpy as np
-
-from . import complexes, coxeter, diagram, group, monoid, shelling, tits
+from . import complexes, coxeter, diagram, group, monoid, shelling
 from .coxeter import DEFAULT_CAP
 from .diagram import INF, classify_taxonomy, is_finite_type, preset
 from .errors import ArtinError
@@ -129,6 +127,8 @@ def _cmd_sf(d, args):
 
 
 def _cmd_form(d, args):
+    from . import tits
+
     B = tits.bilinear_form(d)
     obj = {"vertices": list(d.vertices), "matrix": [[float(x) for x in row] for row in B]}
     text = "\n".join(
@@ -138,6 +138,8 @@ def _cmd_form(d, args):
 
 
 def _cmd_signature(d, args):
+    from . import tits
+
     sig = tits.signature(tits.bilinear_form(d), args.tol)
     obj = {
         "n_pos": sig.n_pos,
@@ -155,6 +157,10 @@ def _cmd_signature(d, args):
 
 
 def _cmd_rep_check(d, args):
+    import numpy as np
+
+    from . import tits
+
     pairs = []
     ok = True
     for s, t, m in d.pairs():

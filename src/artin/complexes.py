@@ -14,8 +14,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import coxeter
 from .coxeter import DEFAULT_CAP
 from .diagram import CoxeterDiagram, finite_type_subsets, is_finite_type
@@ -36,14 +34,12 @@ class Poset:
     metadata: tuple = ()
 
     def __post_init__(self):
-        n = len(self.elements)
-        arr = np.zeros((n, n), dtype=bool)
+        above: dict[int, set[int]] = {}
         for i, j in self.less:
-            arr[i, j] = True
-        if np.any(arr & arr.T):
+            above.setdefault(i, set()).add(j)
+        if any((j, i) in self.less for i, j in self.less):
             raise ValueError("order relation is not antisymmetric")
-        two_step = (arr.astype(np.float64) @ arr.astype(np.float64)) > 0.5
-        if np.any(two_step & ~arr):
+        if any(not above.get(j, set()) <= above[i] for i, j in self.less):
             raise ValueError("order relation is not transitive")
 
     def __len__(self):
@@ -122,9 +118,17 @@ class SimplicialComplex:
 
     @staticmethod
     def from_faces(faces) -> "SimplicialComplex":
-        faces = [frozenset(f) for f in faces if f]
-        facets = [f for f in faces if not any(f < g for g in faces)]
-        uniq = sorted(set(facets), key=lambda f: (len(f), sorted(map(repr, f))))
+        faces = {frozenset(f) for f in faces if f}
+        containing: dict = {}
+        for f in faces:
+            for v in f:
+                containing.setdefault(v, []).append(f)
+        # A face strictly containing f contains f's rarest vertex.
+        facets = [
+            f for f in faces
+            if not any(f < g for g in min((containing[v] for v in f), key=len))
+        ]
+        uniq = sorted(facets, key=lambda f: (len(f), sorted(map(repr, f))))
         verts = sorted({v for f in uniq for v in f}, key=repr)
         return SimplicialComplex(tuple(verts), tuple(uniq))
 
@@ -178,9 +182,11 @@ def _snf_diagonal(rows: dict[int, dict[int, int]]) -> list[int]:
     """Diagonalize an integer matrix (destructively) and return the nonzero
     diagonal entries, not yet arranged into a divisibility chain.
 
-    rows maps row index -> {column index: nonzero value}.  Elimination
-    prefers unit pivots with low fill-in; non-unit pivots fall back to
-    Euclidean reduction.
+    rows maps row index -> {column index: nonzero value}.  Rows are taken in
+    index order, and each pivots on its entry of least absolute value, ties
+    going to the column with the fewest entries.  Euclidean steps isolate
+    the pivot: row operations clear its column, then the pivot's row is
+    reduced modulo it; a nonzero remainder in either becomes the pivot.
     """
     cols: dict[int, set[int]] = {}
     for r, rd in rows.items():
@@ -189,82 +195,54 @@ def _snf_diagonal(rows: dict[int, dict[int, int]]) -> list[int]:
 
     def row_axpy(dst: int, src: int, q: int):
         # row[dst] += q * row[src]
-        for c, v in list(rows[src].items()):
-            new = rows.get(dst, {}).get(c, 0) + q * v
+        rd = rows[dst]
+        for c, v in rows[src].items():
+            new = rd.get(c, 0) + q * v
             if new:
-                rows.setdefault(dst, {})[c] = new
-                cols.setdefault(c, set()).add(dst)
-            elif c in rows.get(dst, {}):
-                del rows[dst][c]
+                rd[c] = new
+                cols[c].add(dst)
+            else:
+                del rd[c]
                 cols[c].discard(dst)
 
-    def col_axpy(dst: int, src: int, q: int):
-        # col[dst] += q * col[src]
-        for r in list(cols.get(src, set())):
-            v = rows[r][src]
-            new = rows[r].get(dst, 0) + q * v
-            if new:
-                rows[r][dst] = new
-                cols.setdefault(dst, set()).add(r)
-            elif dst in rows[r]:
-                del rows[r][dst]
-                cols[dst].discard(r)
-
     diagonal = []
-    while True:
-        best = None
-        for r, rd in rows.items():
-            if not rd:
-                continue
-            for c, v in rd.items():
-                av = abs(v)
-                fill = (len(rd) - 1) * (len(cols[c]) - 1)
-                key = (av != 1, av, fill)
-                if best is None or key < best[0]:
-                    best = (key, r, c)
-                    if key == (False, 1, 0):
+    for start in sorted(rows):
+        while rows[start]:
+            r, rd = start, rows[start]
+            c = min(rd, key=lambda c: (abs(rd[c]), len(cols[c])))
+            while True:
+                rd = rows[r]
+                v = rd[c]
+                for r2 in sorted(cols[c] - {r}):
+                    q = rows[r2][c] // v
+                    if q:
+                        row_axpy(r2, r, -q)
+                    if c in rows[r2]:
+                        r = r2  # its remainder, of smaller |value|, becomes the pivot
                         break
-            if best is not None and best[0] == (False, 1, 0):
-                break
-        if best is None:
-            break
-        _, r, c = best
-        while True:
-            v = rows[r][c]
-            if v < 0:
-                for c2 in list(rows[r]):
-                    rows[r][c2] = -rows[r][c2]
-                v = -v
-            moved = False
-            for r2 in sorted(cols[c] - {r}):
-                q = rows[r2][c] // v
-                if q:
-                    row_axpy(r2, r, -q)
-                if c in rows.get(r2, {}):
-                    r = r2  # strictly smaller remainder becomes the pivot
-                    moved = True
-                    break
-            if moved:
-                continue
-            for c2 in sorted(set(rows[r]) - {c}):
-                q = rows[r][c2] // v
-                if q:
-                    col_axpy(c2, c, -q)
-                if c2 in rows[r]:
-                    c = c2
-                    moved = True
-                    break
-            if not moved:
-                break
-        diagonal.append(abs(rows[r][c]))
-        del rows[r][c]
-        cols[c].discard(r)
+                else:
+                    # Column c now holds row r alone, so a column operation
+                    # changes row r only: it leaves a remainder modulo v.
+                    for c2 in sorted(set(rd) - {c}):
+                        rem = rd[c2] % v
+                        if rem:
+                            rd[c2] = rem
+                            c = c2
+                            break
+                        del rd[c2]
+                        cols[c2].discard(r)
+                    else:
+                        break
+            diagonal.append(abs(rd.pop(c)))
+            cols[c].discard(r)
     return diagonal
 
 
 def invariant_factors(rows: dict[int, dict[int, int]]) -> list[int]:
     """Invariant factors d1 | d2 | ... of an integer matrix (sparse rows)."""
     diag = _snf_diagonal(rows)
+    units = diag.count(1)
+    diag = [x for x in diag if x != 1]
     done = False
     while not done:
         done = True
@@ -274,7 +252,7 @@ def invariant_factors(rows: dict[int, dict[int, int]]) -> list[int]:
                     g = math.gcd(diag[i], diag[j])
                     diag[i], diag[j] = g, diag[i] * diag[j] // g
                     done = False
-    return sorted(diag)
+    return [1] * units + sorted(diag)
 
 
 @dataclass(frozen=True)

@@ -318,6 +318,14 @@ class _Engine:
         self.objs: list[CoxeterElement | None] = []
         self._element(tuple(range(n)))
         self.nf[0] = ()
+        self._finite: bool | None = None
+
+    @property
+    def finite(self) -> bool:
+        """Whether W is finite, classified on first use."""
+        if self._finite is None:
+            self._finite = is_finite_type(self.diagram)[0]
+        return self._finite
 
     def begin(self, cap: int, what: str) -> None:
         """Start a call whose new roots may hold at most `cap` nonzero
@@ -507,8 +515,9 @@ def enumerate_elements(
 
     max_length="all" walks the whole group and requires finite type.
     """
+    eng = _engine(d)
     if max_length == "all":
-        if not is_finite_type(d)[0]:
+        if not eng.finite:
             raise FiniteTypeRequiredError(
                 "enumerate_elements(max_length='all') needs a finite-type diagram"
             )
@@ -517,7 +526,6 @@ def enumerate_elements(
         limit = int(max_length)
         if limit < 0:
             raise ValueError(f"max_length must be >= 0, got {limit}")
-    eng = _engine(d)
     eng.begin(cap, "enumerate_elements")
     n, names, nf, right = eng.n, eng.names, eng.nf, eng.right
     layer = [0]
@@ -551,9 +559,9 @@ def enumerate_elements(
 def longest_element(d: CoxeterDiagram, cap: int = DEFAULT_CAP) -> CoxeterElement:
     """The unique maximal-length element of a finite Coxeter group, reached by
     left-multiplying by non-descents until every generator is a descent."""
-    if not is_finite_type(d)[0]:
-        raise FiniteTypeRequiredError("longest_element needs a finite-type diagram")
     eng = _engine(d)
+    if not eng.finite:
+        raise FiniteTypeRequiredError("longest_element needs a finite-type diagram")
     eng.begin(cap, "longest_element")
     e = 0
     while True:
@@ -575,7 +583,7 @@ def reflections(
     """
     eng = _engine(d)
     n = eng.n
-    if is_finite_type(d)[0]:
+    if eng.finite:
         eng.begin(cap, "reflections")
         out = {eng.times(0, s) for s in range(n)}
         frontier = list(out)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .coxeter import DEFAULT_CAP, _engine
-from .diagram import INF, CoxeterDiagram, is_finite_type
+from .diagram import INF, CoxeterDiagram
 from .errors import CapExceededError
 
 
@@ -44,7 +44,6 @@ class _Greedy:
         self.deltas: dict[int, int] = {}
         self.twists: dict[int, int] = {}
         self.complements: dict[int, int] = {}
-        self._finite = None
         m = [[2] * self.n for _ in range(self.n)]
         for a, b, label in d.edges:
             i, j = self.key[a], self.key[b]
@@ -74,12 +73,6 @@ class _Greedy:
         letters and k factors, since a prefix has at most k factors."""
         if total > self.spent:
             self.charge(total - self.spent)
-
-    @property
-    def finite(self) -> bool:
-        if self._finite is None:
-            self._finite = is_finite_type(self.diagram)[0]
-        return self._finite
 
     # ------------------------------------------------------------ simples
     def _register(self, f: int, i: int, length: int) -> None:

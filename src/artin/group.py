@@ -14,8 +14,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from . import coxeter, monoid
-from .coxeter import DEFAULT_CAP, CoxeterElement
+from . import monoid
+from .coxeter import DEFAULT_CAP, CoxeterElement, _check_letters
 from .diagram import CoxeterDiagram
 from .errors import DiagramError, FiniteTypeRequiredError
 from .monoid import MonoidElement
@@ -38,7 +38,7 @@ class GroupElement:
 
 def _state(d: CoxeterDiagram, cap: int, what: str):
     st = monoid._begin(d, cap, what)
-    if not st.finite:
+    if not st.eng.finite:
         raise FiniteTypeRequiredError("group elements require a finite-type diagram")
     return st
 
@@ -158,9 +158,10 @@ def canonical_section(d: CoxeterDiagram, w: CoxeterElement, cap: int = DEFAULT_C
 def project(g: GroupElement, cap: int = DEFAULT_CAP) -> CoxeterElement:
     """The natural map A -> W.  Delta maps to the longest element w0, and
     w0 is an involution, so Delta^k contributes w0^(k mod 2)."""
-    d = g.diagram
-    w0 = coxeter.longest_element(d, cap)
-    return coxeter.normalize(d, w0.word * (g.k % 2) + g.a.word, cap)
+    st = _state(g.diagram, cap, "project")
+    eng = st.eng
+    e = eng.walk(st.w0() if g.k % 2 else 0, _check_letters(eng.key, g.a.word))
+    return eng.element(e)
 
 
 def is_pure(g: GroupElement, cap: int = DEFAULT_CAP) -> bool:

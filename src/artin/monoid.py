@@ -222,7 +222,7 @@ def lcm(
     _check_side(side)
     st = _begin(d, cap, "lcm")
     aw, bw = _word(st, a), _word(st, b)
-    finite = st.finite
+    finite = st.eng.finite
     if length_bound is None:
         scale = st.info[st.w0()][3] if finite else 2
         length_bound = (len(aw) + len(bw)) * scale
@@ -259,7 +259,7 @@ def garside_element(d: CoxeterDiagram, T, cap: int = DEFAULT_CAP) -> MonoidEleme
 def garside_permutation(d: CoxeterDiagram, cap: int = DEFAULT_CAP) -> dict[str, str]:
     """The permutation sigma of the generators with Delta*s = sigma(s)*Delta."""
     st = _begin(d, cap, "garside_permutation")
-    if not st.finite:
+    if not st.eng.finite:
         raise FiniteTypeRequiredError("sigma requires a finite-type diagram")
     return {st.names[s]: st.names[st.sigma(s)] for s in range(st.n)}
 

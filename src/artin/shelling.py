@@ -72,25 +72,27 @@ def build_filtration(cc: ChamberComplex, index, k: int) -> ChamberComplex:
 
 
 def _meets_in_facet_union(chamber: frozenset, others, n: int):
-    """(ok, witness) for: the intersection of `chamber` with the union of
-    `others` is a non-empty union of (n-1)-faces of `chamber`.
+    """(ok, witness, maximal) for: the intersection of `chamber` with the
+    union of `others` is a non-empty union of (n-1)-faces of `chamber`;
+    `maximal` lists the maximal faces that `chamber` shares with `others`.
 
     Maximal shared vertex sets must all have size n.  An empty intersection
     or a maximal shared face of smaller dimension is a violation.
     """
     shared = {chamber & o for o in others}
     shared.discard(frozenset())
-    if not shared:
-        return False, "empty intersection with the previous union"
     maximal = [f for f in shared if not any(f < g for g in shared)]
+    if not shared:
+        return False, "empty intersection with the previous union", maximal
     for f in maximal:
         if len(f) != n:
             return (
                 False,
                 f"maximal shared face {sorted(f, key=repr)} has dimension "
                 f"{len(f) - 1}, expected {n - 1}",
+                maximal,
             )
-    return True, None
+    return True, None, maximal
 
 
 @dataclass(frozen=True)
@@ -151,19 +153,17 @@ def verify_claims(cc: ChamberComplex, index) -> ClaimsReport:
         if lv == 0:
             continue
         previous = [cc.chambers[i] for i, v in enumerate(idx) if v < lv]
+        maximal = {}
         for i in by_level[lv]:
-            ok, witness = _meets_in_facet_union(cc.chambers[i], previous, cc.n)
+            ok, witness, maximal[i] = _meets_in_facet_union(cc.chambers[i], previous, cc.n)
             claim_a.append(ClaimCheck(lv, (i,), ok, witness))
-            if ok:
-                shared = {cc.chambers[i] & o for o in previous} - {frozenset()}
-                maximal = [f for f in shared if not any(f < g for g in shared)]
-                if len(maximal) == cc.n + 1:
-                    full_boundary_glue = True
+            if ok and len(maximal[i]) == cc.n + 1:
+                full_boundary_glue = True
         for a, b in _same_level_pairs(by_level[lv]):
+            # inter lies in chamber a, so it lies in C(lv - 1) iff it lies in
+            # a face that chamber a shares with C(lv - 1).
             inter = cc.chambers[a] & cc.chambers[b]
-            inside = not inter or any(
-                inter <= c for c, v in zip(cc.chambers, idx) if v < lv
-            )
+            inside = not inter or any(inter <= f for f in maximal[a])
             witness = None
             if not inside:
                 witness = (
@@ -211,7 +211,7 @@ def is_shelling(cc: ChamberComplex, order) -> ShellingCheck:
     for pos in range(1, len(order)):
         chamber = cc.chambers[order[pos]]
         previous = [cc.chambers[j] for j in order[:pos]]
-        ok, witness = _meets_in_facet_union(chamber, previous, cc.n)
+        ok, witness, _ = _meets_in_facet_union(chamber, previous, cc.n)
         if not ok:
             return ShellingCheck(False, pos, f"chamber {order[pos]}: {witness}")
     return ShellingCheck(True)

@@ -285,3 +285,19 @@ def test_python_m_artin():
                            capture_output=True, text=True, env=env, timeout=60)
         assert p.returncode == 0, p.stderr
         assert p.stdout.startswith("artin ")
+
+
+def test_numpy_loads_only_for_the_float_subcommands():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(artin.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    script = (
+        "import sys\n"
+        "import artin.cli, artin.complexes\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported with artin.cli'\n"
+        "codes = [artin.cli.main([c, '--preset', 'B3']) for c in ('form', 'signature', 'rep-check')]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    p = subprocess.run([sys.executable, "-c", script],
+                       capture_output=True, text=True, env=env, timeout=60)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.splitlines()[-1] == "[0, 0, 0] True"

@@ -1,5 +1,7 @@
 """Posets, order complexes, Smith normal form homology, quotient cells."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -34,9 +36,9 @@ def test_poset_rejects_nontransitive_relation():
 
 
 def test_poset_rejects_cycles():
-    with pytest.raises(ValueError):
-        Poset(elements=(0, 1), labels=("a", "b"),
-              less=frozenset({(0, 1), (1, 0)}))
+    for less in ({(0, 1), (1, 0)}, {(0, 1), (1, 1)}):
+        with pytest.raises(ValueError, match="not antisymmetric"):
+            Poset(elements=(0, 1), labels=("a", "b"), less=frozenset(less))
 
 
 def test_covers_and_chains_on_a_diamond():
@@ -78,6 +80,58 @@ def test_invariant_factors_against_dense_oracle(rng):
             assert prod == abs(det)
         for a, b in zip(factors, factors[1:]):
             assert b % a == 0
+
+
+def _unimodular(rng, n):
+    """A random n x n integer matrix of determinant +-1: a signed
+    permutation times random elementary row operations."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    M = [[rng.choice((1, -1)) if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    for _ in range(3 * (n - 1)):
+        i, j = rng.sample(range(n), 2)
+        q = rng.randint(-3, 3)
+        M[i] = [a + q * b for a, b in zip(M[i], M[j])]
+    return M
+
+
+def _matmul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def test_invariant_factors_of_a_disguised_diagonal(rng):
+    # U D V with U, V unimodular has the invariant factors of D; D is
+    # m x n, its chain may start with units, and its last rows are zero.
+    for _ in range(60):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        chain, d = [], 1
+        for _ in range(rng.randint(0, min(m, n))):
+            d *= rng.choice((1, 1, 2, 3, 6))
+            chain.append(d)
+        D = [[chain[i] if i == j and i < len(chain) else 0 for j in range(n)] for i in range(m)]
+        M = _matmul(_matmul(_unimodular(rng, m), D), _unimodular(rng, n))
+        rows = {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(M)}
+        assert invariant_factors(rows) == chain, M
+
+
+# ---------------------------------------------------------------- complexes
+
+def test_from_faces_keeps_the_maximal_faces():
+    faces = [(0, 1, 2), (0, 1), (2, 1, 0), (2, 3), (3,), (4,), (1,), ()]
+    c = SimplicialComplex.from_faces(faces)
+    assert c.vertices == (0, 1, 2, 3, 4)
+    assert c.facets == (frozenset({4}), frozenset({2, 3}), frozenset({0, 1, 2}))
+
+
+def test_from_faces_matches_the_pairwise_definition(rng):
+    for _ in range(200):
+        faces = [
+            frozenset(rng.sample(range(7), rng.randint(0, 4)))
+            for _ in range(rng.randint(0, 12))
+        ]
+        nonempty = [f for f in faces if f]
+        maximal = {f for f in nonempty if not any(f < g for g in nonempty)}
+        assert set(SimplicialComplex.from_faces(faces).facets) == maximal
 
 
 # ---------------------------------------------------------------- homology oracles
@@ -183,6 +237,20 @@ def test_salvetti_homology_matches_arrangement_complement():
         h = homology(order_complex(poset))
         assert h.betti == expect, p
         assert all(t == () for t in h.torsion)
+
+
+def test_salvetti_rank_three_homology_is_orlik_solomon():
+    # Betti numbers of the complement are the coefficients of
+    # prod (1 + (d_i - 1) t) over the degrees d_i (Orlik-Solomon).
+    t0 = time.perf_counter()
+    for name, degrees in (("A3", (2, 3, 4)), ("B3", (2, 4, 6))):
+        poly = [1]
+        for deg in degrees:
+            poly = [a + (deg - 1) * b for a, b in zip(poly + [0], [0] + poly)]
+        h = homology(order_complex(salvetti_poset(preset(name))))
+        assert list(h.betti) == poly, name
+        assert not any(h.torsion), name
+    assert time.perf_counter() - t0 < 30
 
 
 def test_salvetti_h1_rank_equals_reflection_count():

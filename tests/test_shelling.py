@@ -184,6 +184,15 @@ def test_low_dimensional_intersection_fails_claim_a():
     assert bad and bad[0].level == 1
 
 
+def test_claim_b_holds_on_a_face_shared_with_the_previous_level():
+    # three triangles around the edge ab: the level-1 chambers meet each
+    # other exactly in the face each shares with C(0)
+    cc = ChamberComplex(2, (frozenset("abc"), frozenset("abd"), frozenset("abe")))
+    rep = verify_claims(cc, (0, 1, 1))
+    assert rep.passed and rep.conclusion == "contractible"
+    assert [c.chambers for c in rep.claim_b] == [(1, 2)]
+
+
 def test_claim_b_violation():
     # two level-1 triangles meet C(0) in edges (claim A holds) but share
     # the edge bd with each other, which is not a face of C(0)
