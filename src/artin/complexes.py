@@ -2,14 +2,18 @@
 
 Three posets are built: the Salvetti poset W x Sf with its T-minimality
 order, the Davis poset of cosets w W_T under inclusion, and the
-fundamental-domain poset Sf under subset order.  Order complexes realize
-posets simplicially; homology is computed over Z by a sparse Smith normal
-form with arbitrary-precision integers, so every Betti number and torsion
-coefficient is exact.
+fundamental-domain poset Sf under subset order.  Each is built from the
+lower sets of its elements, so the work grows with the relations, not with
+the square of the size.  Order complexes realize posets simplicially, with
+the maximal chains as facets.  Homology is computed over Z: coreduction
+first removes cells in pairs that do not change it, then a sparse Smith
+normal form with arbitrary-precision integers runs on what is left, so
+every Betti number and torsion coefficient is exact.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,14 +50,17 @@ class Poset:
         return len(self.elements)
 
     def covers(self) -> list[tuple[int, int]]:
-        """Hasse diagram edges: i < j with nothing strictly between."""
-        below = {}
+        """Hasse diagram edges: i < j with nothing strictly between, i.e. the
+        j above i that are not above some other k above i."""
+        above: dict[int, set[int]] = {}
         for i, j in self.less:
-            below.setdefault(j, set()).add(i)
+            above.setdefault(i, set()).add(j)
         out = []
-        for i, j in self.less:
-            if not any((i, k) in self.less for k in below.get(j, ())):
-                out.append((i, j))
+        for i, ups in above.items():
+            cover = set(ups)
+            for k in ups:
+                cover.difference_update(above.get(k, ()))
+            out.extend((i, j) for j in cover)
         return sorted(out)
 
     def maximal_chains(self) -> list[tuple[int, ...]]:
@@ -97,16 +104,14 @@ class Poset:
         return "\n".join(lines)
 
 
-def _poset(elements, labels, leq, metadata=()) -> Poset:
-    n = len(elements)
-    if n > DEFAULT_POSET_GUARD:
+def _poset(elements, labels, below, metadata=()) -> Poset:
+    """The poset on `elements` in which x < y for every x that `below(y)`
+    yields; `below(y)` lists the elements strictly under y."""
+    if len(elements) > DEFAULT_POSET_GUARD:
         raise CapExceededError("poset size", DEFAULT_POSET_GUARD)
-    less = set()
-    for i in range(n):
-        for j in range(n):
-            if i != j and leq(elements[i], elements[j]):
-                less.add((i, j))
-    return Poset(tuple(elements), tuple(labels), frozenset(less), tuple(metadata))
+    index = {x: i for i, x in enumerate(elements)}
+    less = frozenset((index[x], j) for j, y in enumerate(elements) for x in below(y))
+    return Poset(tuple(elements), tuple(labels), less, tuple(metadata))
 
 
 @dataclass(frozen=True)
@@ -128,6 +133,11 @@ class SimplicialComplex:
             f for f in faces
             if not any(f < g for g in min((containing[v] for v in f), key=len))
         ]
+        return SimplicialComplex._from_facets(facets)
+
+    @staticmethod
+    def _from_facets(facets) -> "SimplicialComplex":
+        """The complex of pairwise incomparable nonempty frozensets."""
         uniq = sorted(facets, key=lambda f: (len(f), sorted(map(repr, f))))
         verts = sorted({v for f in uniq for v in f}, key=repr)
         return SimplicialComplex(tuple(verts), tuple(uniq))
@@ -171,11 +181,9 @@ class SimplicialComplex:
 
 
 def order_complex(p: Poset) -> SimplicialComplex:
-    """Simplices are the chains of p; facets are its maximal chains."""
-    chains = p.maximal_chains()
-    if not chains:
-        return SimplicialComplex((), ())
-    return SimplicialComplex.from_faces(chains)
+    """Simplices are the chains of p; facets are its maximal chains, which
+    are pairwise incomparable, so no facet filter is needed."""
+    return SimplicialComplex._from_facets(map(frozenset, p.maximal_chains()))
 
 
 def _snf_diagonal(rows: dict[int, dict[int, int]]) -> list[int]:
@@ -287,30 +295,80 @@ class HomologyResult:
 
 
 def homology(c: SimplicialComplex, face_guard: int = DEFAULT_FACE_GUARD) -> HomologyResult:
-    """Integer simplicial homology via Smith normal form of the boundaries."""
+    """Integer simplicial homology: coreduction, then Smith normal form of
+    the boundaries among the cells that survive it.
+
+    Coreduction (Mrozek-Batko, Discrete Comput. Geom. 41, 2009) first takes
+    one vertex out of each connected component, each a Z in H_0, and then
+    removes pairs (a, b) where b is the only face of a left: both span an
+    acyclic subcomplex of the quotient, so its homology is unchanged.
+    """
     faces = c.faces_by_dim()
     if not faces:
         return HomologyResult((), ())
     if sum(len(fs) for fs in faces) > face_guard:
         raise CapExceededError("homology face count", face_guard)
     dim = len(faces) - 1
-    position = [{f: i for i, f in enumerate(fs)} for fs in faces]
+
+    # Cells are numbered dimension by dimension; every coefficient is +-1.
+    offset = list(itertools.accumulate((len(fs) for fs in faces), initial=0))
+    position = {f: offset[len(f) - 1] + i for fs in faces for i, f in enumerate(fs)}
+    boundary: list[list[int]] = [[] for _ in faces[0]]
+    coboundary: list[list[int]] = [[] for _ in range(len(position))]
+    for fs in faces[1:]:
+        for face in fs:
+            a = len(boundary)
+            bd = [position[face[:i] + face[i + 1 :]] for i in range(len(face))]
+            boundary.append(bd)
+            for b in bd:
+                coboundary[b].append(a)
+
+    alive = [True] * len(position)
+    parent = list(range(len(faces[0])))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for u, v in boundary[offset[1] : offset[2]] if dim else ():
+        parent[find(u)] = find(v)
+    queue = collections.deque()
+    components = 0
+    for v in range(len(faces[0])):
+        if find(v) == v:
+            components += 1
+            alive[v] = False
+            queue.extend(coboundary[v])
+    while queue:
+        a = queue.popleft()
+        if not alive[a]:
+            continue
+        left = [b for b in boundary[a] if alive[b]]
+        if len(left) == 1:
+            b = left[0]
+            alive[a] = alive[b] = False
+            queue.extend(coboundary[a])
+            queue.extend(coboundary[b])
 
     factors = []  # factors[k]: invariant factors of boundary_(k+1)
     for k in range(dim):
         rows: dict[int, dict[int, int]] = {}
-        for j, face in enumerate(faces[k + 1]):
-            for i in range(len(face)):
-                sub = face[:i] + face[i + 1 :]
-                rows.setdefault(position[k][sub], {})[j] = (-1) ** i
+        for a in range(offset[k + 1], offset[k + 2]):
+            if alive[a]:
+                for i, b in enumerate(boundary[a]):
+                    if alive[b]:
+                        rows.setdefault(b, {})[a] = (-1) ** i
         factors.append(invariant_factors(rows))
 
     betti, torsion = [], []
     for k in range(dim + 1):
+        cells = sum(alive[offset[k] : offset[k + 1]])
         rank_out = len(factors[k - 1]) if k >= 1 else 0
         rank_in = len(factors[k]) if k < dim else 0
-        betti.append(len(faces[k]) - rank_out - rank_in)
+        betti.append(cells - rank_out - rank_in)
         torsion.append(tuple(t for t in factors[k] if t > 1) if k < dim else ())
+    betti[0] += components
     return HomologyResult(tuple(betti), tuple(torsion))
 
 
@@ -336,59 +394,93 @@ def _w_elements(d: CoxeterDiagram, ball, cap: int):
     return [w for layer in layers for w in layer]
 
 
+def _parabolic(eng, R) -> list[tuple[int, int, frozenset]]:
+    """W_R by breadth-first search in the engine, R a finite-type subset:
+    per element x, in order of length, the index of a shorter element
+    x s^-1 (-1 for the identity), the generator s, and the right descents of x.
+    """
+    letters = [eng.key[t] for t in eng.names if t in R]
+    order, depth, steps, descents = [0], {0: 0}, [(-1, -1)], []
+    for i, x in enumerate(order):
+        down = set()
+        for s in letters:
+            y = eng.times(x, s)
+            if y not in depth:
+                depth[y] = depth[x] + 1
+                order.append(y)
+                steps.append((i, s))
+            elif depth[y] < depth[x]:
+                down.add(eng.names[s])
+        descents.append(frozenset(down))
+    return [step + (D,) for step, D in zip(steps, descents)]
+
+
+def _subsets(A: frozenset) -> list[frozenset]:
+    """Every subset of A, by size, so A itself comes last."""
+    return [frozenset(c) for k in range(len(A) + 1) for c in itertools.combinations(A, k)]
+
+
 def salvetti_poset(d: CoxeterDiagram, ball="all", cap: int = DEFAULT_CAP) -> Poset:
     """Elements (u, T) in W x Sf with (u,T) <= (v,R) iff T is a subset of R,
-    v^-1 u lies in W_R, and v^-1 u is T-minimal."""
+    v^-1 u lies in W_R, and v^-1 u is T-minimal.
+
+    Every reduced word of an element of W_R uses letters of R only, so the
+    elements under (v, R) are the (v x, T) for x in W_R and T a subset of R
+    that avoids the right descents of x.
+    """
     elements_w = _w_elements(d, ball, cap)
     sf = _sf_sorted(d)
     elems = [(u, frozenset(T)) for u in elements_w for T in sf]
     labels = [f"({''.join(u.word) or 'e'},{_set_label(d, T)})" for u, T in elems]
 
-    inv = {u: coxeter.invert(u, cap) for u in elements_w}
+    eng = coxeter._engine(d)
+    eng.begin(cap, "salvetti_poset")
+    ids = {u: eng.walk(0, u.word) for u in elements_w}
+    present = set(ids.values())
+    walks = {R: _parabolic(eng, R) for R in map(frozenset, sf) if R}
+    subsets: dict[frozenset, list[frozenset]] = {}
 
-    def leq(x, y):
-        (u, T), (v, R) = x, y
-        if not T <= R:
-            return False
-        w = coxeter.multiply(inv[v], u, cap)
-        if not set(w.word) <= R:
-            return False
-        for t in T:
-            if coxeter.multiply(w, coxeter.normalize(d, (t,), cap), cap).length < w.length:
-                return False
-        return True
+    def below(y):
+        v, R = y
+        if not R:
+            return
+        at = []
+        for parent, s, descents in walks[R]:
+            e = ids[v] if parent < 0 else eng.times(at[parent], s)
+            at.append(e)
+            if e in present:
+                u = eng.element(e)
+                free = R - descents
+                if free not in subsets:
+                    subsets[free] = _subsets(free)
+                for T in subsets[free]:
+                    if parent >= 0 or T != R:
+                        yield u, T
 
     meta = (("complex", "salvetti"), ("ball", "all" if ball == "all" else int(ball)))
     pairs = [(e, lab) for e, lab in zip(elems, labels)]
     pairs.sort(key=lambda el: (len(el[0][1]), sorted(d.index(v) for v in el[0][1]),
                                el[0][0].sort_key()))
-    return _poset([e for e, _ in pairs], [l for _, l in pairs], leq, meta)
+    return _poset([e for e, _ in pairs], [l for _, l in pairs], below, meta)
 
 
 def davis_poset(d: CoxeterDiagram, ball="all", cap: int = DEFAULT_CAP) -> Poset:
     """Cosets w W_T for T in Sf, named by T-minimal representatives and
-    ordered by coset inclusion."""
+    ordered by coset inclusion: w W_T lies in v W_R exactly when T is a
+    subset of R and v is the R-minimal representative of w."""
     elements_w = _w_elements(d, ball, cap)
-    sf = _sf_sorted(d)
-    elems = []
-    seen = set()
-    for T in sf:
-        Tf = frozenset(T)
-        for w in elements_w:
-            rep = coxeter.t_minimal_representative(d, w, T, cap)
-            key = (rep.word, Tf)
-            if key not in seen:
-                seen.add(key)
-                elems.append((rep, Tf))
+    sf = [frozenset(T) for T in _sf_sorted(d)]
+    reps = {w: {T: coxeter.t_minimal_representative(d, w, T, cap) for T in sf}
+            for w in elements_w}
+    elems = list(dict.fromkeys((reps[w][T], T) for T in sf for w in elements_w))
     labels = [f"{''.join(rep.word) or 'e'}W{_set_label(d, T)}" for rep, T in elems]
-    inv = {rep: coxeter.invert(rep, cap) for rep, _ in elems}
-
-    def leq(x, y):
-        (w, T), (v, R) = x, y
-        if not T <= R:
-            return False
-        u = coxeter.multiply(inv[v], w, cap)
-        return set(u.word) <= R
+    # A representative w of w W_T lies in the ball, and is its own T-minimal
+    # representative, so its row of `reps` lists every coset above w W_T.
+    lower: dict[tuple, set] = {}
+    for w, T in elems:
+        for R in sf:
+            if T < R:
+                lower.setdefault((reps[w][R], R), set()).add((w, T))
 
     meta = (("complex", "davis"), ("ball", "all" if ball == "all" else int(ball)))
     order = sorted(
@@ -396,7 +488,8 @@ def davis_poset(d: CoxeterDiagram, ball="all", cap: int = DEFAULT_CAP) -> Poset:
         key=lambda i: (len(elems[i][1]), sorted(d.index(v) for v in elems[i][1]),
                        elems[i][0].sort_key()),
     )
-    return _poset([elems[i] for i in order], [labels[i] for i in order], leq, meta)
+    return _poset([elems[i] for i in order], [labels[i] for i in order],
+                  lambda y: lower.get(y, ()), meta)
 
 
 def deligne_fundamental_domain(d: CoxeterDiagram) -> tuple[Poset, SimplicialComplex]:
@@ -404,7 +497,8 @@ def deligne_fundamental_domain(d: CoxeterDiagram) -> tuple[Poset, SimplicialComp
     of Sf ordered by subset), with its order complex."""
     sf = [frozenset(T) for T in _sf_sorted(d)]
     labels = [f"A{_set_label(d, T)}" for T in sf]
-    p = _poset(sf, labels, lambda T, R: T < R, (("complex", "deligne-fd"),))
+    # Sf is closed under subsets, so every proper subset of R is in it.
+    p = _poset(sf, labels, lambda R: _subsets(R)[:-1], (("complex", "deligne-fd"),))
     return p, order_complex(p)
 
 

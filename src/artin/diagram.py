@@ -68,6 +68,7 @@ class CoxeterDiagram:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", tuple(canon))
         object.__setattr__(self, "_label_map", {(a, b): m for a, b, m in canon})
+        object.__setattr__(self, "_pos", pos)
 
     def __hash__(self) -> int:
         # Per-diagram caches key on the diagram, so hash it once, on first
@@ -84,8 +85,8 @@ class CoxeterDiagram:
 
     def index(self, s: str) -> int:
         try:
-            return self.vertices.index(s)
-        except ValueError:
+            return self._pos[s]
+        except (KeyError, TypeError):
             raise DiagramError(f"unknown generator {s!r}") from None
 
     def m(self, s: str, t: str) -> float:
@@ -438,6 +439,10 @@ def finite_type_subsets(
     """
     if d.rank > rank_guard:
         raise RankGuardError("finite_type_subsets", d.rank, rank_guard)
+    adj = {v: set() for v in d.vertices}
+    for a, b, _ in d.edges:
+        adj[a].add(b)
+        adj[b].add(a)
     sf = {frozenset()}
     level = [frozenset()]
     while level:
@@ -448,7 +453,20 @@ def finite_type_subsets(
                 T2 = T | {v}
                 if any(T2 - {u} not in sf for u in T2):
                     continue
-                if _is_finite_subset(d, T2):
+                # Every proper subset of T2 is finite type.  So a disconnected
+                # T2 is too, a connected T2 with a cycle is not (every finite
+                # type diagram is a forest), and only trees need classifying.
+                reach, stack = {v}, [v]
+                while stack:
+                    for u in adj[stack.pop()] & (T2 - reach):
+                        reach.add(u)
+                        stack.append(u)
+                if len(reach) < len(T2):
+                    finite = True
+                else:
+                    edges = sum(len(adj[u] & T2) for u in T2) // 2
+                    finite = edges < len(T2) and _is_finite_subset(d, T2)
+                if finite:
                     sf.add(T2)
                     nxt.append(T2)
         level = nxt

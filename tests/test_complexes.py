@@ -18,9 +18,12 @@ from artin.complexes import (
     salvetti_poset,
     salvetti_quotient_cells,
 )
-from artin.diagram import CoxeterDiagram, INF, preset
+from artin.diagram import CoxeterDiagram, INF, is_finite_type, preset
+from artin.errors import CapExceededError
 
+import poset_oracle
 from conftest import random_diagram
+from homology_oracle import plain_homology
 
 
 def inf_pair():
@@ -47,6 +50,70 @@ def test_covers_and_chains_on_a_diamond():
     p = Poset(elements=(0, 1, 2, 3), labels=("o", "l", "r", "i"), less=less)
     assert set(p.covers()) == {(0, 1), (0, 2), (1, 3), (2, 3)}
     assert sorted(p.maximal_chains()) == [(0, 1, 3), (0, 2, 3)]
+
+
+def _random_poset(rng, n):
+    """Subsets of a small set under strict inclusion, in shuffled order."""
+    sets = list({frozenset(rng.sample(range(5), rng.randint(0, 5))) for _ in range(n)})
+    rng.shuffle(sets)
+    less = frozenset(
+        (i, j) for i, a in enumerate(sets) for j, b in enumerate(sets) if a < b
+    )
+    return Poset(tuple(sets), tuple(map(str, range(len(sets)))), less)
+
+
+def test_covers_match_their_definition(rng):
+    for _ in range(200):
+        p = _random_poset(rng, rng.randint(0, 14))
+        expect = sorted(
+            (i, j) for i, j in p.less
+            if not any((i, k) in p.less and (k, j) in p.less for k in range(len(p)))
+        )
+        assert p.covers() == expect
+
+
+def test_order_complex_is_the_complex_of_maximal_chains(rng):
+    posets = [_random_poset(rng, rng.randint(0, 14)) for _ in range(200)]
+    posets += [salvetti_poset(preset("A2")), davis_poset(preset("B2")),
+               deligne_fundamental_domain(preset("A3"))[0]]
+    for p in posets:
+        assert order_complex(p) == SimplicialComplex.from_faces(p.maximal_chains())
+
+
+def _rank_three_ball(rng):
+    """A random rank-3 diagram of infinite type (labels 3..6 and infinity)."""
+    while True:
+        names = ("s", "t", "u")
+        edges = tuple(
+            (a, b, m) for a, b in (("s", "t"), ("s", "u"), ("t", "u"))
+            if (m := rng.choice((2, 3, 4, 5, 6, INF))) != 2
+        )
+        d = CoxeterDiagram(names, edges)
+        if not is_finite_type(d)[0]:
+            return d
+
+
+def test_lower_set_posets_match_the_pairwise_oracle(rng):
+    # Salvetti and Davis posets on I2(3..8), A1^3, A1 x A2, A3 and B3, Davis
+    # H3, balls of radius 2 and 3 in the affine groups A~2, C~2 and G~2, and
+    # balls in random infinite rank-3 groups.
+    finite = [preset(f"I2({m})") for m in range(3, 9)]
+    finite += [CoxeterDiagram(("a", "b", "c"), ()),
+               CoxeterDiagram(("a", "b", "c"), (("b", "c", 3),)),
+               preset("A3"), preset("B3")]
+    cases = [(kind, d, "all") for d in finite for kind in ("salvetti", "davis")]
+    cases.append(("davis", preset("H3"), "all"))
+    affine = [preset("Atilde2"),
+              CoxeterDiagram(("s", "t", "u"), (("s", "t", 4), ("t", "u", 4))),
+              CoxeterDiagram(("s", "t", "u"), (("s", "t", 6), ("t", "u", 3)))]
+    affine += [_rank_three_ball(rng) for _ in range(4)]
+    cases += [(kind, d, ball) for d in affine for ball in (2, 3)
+              for kind in ("salvetti", "davis")]
+    for kind, d, ball in cases:
+        p = getattr(complexes, f"{kind}_poset")(d, ball)
+        q = getattr(poset_oracle, f"{kind}_poset")(d, ball)
+        assert (p.elements, p.labels, p.metadata) == (q.elements, q.labels, q.metadata)
+        assert p.less == q.less, (kind, d, ball)
 
 
 # ---------------------------------------------------------------- SNF
@@ -171,6 +238,7 @@ def test_homology_projective_plane():
         (2, 3, 5), (3, 5, 6), (3, 4, 6), (2, 4, 6), (2, 4, 5),
     ]
     h = homology(_complex(faces))
+    assert h == plain_homology(_complex(faces))
     assert h.betti == (1, 0, 0)
     assert h.torsion[1] == (2,)
     assert h.group(1) == "Z/2"
@@ -195,6 +263,7 @@ def test_homology_klein_bottle():
     cx = _complex(faces)
     assert cx.f_vector() == (9, 27, 18)
     h = homology(cx)
+    assert h == plain_homology(cx)
     assert h.betti == (1, 1, 0)
     assert h.torsion[1] == (2,)
 
@@ -211,6 +280,23 @@ def test_homology_euler_consistency(rng):
         assert c.euler_characteristic() == sum(
             (-1) ** k * b for k, b in enumerate(h.betti)
         )
+
+
+def _random_complex(rng):
+    """A few random simplices on a few vertices, so the complex is often
+    disconnected and its faces of each dimension come in random order."""
+    n = rng.randint(1, 9)
+    return _complex(
+        rng.sample(range(n), rng.randint(1, min(n, 4))) for _ in range(rng.randint(1, 10))
+    )
+
+
+def test_coreduced_homology_matches_plain_smith_normal_form(rng):
+    for _ in range(400):
+        c = _random_complex(rng)
+        assert homology(c) == plain_homology(c), c
+    h_empty = homology(SimplicialComplex((), ()))
+    assert h_empty == plain_homology(SimplicialComplex((), ())) == complexes.HomologyResult((), ())
 
 
 # ---------------------------------------------------------------- salvetti
@@ -250,7 +336,16 @@ def test_salvetti_rank_three_homology_is_orlik_solomon():
         h = homology(order_complex(salvetti_poset(preset(name))))
         assert list(h.betti) == poly, name
         assert not any(h.torsion), name
-    assert time.perf_counter() - t0 < 30
+    assert time.perf_counter() - t0 < 10
+
+
+def test_salvetti_h3_stops_at_the_face_guard():
+    # 86,400 maximal chains list 270,720 faces, past the default guard.
+    t0 = time.perf_counter()
+    c = order_complex(salvetti_poset(preset("H3")))
+    with pytest.raises(CapExceededError, match="homology face count exceeded cap 200000"):
+        homology(c)
+    assert time.perf_counter() - t0 < 6
 
 
 def test_salvetti_h1_rank_equals_reflection_count():

@@ -1,5 +1,6 @@
 """Diagram construction, parsing, classification, and taxonomy flags."""
 
+import itertools
 import json
 
 import pytest
@@ -148,6 +149,39 @@ def test_subset_consistency_with_classifier(rng):
         d = random_diagram(rng, max_rank=4)
         sf = finite_type_subsets(d)
         assert (frozenset(d.vertices) in sf) == is_finite_type(d)[0]
+
+
+def test_finite_type_subsets_match_brute_force(rng):
+    # every subset classified on its own, against the level-by-level search
+    # that classifies only connected trees
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        names = tuple(f"s{i}" for i in range(n))
+        p_edge = rng.choice((0.2, 0.4, 0.7))
+        edges = tuple(
+            (a, b, rng.choice((3, 4, 5, 6, INF)))
+            for a, b in itertools.combinations(names, 2)
+            if rng.random() < p_edge
+        )
+        d = CoxeterDiagram(names, edges)
+        brute = {
+            frozenset(T)
+            for r in range(n + 1)
+            for T in itertools.combinations(names, r)
+            if not T or is_finite_type(d.subdiagram(T))[0]
+        }
+        assert finite_type_subsets(d) == brute, d
+
+
+def test_index_and_labels_by_position():
+    d = preset("B3")
+    assert [d.index(v) for v in d.vertices] == [0, 1, 2]
+    assert (d.m("s", "t"), d.m("u", "t"), d.m("s", "u")) == (4, 3, 2)
+    for bad in ("x", ["s"], None):
+        with pytest.raises(DiagramError, match="unknown generator"):
+            d.index(bad)
+    with pytest.raises(DiagramError, match="unknown generator 'x'"):
+        d.m("s", "x")
 
 
 def test_rank_guard():
