@@ -3,7 +3,8 @@
 Output is deterministic; JSON is the default format, `text` renders the
 same data for humans, and `dot` emits Hasse diagrams for the poset
 subcommands.  Exit codes: 0 success, 1 domain error (typed library
-errors), 2 usage error.
+errors), 2 usage error.  Each subcommand imports only the library modules
+it calls, and the parser is built for that subcommand alone.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ import os
 import re
 import sys
 
-from . import complexes, coxeter, diagram, group, monoid, shelling
-from .coxeter import DEFAULT_CAP
+from . import diagram
 from .diagram import INF, classify_taxonomy, is_finite_type, preset
-from .errors import ArtinError
+from .errors import DEFAULT_CAP, ArtinError
 
 FORMAT_VERSION = 1
 
@@ -118,6 +118,8 @@ def _cmd_taxonomy(d, args):
 
 
 def _cmd_sf(d, args):
+    from . import complexes
+
     subsets = [_subset_list(d, T) for T in complexes._sf_sorted(d)]
     obj = {"count": len(subsets), "subsets": subsets}
     text = f"{len(subsets)} finite-type subsets\n" + "\n".join(
@@ -161,6 +163,7 @@ def _cmd_rep_check(d, args):
 
     from . import tits
 
+    tits._check_tol(args.tol)
     pairs = []
     ok = True
     for s, t, m in d.pairs():
@@ -183,12 +186,16 @@ def _cmd_rep_check(d, args):
 
 
 def _cmd_cox_nf(d, args):
+    from . import coxeter
+
     el = coxeter.normalize(d, _word(args.word), args.cap)
     obj = {"word": list(el.word), "length": el.length}
     return obj, _word_str(el.word), None
 
 
 def _cmd_enumerate(d, args):
+    from . import coxeter
+
     max_length = args.max_length if args.max_length == "all" else int(args.max_length)
     layers = coxeter.enumerate_elements(d, max_length, args.cap)
     counts = {str(k): len(layer) for k, layer in enumerate(layers)}
@@ -201,11 +208,15 @@ def _cmd_enumerate(d, args):
 
 
 def _cmd_longest(d, args):
+    from . import coxeter
+
     el = coxeter.longest_element(d, args.cap)
     return {"word": list(el.word), "length": el.length}, _word_str(el.word), None
 
 
 def _cmd_reflections(d, args):
+    from . import coxeter
+
     ball = None if args.ball is None else int(args.ball)
     refl = sorted(coxeter.reflections(d, ball, args.cap), key=lambda e: e.sort_key())
     obj = {"count": len(refl), "reflections": [list(e.word) for e in refl]}
@@ -214,12 +225,16 @@ def _cmd_reflections(d, args):
 
 
 def _cmd_tmin(d, args):
+    from . import coxeter
+
     w = coxeter.normalize(d, _word(args.word), args.cap)
     el = coxeter.t_minimal_representative(d, w, _split_subset(args.t), args.cap)
     return {"word": list(el.word), "length": el.length}, _word_str(el.word), None
 
 
 def _cmd_coxeter_elements(d, args):
+    from . import coxeter
+
     els = sorted(coxeter.coxeter_elements(d, cap=args.cap), key=lambda e: e.sort_key())
     obj = {"count": len(els), "elements": [list(e.word) for e in els]}
     text = "\n".join(_word_str(e.word) for e in els)
@@ -227,16 +242,22 @@ def _cmd_coxeter_elements(d, args):
 
 
 def _cmd_mon_nf(d, args):
+    from . import monoid
+
     el = monoid.canonicalize(d, _word(args.word), args.cap)
     return {"word": list(el.word), "length": el.length}, _word_str(el.word), None
 
 
 def _cmd_mon_equal(d, args):
+    from . import monoid
+
     eq = monoid.monoid_equal(d, _word(args.left), _word(args.right), args.cap)
     return eq, "true" if eq else "false", None
 
 
 def _cmd_divides(d, args):
+    from . import monoid
+
     cof = monoid.divides(d, _word(args.dvr), _word(args.word), args.side, args.cap)
     if cof is None:
         return {"divides": False, "cofactor": None}, "no", None
@@ -248,11 +269,15 @@ def _cmd_divides(d, args):
 
 
 def _cmd_gcd(d, args):
+    from . import monoid
+
     el = monoid.gcd(d, _word(args.left), _word(args.right), args.side, args.cap)
     return {"word": list(el.word), "length": el.length}, _word_str(el.word), None
 
 
 def _cmd_lcm(d, args):
+    from . import monoid
+
     el = monoid.lcm(
         d, _word(args.left), _word(args.right), args.side, args.cap, args.length_bound
     )
@@ -262,12 +287,16 @@ def _cmd_lcm(d, args):
 
 
 def _cmd_delta(d, args):
+    from . import monoid
+
     T = _split_subset(args.t) if args.t else d.vertices
     el = monoid.garside_element(d, T, args.cap)
     return {"word": list(el.word), "length": el.length}, _word_str(el.word), None
 
 
 def _cmd_sigma(d, args):
+    from . import monoid
+
     table = monoid.garside_permutation(d, args.cap)
     obj = {"sigma": {s: table[s] for s in d.vertices}}
     text = "\n".join(f"{s} -> {table[s]}" for s in d.vertices)
@@ -275,6 +304,8 @@ def _cmd_sigma(d, args):
 
 
 def _cmd_garside_nf(d, args):
+    from . import monoid
+
     nf = monoid.garside_normal_form(d, _word(args.word), args.cap)
     obj = {"blocks": nf.to_json_obj()}
     text = " . ".join("{" + ",".join(T) + "}" for T in nf.blocks) or "e"
@@ -282,6 +313,8 @@ def _cmd_garside_nf(d, args):
 
 
 def _cmd_axioms(d, args):
+    from . import monoid
+
     rep = monoid.verify_garside_axioms(d, args.length_cap, args.cap)
     obj = rep.to_json_obj()
     text = "\n".join(
@@ -295,12 +328,16 @@ def _cmd_axioms(d, args):
 
 
 def _cmd_grp_nf(d, args):
+    from . import group
+
     g = group.from_letters(d, args.word, args.cap)
     obj = g.to_json_obj()
     return obj, f"Delta^{g.k} * {_word_str(g.a.word)}", None
 
 
 def _cmd_grp_equal(d, args):
+    from . import group
+
     g = group.from_letters(d, args.left, args.cap)
     h = group.from_letters(d, args.right, args.cap)
     eq = group.equal(g, h)
@@ -308,6 +345,8 @@ def _cmd_grp_equal(d, args):
 
 
 def _cmd_fraction(d, args):
+    from . import group
+
     g = group.from_letters(d, args.word, args.cap)
     a, b = group.fraction_decomposition(g, args.cap)
     obj = {"a": list(a.word), "b": list(b.word)}
@@ -315,12 +354,16 @@ def _cmd_fraction(d, args):
 
 
 def _cmd_section(d, args):
+    from . import coxeter, group
+
     w = coxeter.normalize(d, _word(args.word), args.cap)
     g = group.canonical_section(d, w, args.cap)
     return g.to_json_obj(), f"Delta^{g.k} * {_word_str(g.a.word)}", None
 
 
 def _cmd_project(d, args):
+    from . import group
+
     g = group.from_letters(d, args.word, args.cap)
     w = group.project(g, args.cap)
     obj = {"word": list(w.word), "pure": w.length == 0}
@@ -334,14 +377,20 @@ def _poset_output(p):
 
 
 def _cmd_salvetti(d, args):
+    from . import complexes
+
     return _poset_output(complexes.salvetti_poset(d, _ball(args), args.cap))
 
 
 def _cmd_davis(d, args):
+    from . import complexes
+
     return _poset_output(complexes.davis_poset(d, _ball(args), args.cap))
 
 
 def _cmd_deligne_fd(d, args):
+    from . import complexes
+
     p, c = complexes.deligne_fundamental_domain(d)
     obj = {"poset": p.to_json_obj(), "complex": c.to_json_obj()}
     text = f"{len(p)} elements, order complex f-vector {list(c.f_vector())}"
@@ -349,6 +398,8 @@ def _cmd_deligne_fd(d, args):
 
 
 def _cmd_homology(d, args):
+    from . import complexes
+
     if args.complex == "salvetti":
         c = complexes.order_complex(complexes.salvetti_poset(d, _ball(args), args.cap))
     elif args.complex == "davis":
@@ -366,6 +417,8 @@ def _cmd_homology(d, args):
 
 
 def _cmd_quotient_cells(d, args):
+    from . import complexes
+
     q = complexes.salvetti_quotient_cells(d)
     obj = q.to_json_obj()
     text = f"f-vector {list(q.f_vector)}, euler {q.euler_characteristic}"
@@ -373,11 +426,15 @@ def _cmd_quotient_cells(d, args):
 
 
 def _cmd_abelianization(d, args):
+    from . import complexes
+
     ab = complexes.abelianization(d)
     return ab.to_json_obj(), ab.pretty(), None
 
 
 def _chamber_input(args, parser):
+    from . import shelling
+
     if args.chambers:
         if args.preset or args.file:
             parser.error("pass either --chambers or a diagram source, not both")
@@ -386,15 +443,17 @@ def _chamber_input(args, parser):
                 cc, idx = shelling.parse_chamber_json(fh.read())
         except OSError as exc:
             raise ArtinError(f"cannot read {args.chambers}: {exc}") from None
-        if getattr(args, "index", None):
-            idx = tuple(int(v) for v in args.index.split(","))
-        return cc, idx
-    d = _resolve_diagram(args, parser)
-    cc, idx = shelling.coxeter_chamber_system(d, _ball(args), args.cap)
+    else:
+        d = _resolve_diagram(args, parser)
+        cc, idx = shelling.coxeter_chamber_system(d, _ball(args), args.cap)
+    if getattr(args, "index", None):
+        idx = tuple(int(v) for v in args.index.split(","))
     return cc, idx
 
 
 def _cmd_shelling_check(args, parser):
+    from . import shelling
+
     cc, idx = _chamber_input(args, parser)
     if idx is None:
         raise ArtinError("no index function: add \"index\" to the JSON or pass --index")
@@ -410,6 +469,8 @@ def _cmd_shelling_check(args, parser):
 
 
 def _cmd_is_shelling(args, parser):
+    from . import shelling
+
     cc, _ = _chamber_input(args, parser)
     if args.order:
         order = tuple(int(v) for v in args.order.split(","))
@@ -465,6 +526,11 @@ _CHAMBER_CMDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parser(None)
+
+
+def _build_parser(only) -> argparse.ArgumentParser:
+    """The artin parser; with `only` a subcommand name, that subparser alone."""
     from . import __version__
 
     parser = argparse.ArgumentParser(
@@ -528,19 +594,22 @@ def build_parser() -> argparse.ArgumentParser:
         if opts.get("order_opt"):
             sp.add_argument("--order", help="comma-separated chamber order (default: listed)")
 
-    for name, (handler, opts) in _DIAGRAM_CMDS.items():
-        sp = sub.add_parser(name)
-        add_common(sp, opts)
-        sp.set_defaults(handler=handler, chamber_cmd=False, subparser=sp)
-    for name, (handler, opts) in _CHAMBER_CMDS.items():
-        sp = sub.add_parser(name)
-        add_common(sp, opts, chambers=True)
-        sp.set_defaults(handler=handler, chamber_cmd=True, subparser=sp)
+    for chambers, table in ((False, _DIAGRAM_CMDS), (True, _CHAMBER_CMDS)):
+        for name, (handler, opts) in table.items():
+            if only is not None and name != only:
+                continue
+            sp = sub.add_parser(name)
+            add_common(sp, opts, chambers)
+            sp.set_defaults(handler=handler, chamber_cmd=chambers, subparser=sp)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # A known subcommand needs only its own subparser; anything else (help,
+    # --version, a bad name) gets the full parser and its choice list.
+    known = argv and (argv[0] in _DIAGRAM_CMDS or argv[0] in _CHAMBER_CMDS)
+    parser = _build_parser(argv[0] if known else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -571,7 +640,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: send what is left to /dev/null so the
+        # interpreter's final flush cannot raise again, and report failure.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -47,9 +47,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .diagram import INF, CoxeterDiagram, is_finite_type
-from .errors import CapExceededError, DiagramError, FiniteTypeRequiredError, RankGuardError
+from .errors import (
+    DEFAULT_CAP,
+    CapExceededError,
+    DiagramError,
+    FiniteTypeRequiredError,
+    RankGuardError,
+)
 
-DEFAULT_CAP = 10**6
 DEFAULT_SIZE_GUARD = 10**6
 
 

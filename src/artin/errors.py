@@ -19,6 +19,9 @@ class RankGuardError(ArtinError):
         super().__init__(f"{what}: rank {rank} exceeds guard {guard}")
 
 
+DEFAULT_CAP = 10**6  # the bound every capped operation uses unless given one
+
+
 class CapExceededError(ArtinError):
     """A bounded search (closure, ball, matrix) grew past its cap."""
 

@@ -245,6 +245,9 @@ def garside_element(d: CoxeterDiagram, T, cap: int = DEFAULT_CAP) -> MonoidEleme
 
     The empty subset is allowed and gives the identity (W_{} is trivial).
     """
+    unknown = set(T) - set(d.vertices)
+    if unknown:
+        raise DiagramError(f"unknown generators {sorted(unknown)}")
     T = tuple(t for t in d.vertices if t in set(T))
     if not T:
         return identity(d)

@@ -59,10 +59,14 @@ def reflection_matrices(d: CoxeterDiagram) -> list[np.ndarray]:
     return out
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive, got {tol}")
+
+
 def signature(B: np.ndarray, tol: float = DEFAULT_TOL) -> SignatureReport:
     """Bucket the eigenvalues of a symmetric matrix by sign at tolerance tol."""
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_tol(tol)
     eigs = np.linalg.eigvalsh(B)
     n_pos = int(np.sum(eigs > tol))
     n_neg = int(np.sum(eigs < -tol))
@@ -91,6 +95,7 @@ def pair_order(
     The default cap is 4 * max(m_st) over the finite labels of the diagram,
     so an infinite pair reports None rather than looping.
     """
+    _check_tol(tol)
     if cap is None:
         finite_labels = [int(m) for _, _, m in d.pairs() if m != INF]
         cap = 4 * max(finite_labels, default=2)

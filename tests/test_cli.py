@@ -1,5 +1,8 @@
 """CLI surface: subcommand coverage, output stability, exit codes."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -287,17 +290,212 @@ def test_python_m_artin():
         assert p.stdout.startswith("artin ")
 
 
-def test_numpy_loads_only_for_the_float_subcommands():
+def _fresh_env():
     src = os.path.dirname(os.path.dirname(os.path.abspath(artin.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    return dict(os.environ, PYTHONPATH=src)
+
+
+BASE_MODULES = {"artin", "artin.cli", "artin.diagram", "artin.errors"}
+COXETER = BASE_MODULES | {"artin.coxeter"}
+MONOID = COXETER | {"artin.greedy", "artin.monoid"}
+W = ["--word", "s t u"]
+LR = ["--left", "s t", "--right", "t s"]
+
+# family -> (argv run in one fresh interpreter, exit codes, artin modules
+# loaded afterwards, numpy loaded afterwards)
+MODULE_SETS = {
+    "import": ([], [], BASE_MODULES, False),
+    "classify": (
+        [["classify", "--preset", "B3"], ["taxonomy", "--preset", "B3"],
+         ["classify", "--preset", "NoSuch"], ["classify"], ["nosuch"], ["--version"]],
+        [0, 0, 1, 2, 2, 0], BASE_MODULES, False),
+    "complexes": (
+        [["sf", "--preset", "B3"], ["quotient-cells", "--preset", "B3"],
+         ["abelianization", "--preset", "B3"], ["salvetti", "--preset", "A2"],
+         ["davis", "--preset", "A2"], ["deligne-fd", "--preset", "A2"],
+         ["homology", "--preset", "A2", "--complex", "salvetti"]],
+        [0] * 7, COXETER | {"artin.complexes"}, False),
+    "coxeter": (
+        [["cox-nf", "--preset", "B3", *W], ["enumerate", "--preset", "B3"],
+         ["longest", "--preset", "B3"], ["reflections", "--preset", "B3"],
+         ["tmin", "--preset", "B3", *W, "--t", "s"], ["coxeter-elements", "--preset", "B3"]],
+        [0] * 6, COXETER, False),
+    "monoid": (
+        [["mon-nf", "--preset", "B3", *W], ["mon-equal", "--preset", "B3", *LR],
+         ["divides", "--preset", "B3", "--dvr", "s", *W], ["gcd", "--preset", "B3", *LR],
+         ["lcm", "--preset", "B3", *LR], ["delta", "--preset", "B3"],
+         ["sigma", "--preset", "B3"], ["garside-nf", "--preset", "B3", *W],
+         ["axioms", "--preset", "A2"]],
+        [0] * 9, MONOID, False),
+    "group": (
+        [["grp-nf", "--preset", "B3", *W], ["grp-equal", "--preset", "B3", *LR],
+         ["fraction", "--preset", "B3", *W], ["section", "--preset", "B3", *W],
+         ["project", "--preset", "B3", *W]],
+        [0] * 5, MONOID | {"artin.group"}, False),
+    "shelling": (
+        [["shelling-check", "--preset", "B3"], ["is-shelling", "--preset", "B3"]],
+        [0, 0], COXETER | {"artin.shelling"}, False),
+    **{
+        name: ([[name, "--preset", "B3"]], [0], BASE_MODULES | {"artin.tits"}, True)
+        for name in ("form", "signature", "rep-check")
+    },
+}
+
+
+@pytest.mark.parametrize("family", MODULE_SETS)
+def test_subcommand_loads_only_its_modules(family):
+    """Start-up cost is the modules a process imports: a subcommand loads the
+    library modules it calls and no others, and only the float subcommands
+    load numpy.  Module sets are deterministic, unlike start-up time."""
+    argvs, codes, modules, numpy_loaded = MODULE_SETS[family]
     script = (
-        "import sys\n"
-        "import artin.cli, artin.complexes\n"
-        "assert 'numpy' not in sys.modules, 'numpy imported with artin.cli'\n"
-        "codes = [artin.cli.main([c, '--preset', 'B3']) for c in ('form', 'signature', 'rep-check')]\n"
-        "print(codes, 'numpy' in sys.modules)\n"
+        "import contextlib, io, json, sys\n"
+        "import artin.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    codes = [artin.cli.main(argv) for argv in {argvs!r}]\n"
+        "mods = sorted(m for m in sys.modules if m == 'artin' or m.startswith('artin.'))\n"
+        "print(json.dumps([codes, mods, 'numpy' in sys.modules]))\n"
     )
     p = subprocess.run([sys.executable, "-c", script],
-                       capture_output=True, text=True, env=env, timeout=60)
+                       capture_output=True, text=True, env=_fresh_env(), timeout=60)
     assert p.returncode == 0, p.stderr
-    assert p.stdout.splitlines()[-1] == "[0, 0, 0] True"
+    got_codes, got_modules, got_numpy = json.loads(p.stdout.splitlines()[-1])
+    assert got_codes == codes
+    assert set(got_modules) == modules
+    assert got_numpy is numpy_loaded
+
+
+def _subparser(parser, name):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+def _parse(parser, argv):
+    """(exit code, stderr) of a parse that fails; (0, namespace) of one that
+    succeeds, without the subparser, which differs by construction."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            ns = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, err.getvalue()
+    del ns["subparser"]
+    return 0, ns
+
+
+@pytest.mark.parametrize("name", [*cli._DIAGRAM_CMDS, *cli._CHAMBER_CMDS])
+def test_single_subcommand_parser_matches_full_parser(name):
+    full, single = cli.build_parser(), cli._build_parser(name)
+    assert _subparser(single, name).format_help() == _subparser(full, name).format_help()
+    required = []
+    for action in _subparser(full, name)._actions:
+        if action.required:
+            required += [action.option_strings[0], (action.choices or ["s"])[0]]
+    valid = [name, "--preset", "A2", *required]
+    cases = [
+        valid,
+        valid + ["--bogus"],
+        valid + ["--format", "xml"],
+        valid + ["--cap", "0"],
+        valid + ["--cap", "x"],
+        [name, "--pres", "A2", "--form", "text", *required],
+        [name, "--help"],
+    ]
+    if required:
+        cases.append(valid[:-2])
+    for argv in cases:
+        assert _parse(single, argv) == _parse(full, argv), argv
+    assert _parse(single, valid)[0] == 0
+
+
+def test_main_builds_only_the_named_subparser(monkeypatch, capsys):
+    seen = []
+    real = cli._build_parser
+
+    def spy(only):
+        seen.append(only)
+        return real(only)
+
+    monkeypatch.setattr(cli, "_build_parser", spy)
+    for argv in (["classify", "--preset", "A2"], ["--version"], ["nosuch"], [], ["-h"],
+                 ["is-shelling", "--preset", "A2"]):
+        cli.main(argv)
+    capsys.readouterr()
+    assert seen == ["classify", None, None, None, None, "is-shelling"]
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # D5's element words are about 280 kB of JSON, several pipe buffers, so
+    # the write is still under way when the reader goes away.
+    p = subprocess.Popen(
+        [sys.executable, "-m", "artin", "enumerate", "--preset", "D5", "--words"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_fresh_env(),
+    )
+    assert p.stdout.readline() == b"{\n"
+    p.stdout.close()
+    err = p.stderr.read()
+    assert p.wait(timeout=60) == 1
+    assert err == b""
+
+
+CAP_TRIPS = [
+    ["enumerate"], ["longest"], ["reflections"], ["coxeter-elements"],
+    ["cox-nf", *W], ["tmin", *W, "--t", "s"],
+    ["mon-nf", *W], ["gcd", *LR], ["lcm", *LR], ["delta"], ["sigma"],
+    ["garside-nf", *W], ["axioms"],
+    ["grp-nf", "--word", "s t^-1 u"], ["fraction", "--word", "s t^-1 u"],
+    ["project", "--word", "s t^-1 u"],
+    ["salvetti"], ["davis"], ["homology", "--complex", "salvetti"],
+    ["shelling-check"], ["is-shelling"],
+]
+
+
+@pytest.mark.parametrize("argv", CAP_TRIPS, ids=lambda argv: argv[0])
+def test_cap_trip_is_one_error_line(capsys, argv):
+    from artin import coxeter, greedy
+
+    # A CLI process starts with empty caches; warm engines would spend no
+    # new work and so never reach the cap.
+    for cached in (coxeter._index, coxeter._engine, greedy._greedy):
+        cached.cache_clear()
+    code, out, err = run([argv[0], "--preset", "B3", "--cap", "1", *argv[1:]], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith(" exceeded cap 1\n")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_delta_rejects_unknown_generators(capsys):
+    code, out, err = run(["delta", "--preset", "A3", "--t", "s,zz"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: unknown generators ['zz']\n"
+    code, out, _ = run(["delta", "--preset", "A3", "--t", "s,t", "--format", "text"], capsys)
+    assert (code, out) == (0, "sts\n")
+
+
+def test_index_override_applies_to_a_diagram_source(capsys):
+    code, out, err = run(
+        ["shelling-check", "--preset", "A2", "--index", "0,0,0,0,0,0"], capsys
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: exactly one chamber must have index 0, found 6\n"
+    # the chamber system's own index function, passed explicitly, still passes
+    from artin import shelling
+
+    _, idx = shelling.coxeter_chamber_system(artin.preset("A2"))
+    _, default, _ = run(["shelling-check", "--preset", "A2"], capsys)
+    code, out, _ = run(
+        ["shelling-check", "--preset", "A2", "--index", ",".join(map(str, idx))], capsys
+    )
+    assert code == 0 and out == default
+
+
+@pytest.mark.parametrize("argv", [
+    ["signature", "--tol", "nan"], ["signature", "--tol", "inf"], ["signature", "--tol", "-1"],
+    ["rep-check", "--tol", "nan"], ["rep-check", "--tol", "-1"], ["rep-check", "--tol", "0"],
+])
+@pytest.mark.parametrize("preset", ["A1", "A3"])
+def test_tolerance_must_be_finite_and_positive(capsys, argv, preset):
+    code, out, err = run([*argv[:1], "--preset", preset, *argv[1:]], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: tolerance must be positive, got ")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from artin import coxeter, group, monoid
 from artin.diagram import CoxeterDiagram, INF, preset
-from artin.errors import FiniteTypeRequiredError, GarsideError
+from artin.errors import DiagramError, FiniteTypeRequiredError, GarsideError
 
 
 def inf_pair():
@@ -160,6 +160,11 @@ def test_garside_element_examples():
     assert monoid.garside_element(d, ("s",)).word == ("s",)
     assert monoid.garside_element(d, ()).word == ()
     assert monoid.garside_element(preset("B2"), ("s", "t")).length == 4
+
+
+def test_garside_element_rejects_unknown_generators():
+    with pytest.raises(DiagramError, match=r"unknown generators \['zz'\]"):
+        monoid.garside_element(preset("A3"), ("s", "zz"))
 
 
 def test_garside_element_needs_finite_type():

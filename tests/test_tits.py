@@ -72,6 +72,15 @@ def test_dihedral_rotation_order(p):
     assert tits.pair_order(d, "s", "t") == p
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_tolerance_must_be_finite_and_positive(tol):
+    d = preset("A3")
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        tits.signature(tits.bilinear_form(d), tol)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        tits.pair_order(d, "s", "t", tol=tol)
+
+
 def test_pair_order_commuting_and_infinite():
     d = CoxeterDiagram(("s", "t", "u"), (("s", "t", INF),))
     assert tits.pair_order(d, "t", "u") == 2
