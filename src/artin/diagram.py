@@ -2,9 +2,13 @@
 
 A diagram is a finite labelled graph on generator names.  An edge {s, t}
 carries an integer label m >= 3 or infinity; a missing edge means m = 2.
-Finite-type recognition matches every connected component against the ten
-classification families by an explicit label-preserving isomorphism, so the
-answer is exact and independent of floating point.  The numeric signature
+Finite type is decided from the shape of each connected component: a
+finite-type component is a tree, and its family follows from its branch
+vertex and arm lengths or from where its one label other than 3 sits on a
+path.  So the answer is exact and independent of floating point, and the set
+Sf of finite-type subsets is found without building subdiagrams.  The
+label-preserving isomorphism search against the family's reference diagram
+runs only to give the witness a TypeLabel carries.  The numeric signature
 test (module tits) is a cross-check, never the authority.
 """
 
@@ -364,28 +368,66 @@ def _find_isomorphism(comp: CoxeterDiagram, ref: CoxeterDiagram):
     return {v: position[t] for v, t in assignment.items()}
 
 
-def _candidate_families(sub: CoxeterDiagram):
-    n = sub.rank
-    labels = sorted(m for _, _, m in sub.edges)
-    if n == 1:
-        yield ("A", n, None)
-        return
-    if all(m == 3 for m in labels):
-        yield ("A", n, None)
-        if n >= 4:
-            yield ("D", n, None)
-        if n in (6, 7, 8):
-            yield (f"E{n}", n, None)
-    if n >= 2 and labels.count(4) == 1:
-        yield ("B", n, None)
-    if n == 2 and len(labels) == 1 and labels[0] != INF and labels[0] >= 5:
-        yield ("I2", n, int(labels[0]))
-    if n == 4 and labels == [3, 3, 4]:
-        yield ("F4", n, None)
-    if n == 3 and labels == [3, 5]:
-        yield ("H3", n, None)
-    if n == 4 and labels == [3, 3, 5]:
-        yield ("H4", n, None)
+def _adjacency(d: CoxeterDiagram) -> dict[str, dict[str, float]]:
+    """{vertex: {neighbour: label}} over the edges of d, both directions."""
+    nbrs = {v: {} for v in d.vertices}
+    for a, b, m in d.edges:
+        nbrs[a][b] = nbrs[b][a] = m
+    return nbrs
+
+
+def _induced(nbrs, T) -> dict[str, dict[str, float]]:
+    """The adjacency map nbrs restricted to the vertex set T."""
+    return {u: {w: nbrs[u][w] for w in nbrs[u].keys() & T} for u in T}
+
+
+def _tree_family(nbrs) -> tuple[str, int, int | None] | None:
+    """(family, rank, p) of a connected labelled tree; None when not finite.
+
+    ``nbrs`` is {vertex: {neighbour: label}}.  The classification theorem
+    (Humphreys, Reflection Groups and Coxeter Groups, 2.4-2.7) reads the
+    family off the shape: the arm lengths at the one branch vertex, or the
+    place of the one label other than 3 on a path.
+    """
+    n = len(nbrs)
+    special = [(u, w, m) for u in nbrs for w, m in nbrs[u].items() if m != 3]
+    if any(m == INF for _, _, m in special):
+        return None
+    if n <= 2:
+        if not special:
+            return ("A", n, None)
+        m = special[0][2]
+        return ("B", 2, None) if m == 4 else ("I2", 2, int(m))
+    branch = [u for u in nbrs if len(nbrs[u]) > 2]
+    if branch:
+        if special or len(branch) > 1 or len(nbrs[branch[0]]) > 3:
+            return None
+        arms = []
+        for u in nbrs[branch[0]]:
+            prev, k = branch[0], 1
+            while len(nbrs[u]) == 2:
+                prev, u = u, next(w for w in nbrs[u] if w != prev)
+                k += 1
+            arms.append(k)
+        a, b, c = sorted(arms)
+        if a == b == 1:
+            return ("D", n, None)
+        if (a, b) == (1, 2) and c <= 4:
+            return (f"E{n}", n, None)
+        return None
+    if not special:
+        return ("A", n, None)
+    if len(special) > 2:  # each edge appears from both of its ends
+        return None
+    u, w, m = special[0]
+    at_end = len(nbrs[u]) == 1 or len(nbrs[w]) == 1
+    if m == 4 and at_end:
+        return ("B", n, None)
+    if m == 4 and n == 4:
+        return ("F4", 4, None)
+    if m == 5 and at_end and n <= 4:
+        return (f"H{n}", n, None)
+    return None
 
 
 def _component_label(d: CoxeterDiagram, comp) -> TypeLabel | None:
@@ -395,17 +437,14 @@ def _component_label(d: CoxeterDiagram, comp) -> TypeLabel | None:
         # every classification diagram is a tree (a connected component with
         # more edges has a cycle and cannot match)
         return None
-    for family, n, p in _candidate_families(sub):
-        ref = _build_family(family, n, p)
-        iso = _find_isomorphism(sub, ref)
-        if iso is not None:
-            return TypeLabel(
-                family=family,
-                rank=n,
-                p=p,
-                assignment=tuple(sorted(iso.items(), key=lambda kv: d.index(kv[0]))),
-            )
-    return None
+    found = _tree_family(_adjacency(sub))
+    if found is None:
+        return None
+    # the shape decides the family; the search only supplies the witness
+    iso = _find_isomorphism(sub, _build_family(*found))
+    return TypeLabel(
+        *found, assignment=tuple(sorted(iso.items(), key=lambda kv: d.index(kv[0])))
+    )
 
 
 def is_finite_type(d: CoxeterDiagram):
@@ -423,12 +462,6 @@ def is_finite_type(d: CoxeterDiagram):
     return True, labels
 
 
-def _is_finite_subset(d: CoxeterDiagram, T: frozenset) -> bool:
-    if not T:
-        return True
-    return is_finite_type(d.subdiagram(T))[0]
-
-
 def finite_type_subsets(
     d: CoxeterDiagram, rank_guard: int = DEFAULT_RANK_GUARD
 ) -> set[frozenset]:
@@ -439,10 +472,7 @@ def finite_type_subsets(
     """
     if d.rank > rank_guard:
         raise RankGuardError("finite_type_subsets", d.rank, rank_guard)
-    adj = {v: set() for v in d.vertices}
-    for a, b, _ in d.edges:
-        adj[a].add(b)
-        adj[b].add(a)
+    nbrs = _adjacency(d)
     sf = {frozenset()}
     level = [frozenset()]
     while level:
@@ -458,14 +488,15 @@ def finite_type_subsets(
                 # type diagram is a forest), and only trees need classifying.
                 reach, stack = {v}, [v]
                 while stack:
-                    for u in adj[stack.pop()] & (T2 - reach):
+                    for u in nbrs[stack.pop()].keys() & (T2 - reach):
                         reach.add(u)
                         stack.append(u)
                 if len(reach) < len(T2):
                     finite = True
                 else:
-                    edges = sum(len(adj[u] & T2) for u in T2) // 2
-                    finite = edges < len(T2) and _is_finite_subset(d, T2)
+                    sub = _induced(nbrs, T2)
+                    edges = sum(map(len, sub.values())) // 2
+                    finite = edges < len(T2) and _tree_family(sub) is not None
                 if finite:
                     sf.add(T2)
                     nxt.append(T2)
@@ -497,8 +528,8 @@ def classify_taxonomy(
     """Evaluate every taxonomy flag literally from its definition."""
     if d.rank > rank_guard:
         raise RankGuardError("classify_taxonomy", d.rank, rank_guard)
-    finite, _ = is_finite_type(d)
     components = tuple(_component_label(d, comp) for comp in d.components())
+    finite = all(c is not None for c in components)
     sf = finite_type_subsets(d, rank_guard)
 
     fc = all(T in sf for T in _infinity_free_subsets(d))
@@ -506,20 +537,17 @@ def classify_taxonomy(
     large = all(m != 2 for _, _, m in d.pairs())
     free_inf = all(m != INF for _, _, m in d.edges)
 
-    locally_reducible = True
-    for T in sf:
-        if len(T) < 3:
-            continue
-        sub = d.subdiagram(T)
-        for comp in sub.components():
-            if len(comp) <= 2:
-                continue
-            lab = _component_label(sub, comp)
-            if lab is None or not (lab.family == "A" and lab.rank == 3):
-                locally_reducible = False
-                break
-        if not locally_reducible:
-            break
+    # A component of a member of Sf is a member of Sf, and a member is a
+    # forest, connected exactly when it has |T| - 1 edges.  So the components
+    # with more than two vertices are the connected members with |T| >= 3.
+    nbrs = _adjacency(d)
+    locally_reducible = all(
+        _tree_family(sub) == ("A", 3, None)
+        for T in sf
+        if len(T) >= 3
+        for sub in (_induced(nbrs, T),)
+        if sum(map(len, sub.values())) == 2 * len(T) - 2
+    )
 
     almost_spherical = (
         free_inf

@@ -252,8 +252,9 @@ def garside_element(d: CoxeterDiagram, T, cap: int = DEFAULT_CAP) -> MonoidEleme
     if not T:
         return identity(d)
     if not is_finite_type(d.subdiagram(T))[0]:
+        names = ", ".join(map(repr, T))
         raise FiniteTypeRequiredError(
-            f"Delta_T requires a finite-type subset, got T = {set(T) or '{}'}"
+            f"Delta_T requires a finite-type subset, got T = {{{names}}}"
         )
     st = _begin(d, cap, "garside_element")
     return MonoidElement(d, st.eng.word(st.delta(sum(1 << st.key[t] for t in T))))

@@ -144,6 +144,22 @@ def test_exit_codes(capsys):
     assert code5 == 1  # FiniteTypeRequiredError is a domain error
 
 
+def test_delta_error_text_does_not_depend_on_the_hash_seed():
+    # string hashing orders set iteration; the message lists T in vertex order
+    runs = []
+    for seed in ("0", "1"):
+        p = subprocess.run(
+            [sys.executable, "-m", "artin", "delta", "--preset", "Atilde2"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(_fresh_env(), PYTHONHASHSEED=seed),
+        )
+        runs.append((p.returncode, p.stdout, p.stderr))
+    assert runs[0] == runs[1]
+    assert runs[0] == (
+        1, "", "error: Delta_T requires a finite-type subset, got T = {'s', 't', 'u'}\n"
+    )
+
+
 def test_file_source(tmp_path, capsys):
     path = tmp_path / "d.json"
     path.write_text('{"vertices":["x","y"],"edges":[{"a":"x","b":"y","m":5}]}')

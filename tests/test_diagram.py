@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from artin import diagram
 from artin.diagram import (
     INF,
     CoxeterDiagram,
@@ -16,6 +17,7 @@ from artin.diagram import (
 )
 from artin.errors import DiagramError, RankGuardError
 
+from classify_oracle import is_finite_type as trial_is_finite_type
 from conftest import random_diagram
 
 FINITE_PRESETS = [
@@ -233,3 +235,75 @@ def test_subdiagram_is_induced():
     sub = d.subdiagram(("s", "t"))
     assert sub.vertices == ("s", "t")
     assert sub.m("s", "t") == 4
+
+
+def _random_labelled(rng, n, p_edge, labels):
+    names = tuple(f"s{i}" for i in range(n))
+    edges = tuple(
+        (a, b, rng.choice(labels))
+        for a, b in itertools.combinations(names, 2)
+        if rng.random() < p_edge
+    )
+    return CoxeterDiagram(names, edges)
+
+
+SMALL_PRESETS = [
+    "A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "B6",
+    "D4", "D5", "D6", "I2(5)", "I2(6)", "I2(7)", "I2(9)",
+    "F4", "H3", "H4", "E6", "Atilde2",
+]
+
+
+def test_classification_matches_candidate_trial_in_every_vertex_order():
+    for name in SMALL_PRESETS:
+        d = preset(name)
+        for order in itertools.permutations(d.vertices):
+            r = CoxeterDiagram(order, d.edges)
+            assert is_finite_type(r) == trial_is_finite_type(r), (name, order)
+
+
+def test_classification_matches_candidate_trial_in_random_vertex_orders(rng):
+    for name in ("E7", "E8", "B8", "D8"):
+        d = preset(name)
+        order = list(d.vertices)
+        for _ in range(200):
+            rng.shuffle(order)
+            r = CoxeterDiagram(tuple(order), d.edges)
+            assert is_finite_type(r) == trial_is_finite_type(r), (name, order)
+
+
+def test_classification_matches_candidate_trial_on_random_diagrams(rng):
+    labels = (3, 3, 3, 3, 4, 5, 6, 7, INF)
+    finite = 0
+    for _ in range(500):
+        d = _random_labelled(rng, rng.randint(1, 8), rng.choice((0.15, 0.3, 0.5)), labels)
+        got = is_finite_type(d)
+        assert got == trial_is_finite_type(d), d
+        finite += got[0]
+    assert 100 < finite < 400  # both answers well represented
+
+
+def test_sf_builds_no_diagram_and_searches_no_isomorphism(rng, monkeypatch):
+    diagrams = [_random_labelled(rng, 8, 0.25, (3, 3, 3, 4, 5, 6, INF)) for _ in range(20)]
+    calls = {"built": 0, "searched": 0, "recognized": 0}
+
+    def counting(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(
+        CoxeterDiagram, "__post_init__", counting("built", CoxeterDiagram.__post_init__)
+    )
+    monkeypatch.setattr(
+        diagram, "_find_isomorphism", counting("searched", diagram._find_isomorphism)
+    )
+    monkeypatch.setattr(diagram, "_tree_family", counting("recognized", diagram._tree_family))
+    for d in diagrams:
+        finite_type_subsets(d)
+    assert (calls["built"], calls["searched"]) == (0, 0)
+    assert calls["recognized"] > 200  # the diagrams hold many candidate trees
+    # the counters see the work that classifying a whole diagram does
+    is_finite_type(preset("E8"))
+    assert calls["built"] > 0 and calls["searched"] == 1

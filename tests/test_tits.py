@@ -1,12 +1,13 @@
 """Bilinear form, reflection matrices, signatures, and dihedral orders."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from artin.diagram import INF, CoxeterDiagram, is_finite_type, preset
-from artin import tits
+from artin import diagram, tits
 
 from conftest import random_diagram
 
@@ -107,3 +108,63 @@ def test_positive_definite_iff_finite_type(rng):
         sig = tits.signature(tits.bilinear_form(d))
         numeric = sig.n_zero == 0 and sig.n_neg == 0
         assert numeric == is_finite_type(d)[0], d
+
+
+def _positive_definite(d):
+    sig = tits.signature(tits.bilinear_form(d))
+    return sig.n_zero == 0 and sig.n_neg == 0
+
+
+def _recognized(edges, n):
+    d = CoxeterDiagram(tuple(f"v{i}" for i in range(n)), tuple(edges))
+    return diagram._tree_family(diagram._adjacency(d)) is not None, d
+
+
+def test_tree_recognizer_agrees_with_signature_on_random_trees(rng):
+    labels = (3, 3, 3, 3, 3, 3, 4, 5, 6, 7, INF)
+    finite = 0
+    for _ in range(1000):
+        n = rng.randint(1, 8)
+        order = list(range(n))
+        rng.shuffle(order)
+        edges = [
+            (f"v{order[i]}", f"v{order[rng.randrange(i)]}", rng.choice(labels))
+            for i in range(1, n)
+        ]
+        got, d = _recognized(edges, n)
+        assert got == _positive_definite(d), d
+        finite += got
+    assert 300 < finite < 700  # both answers well represented
+
+
+def test_tree_recognizer_agrees_with_signature_on_every_small_shape():
+    # the shapes on either side of each rule, up to rank 10: a branch vertex
+    # with three or four arms, paths with one label other than 3 anywhere,
+    # and paths with two of them
+    stars = [
+        arms for arms in itertools.combinations_with_replacement(range(1, 8), 3)
+        if sum(arms) <= 9
+    ]
+    for arms in stars + [(1, 1, 1, 1), (1, 1, 1, 2)]:
+        n, edges = 1, []
+        for length in arms:
+            prev = "v0"
+            for _ in range(length):
+                edges.append((prev, f"v{n}", 3))
+                prev, n = f"v{n}", n + 1
+        got, d = _recognized(edges, n)
+        assert got == _positive_definite(d), arms
+    for n in range(2, 11):
+        path = [(f"v{i}", f"v{i + 1}") for i in range(n - 1)]
+        specials = [[(i, m)] for i in range(n - 1) for m in (3, 4, 5, 6, 7, INF)]
+        specials += [
+            [(i, a), (j, b)]
+            for i, j in itertools.combinations(range(n - 1), 2)
+            for a in (4, 5)
+            for b in (4, 5)
+        ]
+        for special in specials:
+            labels = dict(special)
+            edges = [(a, b, labels.get(i, 3)) for i, (a, b) in enumerate(path)]
+            got, d = _recognized(edges, n)
+            assert got == _positive_definite(d), (n, special)
