@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import coxeter
 from .coxeter import DEFAULT_CAP
-from .diagram import CoxeterDiagram, finite_type_subsets, is_finite_type
+from .diagram import CoxeterDiagram, finite_type_subsets
 from .errors import CapExceededError, FiniteTypeRequiredError
 
 DEFAULT_POSET_GUARD = 3000
@@ -383,15 +383,11 @@ def _set_label(d: CoxeterDiagram, T) -> str:
 
 
 def _w_elements(d: CoxeterDiagram, ball, cap: int):
-    if ball == "all":
-        if not is_finite_type(d)[0]:
-            raise FiniteTypeRequiredError(
-                "ball='all' needs a finite-type diagram; pass an integer ball"
-            )
-        layers = coxeter.enumerate_elements(d, "all", cap)
-    else:
-        layers = coxeter.enumerate_elements(d, int(ball), cap)
-    return [w for layer in layers for w in layer]
+    if ball == "all" and not coxeter._engine(d).finite:
+        raise FiniteTypeRequiredError(
+            "ball='all' needs a finite-type diagram; pass an integer ball"
+        )
+    return [w for layer in coxeter.enumerate_elements(d, ball, cap) for w in layer]
 
 
 def _parabolic(eng, R) -> list[tuple[int, int, frozenset]]:

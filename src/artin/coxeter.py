@@ -58,12 +58,6 @@ from .errors import (
 DEFAULT_SIZE_GUARD = 10**6
 
 
-@lru_cache(maxsize=None)
-def _index(d: CoxeterDiagram) -> dict[str, int]:
-    """Position of each generator in the declared vertex order."""
-    return {s: i for i, s in enumerate(d.vertices)}
-
-
 def _check_letters(key: dict[str, int], word) -> tuple:
     """The word as a tuple; DiagramError on a letter that is not in `key`."""
     w = tuple(word)
@@ -294,7 +288,7 @@ class _Engine:
         self.diagram = d
         self.n = n
         self.names = d.vertices
-        key = self.key = _index(d)
+        key = self.key = d._pos
         M = math.lcm(1, *(m for _, _, m in d.edges if m != INF and m >= 4))
         ring = self.ring = _Integers() if M == 1 else _Cyclotomic(M)
         # coupling[s]: (t, 2cos(pi/m_st)) for every t joined to s
@@ -480,7 +474,7 @@ class CoxeterElement:
         return len(self.word)
 
     def sort_key(self):
-        key = _index(self.diagram)
+        key = self.diagram._pos
         return (len(self.word), tuple(key[x] for x in self.word))
 
     def __repr__(self):

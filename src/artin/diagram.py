@@ -5,11 +5,12 @@ carries an integer label m >= 3 or infinity; a missing edge means m = 2.
 Finite type is decided from the shape of each connected component: a
 finite-type component is a tree, and its family follows from its branch
 vertex and arm lengths or from where its one label other than 3 sits on a
-path.  So the answer is exact and independent of floating point, and the set
-Sf of finite-type subsets is found without building subdiagrams.  The
-label-preserving isomorphism search against the family's reference diagram
-runs only to give the witness a TypeLabel carries.  The numeric signature
-test (module tits) is a cross-check, never the authority.
+path.  The same shape fixes the witness a TypeLabel carries: the position
+of each vertex in the family's reference diagram, where ties between
+symmetric vertices go to the vertex declared first.  So the answer is exact
+and independent of floating point, and neither classification nor the set Sf
+of finite-type subsets builds a subdiagram or runs a search.  The numeric
+signature test (module tits) is a cross-check, never the authority.
 """
 
 from __future__ import annotations
@@ -123,21 +124,7 @@ class CoxeterDiagram:
 
     def components(self) -> tuple[tuple[str, ...], ...]:
         """Connected components, each ordered by vertex position."""
-        remaining = set(self.vertices)
-        comps = []
-        for v in self.vertices:
-            if v not in remaining:
-                continue
-            stack, comp = [v], set()
-            while stack:
-                x = stack.pop()
-                if x in comp:
-                    continue
-                comp.add(x)
-                stack.extend(y for y in self.neighbors(x) if y not in comp)
-            remaining -= comp
-            comps.append(tuple(u for u in self.vertices if u in comp))
-        return tuple(comps)
+        return _components(_adjacency(self))
 
     def to_json_obj(self) -> dict:
         edges = [
@@ -150,8 +137,12 @@ class CoxeterDiagram:
 class TypeLabel:
     """A classification family name with an isomorphism witness.
 
-    ``assignment`` maps each component vertex to its 1-based position in
-    the reference diagram of the named family.
+    ``assignment`` maps each component vertex, in vertex order, to its
+    1-based position in the reference diagram of the named family.  Where
+    the component has symmetries, ties go to the vertex declared first: the
+    first-declared end of A, F4, B2 and I2(p), the first-declared short
+    leaves of D (and of D4, the first two leaves), the first-declared
+    length-2 arm of E6.
     """
 
     family: str
@@ -305,69 +296,6 @@ def parse_diagram(source) -> CoxeterDiagram:
     return preset(text)
 
 
-def _degree_key(d: CoxeterDiagram, v: str) -> tuple:
-    labels = sorted(d.m(v, u) for u in d.neighbors(v))
-    return (len(labels), tuple(labels))
-
-
-def _find_isomorphism(comp: CoxeterDiagram, ref: CoxeterDiagram):
-    """Label-preserving isomorphism comp -> ref as a vertex -> position map.
-
-    Backtracking over reference positions in a connectivity-friendly order;
-    candidates must match degree and incident-label multiset, and agree with
-    every already-placed vertex on the pair label (including m = 2 pairs).
-    """
-    if comp.rank != ref.rank:
-        return None
-    comp_key = {v: _degree_key(comp, v) for v in comp.vertices}
-    ref_key = {v: _degree_key(ref, v) for v in ref.vertices}
-    if sorted(comp_key.values()) != sorted(ref_key.values()):
-        return None
-
-    order = []
-    placed = set()
-    # BFS over the reference graph so each new position touches a placed one
-    for start in ref.vertices:
-        if start in placed:
-            continue
-        queue = [start]
-        placed.add(start)
-        while queue:
-            x = queue.pop(0)
-            order.append(x)
-            for y in ref.neighbors(x):
-                if y not in placed:
-                    placed.add(y)
-                    queue.append(y)
-
-    position = {v: i + 1 for i, v in enumerate(ref.vertices)}
-    assignment: dict[str, str] = {}
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        target = order[i]
-        for cand in comp.vertices:
-            if cand in assignment:
-                continue
-            if comp_key[cand] != ref_key[target]:
-                continue
-            if any(
-                comp.m(cand, placed_v) != ref.m(placed_t, target)
-                for placed_v, placed_t in assignment.items()
-            ):
-                continue
-            assignment[cand] = target
-            if extend(i + 1):
-                return True
-            del assignment[cand]
-        return False
-
-    if not extend(0):
-        return None
-    return {v: position[t] for v, t in assignment.items()}
-
-
 def _adjacency(d: CoxeterDiagram) -> dict[str, dict[str, float]]:
     """{vertex: {neighbour: label}} over the edges of d, both directions."""
     nbrs = {v: {} for v in d.vertices}
@@ -376,9 +304,38 @@ def _adjacency(d: CoxeterDiagram) -> dict[str, dict[str, float]]:
     return nbrs
 
 
+def _components(nbrs) -> tuple[tuple[str, ...], ...]:
+    """Connected components of an adjacency map, each in the map's vertex
+    order, listed by their first vertex."""
+    root = {}
+    for v in nbrs:
+        if v in root:
+            continue
+        root[v], stack = v, [v]
+        while stack:
+            for u in nbrs[stack.pop()]:
+                if u not in root:
+                    root[u] = v
+                    stack.append(u)
+    comps = {}
+    for v in nbrs:
+        comps.setdefault(root[v], []).append(v)
+    return tuple(map(tuple, comps.values()))
+
+
 def _induced(nbrs, T) -> dict[str, dict[str, float]]:
     """The adjacency map nbrs restricted to the vertex set T."""
     return {u: {w: nbrs[u][w] for w in nbrs[u].keys() & T} for u in T}
+
+
+def _arm(nbrs, leaf) -> list[str]:
+    """The walk from a leaf of a tree through its vertices of degree 2, up to
+    the first vertex of another degree: the branch vertex, or the far end of a
+    path.  A lone vertex is its own walk."""
+    arm = [leaf, *nbrs[leaf]]
+    while len(arm) > 1 and len(nbrs[arm[-1]]) == 2:
+        arm.append(next(w for w in nbrs[arm[-1]] if w != arm[-2]))
+    return arm
 
 
 def _tree_family(nbrs) -> tuple[str, int, int | None] | None:
@@ -402,14 +359,7 @@ def _tree_family(nbrs) -> tuple[str, int, int | None] | None:
     if branch:
         if special or len(branch) > 1 or len(nbrs[branch[0]]) > 3:
             return None
-        arms = []
-        for u in nbrs[branch[0]]:
-            prev, k = branch[0], 1
-            while len(nbrs[u]) == 2:
-                prev, u = u, next(w for w in nbrs[u] if w != prev)
-                k += 1
-            arms.append(k)
-        a, b, c = sorted(arms)
+        a, b, c = sorted(len(_arm(nbrs, u)) - 1 for u in nbrs if len(nbrs[u]) == 1)
         if a == b == 1:
             return ("D", n, None)
         if (a, b) == (1, 2) and c <= 4:
@@ -430,21 +380,40 @@ def _tree_family(nbrs) -> tuple[str, int, int | None] | None:
     return None
 
 
-def _component_label(d: CoxeterDiagram, comp) -> TypeLabel | None:
-    """Classify one connected component; None when it matches no family."""
-    sub = d.subdiagram(comp)
-    if len(sub.edges) != sub.rank - 1:
+def _reference_order(nbrs, family: str) -> list[str]:
+    """The vertices of a finite-type tree listed by their position in
+    _build_family's reference diagram of ``family``.
+
+    A path is read from its end whose edge label is not 3, else (A, F4, and
+    two such ends in B2 and I2(p)) from its end declared first.  D lists its
+    two short leaves, then the branch vertex and the long arm outward; E its
+    length-2 arm from the leaf inward, the branch vertex, the long arm
+    outward and the short leaf last.  Where the tree has symmetries, ties go
+    to the vertex declared first: sorting the arms by length is stable.
+    """
+    leaves = [u for u in nbrs if len(nbrs[u]) <= 1]
+    if family == "D" or family[0] == "E":
+        short, mid, long = sorted((_arm(nbrs, u) for u in leaves), key=len)
+        if family == "D":
+            return [short[0], mid[0], *reversed(long)]
+        return [*mid[:-1], *reversed(long), short[0]]
+    marked = [u for u in leaves if any(m != 3 for m in nbrs[u].values())]
+    return _arm(nbrs, marked[0] if len(marked) == 1 else leaves[0])
+
+
+def _component_label(nbrs, comp) -> TypeLabel | None:
+    """Classify one connected component, listed in vertex order; None when it
+    matches no family."""
+    sub = {v: nbrs[v] for v in comp}
+    if sum(map(len, sub.values())) != 2 * len(comp) - 2:
         # every classification diagram is a tree (a connected component with
         # more edges has a cycle and cannot match)
         return None
-    found = _tree_family(_adjacency(sub))
+    found = _tree_family(sub)
     if found is None:
         return None
-    # the shape decides the family; the search only supplies the witness
-    iso = _find_isomorphism(sub, _build_family(*found))
-    return TypeLabel(
-        *found, assignment=tuple(sorted(iso.items(), key=lambda kv: d.index(kv[0])))
-    )
+    position = {v: i for i, v in enumerate(_reference_order(sub, found[0]), 1)}
+    return TypeLabel(*found, assignment=tuple((v, position[v]) for v in comp))
 
 
 def is_finite_type(d: CoxeterDiagram):
@@ -453,9 +422,10 @@ def is_finite_type(d: CoxeterDiagram):
     Rank-2 components with label 3 or 4 come back canonicalized as A2 / B2
     rather than I2(3) / I2(4).
     """
+    nbrs = _adjacency(d)
     labels = []
-    for comp in d.components():
-        lab = _component_label(d, comp)
+    for comp in _components(nbrs):
+        lab = _component_label(nbrs, comp)
         if lab is None:
             return False, None
         labels.append(lab)
@@ -528,7 +498,8 @@ def classify_taxonomy(
     """Evaluate every taxonomy flag literally from its definition."""
     if d.rank > rank_guard:
         raise RankGuardError("classify_taxonomy", d.rank, rank_guard)
-    components = tuple(_component_label(d, comp) for comp in d.components())
+    nbrs = _adjacency(d)
+    components = tuple(_component_label(nbrs, comp) for comp in _components(nbrs))
     finite = all(c is not None for c in components)
     sf = finite_type_subsets(d, rank_guard)
 
@@ -540,7 +511,6 @@ def classify_taxonomy(
     # A component of a member of Sf is a member of Sf, and a member is a
     # forest, connected exactly when it has |T| - 1 edges.  So the components
     # with more than two vertices are the connected members with |T| >= 3.
-    nbrs = _adjacency(d)
     locally_reducible = all(
         _tree_family(sub) == ("A", 3, None)
         for T in sf

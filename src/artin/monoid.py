@@ -245,10 +245,11 @@ def garside_element(d: CoxeterDiagram, T, cap: int = DEFAULT_CAP) -> MonoidEleme
 
     The empty subset is allowed and gives the identity (W_{} is trivial).
     """
-    unknown = set(T) - set(d.vertices)
+    keep = set(T)
+    unknown = keep - set(d.vertices)
     if unknown:
         raise DiagramError(f"unknown generators {sorted(unknown)}")
-    T = tuple(t for t in d.vertices if t in set(T))
+    T = tuple(t for t in d.vertices if t in keep)
     if not T:
         return identity(d)
     if not is_finite_type(d.subdiagram(T))[0]:
@@ -391,7 +392,7 @@ def verify_garside_axioms(
     left-divisors(Delta) = right-divisors(Delta) = section image of W, and
     (v) |divisors(Delta)| = |W|.
     """
-    finite = is_finite_type(d)[0]
+    finite = coxeter._engine(d).finite
     elements = [el for layer in monoid_elements(d, length_cap, cap) for el in layer]
 
     cancellative = True

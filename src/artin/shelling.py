@@ -232,11 +232,7 @@ def coxeter_chamber_system(
     """
     if d.rank < 2:
         raise DiagramError("chamber system needs rank >= 2 (chambers must be simplices)")
-    if ball == "all":
-        layers = coxeter.enumerate_elements(d, "all", cap)
-    else:
-        layers = coxeter.enumerate_elements(d, int(ball), cap)
-    elements = [w for layer in layers for w in layer]
+    elements = [w for layer in coxeter.enumerate_elements(d, ball, cap) for w in layer]
     rows = []
     for w in elements:
         row = []

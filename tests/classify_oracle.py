@@ -3,13 +3,78 @@ oracle.
 
 For each connected component it lists every family whose rank and label
 multiset fit, builds that family's reference diagram, and keeps the first
-one a label-preserving isomorphism reaches.  It decides nothing from the
-shape of the tree, so it checks the shape recognizer in artin.diagram from
-outside; the two must agree on the flag and on every TypeLabel, witness
-included.
+one a label-preserving isomorphism reaches: a backtracking search that tries
+component vertices in declared order.  It decides nothing from the shape of
+the tree and keeps its own component scan, so it checks the shape reader in
+artin.diagram from outside; the two must agree on the flag and on every
+TypeLabel, witness included.
 """
 
-from artin.diagram import INF, TypeLabel, _build_family, _find_isomorphism
+from artin.diagram import INF, CoxeterDiagram, TypeLabel, _build_family
+
+
+def degree_key(d: CoxeterDiagram, v: str) -> tuple:
+    labels = sorted(d.m(v, u) for u in d.neighbors(v))
+    return (len(labels), tuple(labels))
+
+
+def find_isomorphism(comp: CoxeterDiagram, ref: CoxeterDiagram):
+    """Label-preserving isomorphism comp -> ref as a vertex -> position map.
+
+    Backtracking over reference positions in a connectivity-friendly order;
+    candidates must match degree and incident-label multiset, and agree with
+    every already-placed vertex on the pair label (including m = 2 pairs).
+    """
+    if comp.rank != ref.rank:
+        return None
+    comp_key = {v: degree_key(comp, v) for v in comp.vertices}
+    ref_key = {v: degree_key(ref, v) for v in ref.vertices}
+    if sorted(comp_key.values()) != sorted(ref_key.values()):
+        return None
+
+    order = []
+    placed = set()
+    # BFS over the reference graph so each new position touches a placed one
+    for start in ref.vertices:
+        if start in placed:
+            continue
+        queue = [start]
+        placed.add(start)
+        while queue:
+            x = queue.pop(0)
+            order.append(x)
+            for y in ref.neighbors(x):
+                if y not in placed:
+                    placed.add(y)
+                    queue.append(y)
+
+    position = {v: i + 1 for i, v in enumerate(ref.vertices)}
+    assignment: dict[str, str] = {}
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            return True
+        target = order[i]
+        for cand in comp.vertices:
+            if cand in assignment:
+                continue
+            if comp_key[cand] != ref_key[target]:
+                continue
+            if any(
+                comp.m(cand, placed_v) != ref.m(placed_t, target)
+                for placed_v, placed_t in assignment.items()
+            ):
+                continue
+            assignment[cand] = target
+            if extend(i + 1):
+                return True
+            del assignment[cand]
+        return False
+
+    if not extend(0):
+        return None
+    return {v: position[t] for v, t in assignment.items()}
+
 
 
 def candidate_families(sub):
@@ -41,7 +106,7 @@ def component_label(d, comp):
     if len(sub.edges) != sub.rank - 1:
         return None
     for family, n, p in candidate_families(sub):
-        iso = _find_isomorphism(sub, _build_family(family, n, p))
+        iso = find_isomorphism(sub, _build_family(family, n, p))
         if iso is not None:
             return TypeLabel(
                 family=family,
@@ -52,9 +117,28 @@ def component_label(d, comp):
     return None
 
 
+def components(d):
+    """Connected components by a scan of every pair through d.neighbors."""
+    remaining = set(d.vertices)
+    comps = []
+    for v in d.vertices:
+        if v not in remaining:
+            continue
+        stack, comp = [v], set()
+        while stack:
+            x = stack.pop()
+            if x in comp:
+                continue
+            comp.add(x)
+            stack.extend(y for y in d.neighbors(x) if y not in comp)
+        remaining -= comp
+        comps.append(tuple(u for u in d.vertices if u in comp))
+    return tuple(comps)
+
+
 def is_finite_type(d):
     labels = []
-    for comp in d.components():
+    for comp in components(d):
         lab = component_label(d, comp)
         if lab is None:
             return False, None

@@ -472,7 +472,7 @@ def test_cap_trip_is_one_error_line(capsys, argv):
 
     # A CLI process starts with empty caches; warm engines would spend no
     # new work and so never reach the cap.
-    for cached in (coxeter._index, coxeter._engine, greedy._greedy):
+    for cached in (coxeter._engine, greedy._greedy):
         cached.cache_clear()
     code, out, err = run([argv[0], "--preset", "B3", "--cap", "1", *argv[1:]], capsys)
     assert code == 1

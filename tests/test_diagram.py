@@ -4,6 +4,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from artin import diagram
 from artin.diagram import (
@@ -270,6 +272,57 @@ def test_classification_matches_candidate_trial_in_random_vertex_orders(rng):
             rng.shuffle(order)
             r = CoxeterDiagram(tuple(order), d.edges)
             assert is_finite_type(r) == trial_is_finite_type(r), (name, order)
+    # the long families up to the rank guard
+    for name in [f"{f}{k}" for f in "ABD" for k in range(9, 21)]:
+        d = preset(name)
+        order = list(d.vertices)
+        for _ in range(25):
+            rng.shuffle(order)
+            r = CoxeterDiagram(tuple(order), d.edges)
+            assert is_finite_type(r) == trial_is_finite_type(r), (name, order)
+
+
+PRODUCT_FACTORS = [
+    "A1", "A2", "A3", "A5", "B2", "B3", "B5", "D4", "D5", "D6", "I2(5)", "I2(8)",
+    "F4", "H3", "H4", "E6", "E7", "E8",
+]
+
+
+def _shuffled_product(rng, names):
+    """The disjoint union of the named presets, vertex names made distinct,
+    vertices declared in a random interleaved order."""
+    verts, edges = [], []
+    for i, name in enumerate(names):
+        d = preset(name)
+        verts += [f"{v}_{i}" for v in d.vertices]
+        edges += [(f"{a}_{i}", f"{b}_{i}", m) for a, b, m in d.edges]
+    rng.shuffle(verts)
+    rng.shuffle(edges)
+    return CoxeterDiagram(tuple(verts), tuple(edges))
+
+
+def test_classification_matches_candidate_trial_on_shuffled_products(rng):
+    for _ in range(300):
+        names = rng.choices(PRODUCT_FACTORS, k=rng.randint(2, 4))
+        d = _shuffled_product(rng, names)
+        finite, labels = is_finite_type(d)
+        assert finite and sorted(l.name for l in labels) == sorted(names)
+        assert (finite, labels) == trial_is_finite_type(d), d
+
+
+@given(
+    st.lists(st.sampled_from(PRODUCT_FACTORS + ["A9", "B12", "D11"]), min_size=1, max_size=3),
+    st.randoms(use_true_random=False),
+)
+def test_witness_is_a_label_preserving_bijection_onto_the_reference(names, order_rng):
+    d = _shuffled_product(order_rng, names)
+    for lab in is_finite_type(d)[1]:
+        ref = diagram._build_family(lab.family, lab.rank, lab.p)
+        pos = lab.assignment_map()
+        assert sorted(pos.values()) == list(range(1, lab.rank + 1))
+        at = {u: ref.vertices[i - 1] for u, i in pos.items()}
+        for u, v in itertools.combinations(pos, 2):
+            assert d.m(u, v) == ref.m(at[u], at[v]), (lab, u, v)
 
 
 def test_classification_matches_candidate_trial_on_random_diagrams(rng):
@@ -284,8 +337,12 @@ def test_classification_matches_candidate_trial_on_random_diagrams(rng):
 
 
 def test_sf_builds_no_diagram_and_searches_no_isomorphism(rng, monkeypatch):
+    # Sf, the classifier and the taxonomy read shapes off adjacency maps:
+    # none of them builds a CoxeterDiagram (no subdiagram, no reference
+    # diagram to search against)
     diagrams = [_random_labelled(rng, 8, 0.25, (3, 3, 3, 4, 5, 6, INF)) for _ in range(20)]
-    calls = {"built": 0, "searched": 0, "recognized": 0}
+    diagrams += [preset(name) for name in ("E8", "D8", "F4", "H4", "Atilde2")]
+    calls = {"built": 0, "recognized": 0}
 
     def counting(key, fn):
         def wrapper(*args):
@@ -296,14 +353,13 @@ def test_sf_builds_no_diagram_and_searches_no_isomorphism(rng, monkeypatch):
     monkeypatch.setattr(
         CoxeterDiagram, "__post_init__", counting("built", CoxeterDiagram.__post_init__)
     )
-    monkeypatch.setattr(
-        diagram, "_find_isomorphism", counting("searched", diagram._find_isomorphism)
-    )
     monkeypatch.setattr(diagram, "_tree_family", counting("recognized", diagram._tree_family))
     for d in diagrams:
         finite_type_subsets(d)
-    assert (calls["built"], calls["searched"]) == (0, 0)
+        is_finite_type(d)
+        classify_taxonomy(d)
+    assert calls["built"] == 0
     assert calls["recognized"] > 200  # the diagrams hold many candidate trees
-    # the counters see the work that classifying a whole diagram does
-    is_finite_type(preset("E8"))
-    assert calls["built"] > 0 and calls["searched"] == 1
+    # the counter sees a diagram being built
+    diagrams[-1].subdiagram(("s", "t"))
+    assert calls["built"] == 1
