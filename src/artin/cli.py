@@ -410,7 +410,8 @@ def _cmd_homology(d, args):
     obj = {
         "complex": args.complex,
         **h.to_json_obj(),
-        "euler": c.euler_characteristic(),
+        # Euler-Poincare: the alternating sum of the Betti numbers
+        "euler": sum((-1) ** k * b for k, b in enumerate(h.betti)),
         "pretty": h.pretty(),
     }
     return obj, h.pretty(), None

@@ -548,18 +548,13 @@ def abelianization(d: CoxeterDiagram) -> Abelianization:
     A relation of odd length m identifies its two generators; even or
     infinite labels abelianize to nothing.
     """
-    idx = {s: i for i, s in enumerate(d.vertices)}
-    rows: dict[int, dict[int, int]] = {}
-    r = 0
-    for s, t, m in d.pairs():
-        if m == float("inf"):
-            continue
-        m = int(m)
-        # letter counts of the two sides of sts... = tst... (length m)
-        cs = (m + 1) // 2 - m // 2
-        if cs:
-            rows[r] = {idx[s]: cs, idx[t]: -cs}
-            r += 1
+    rows = dict(
+        enumerate(
+            {d.index(s): 1, d.index(t): -1}
+            for s, t, m in d.edges
+            if m != float("inf") and m % 2
+        )
+    )
     factors = invariant_factors(rows)
     return Abelianization(
         rank=d.rank - len(factors), torsion=tuple(t for t in factors if t > 1)

@@ -292,12 +292,9 @@ class _Engine:
         M = math.lcm(1, *(m for _, _, m in d.edges if m != INF and m >= 4))
         ring = self.ring = _Integers() if M == 1 else _Cyclotomic(M)
         # coupling[s]: (t, 2cos(pi/m_st)) for every t joined to s
-        self.coupling: list[list] = [[] for _ in range(n)]
-        for a, b, m in d.edges:
-            i, j = key[a], key[b]
-            c = ring.two_cos(m)
-            self.coupling[i].append((j, c))
-            self.coupling[j].append((i, c))
+        self.coupling: list[list] = [
+            [(key[t], ring.two_cos(m)) for t, m in d._nbrs[s].items()] for s in d.vertices
+        ]
         self.coords: list[tuple] = []
         self.root_id: dict[tuple, int] = {}
         self.positive: list[bool] = []

@@ -9,8 +9,14 @@ path.  The same shape fixes the witness a TypeLabel carries: the position
 of each vertex in the family's reference diagram, where ties between
 symmetric vertices go to the vertex declared first.  So the answer is exact
 and independent of floating point, and neither classification nor the set Sf
-of finite-type subsets builds a subdiagram or runs a search.  The numeric
-signature test (module tits) is a cross-check, never the authority.
+of finite-type subsets builds a subdiagram or runs an isomorphism search.
+The numeric signature test (module tits) is a cross-check, never the
+authority.
+
+One level-by-level search finds Sf and, as the candidates it rejects, the
+minimal subsets outside Sf; the taxonomy reads its flags off the two.  FC
+type means Sf is a flag complex: every minimal non-member is a pair, which
+then carries an infinite label.
 """
 
 from __future__ import annotations
@@ -72,7 +78,11 @@ class CoxeterDiagram:
         canon.sort(key=lambda e: (pos[e[0]], pos[e[1]]))
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", tuple(canon))
-        object.__setattr__(self, "_label_map", {(a, b): m for a, b, m in canon})
+        # {vertex: {neighbour: label}}, each neighbour map in vertex order
+        nbrs = {v: {} for v in verts}
+        for a, b, m in canon:
+            nbrs[a][b] = nbrs[b][a] = m
+        object.__setattr__(self, "_nbrs", nbrs)
         object.__setattr__(self, "_pos", pos)
 
     def __hash__(self) -> int:
@@ -96,12 +106,9 @@ class CoxeterDiagram:
 
     def m(self, s: str, t: str) -> float:
         """Label m_st; 2 when no edge.  m_ss is undefined."""
-        i, j = self.index(s), self.index(t)
-        if i == j:
+        if self.index(s) == self.index(t):
             raise DiagramError(f"m({s},{s}) is undefined")
-        if i > j:
-            s, t = t, s
-        return self._label_map.get((s, t), 2)
+        return self._nbrs[s].get(t, 2)
 
     def pairs(self):
         """All unordered vertex pairs (s, t, m_st), including m = 2 pairs."""
@@ -110,7 +117,8 @@ class CoxeterDiagram:
 
     def neighbors(self, s: str) -> tuple[str, ...]:
         """Vertices joined to s by an edge (label >= 3 or infinity)."""
-        return tuple(t for t in self.vertices if t != s and self.m(s, t) != 2)
+        self.index(s)  # DiagramError for an unknown s
+        return tuple(self._nbrs[s])
 
     def subdiagram(self, T) -> "CoxeterDiagram":
         """Induced subdiagram spanned by T, keeping the declared order."""
@@ -124,7 +132,7 @@ class CoxeterDiagram:
 
     def components(self) -> tuple[tuple[str, ...], ...]:
         """Connected components, each ordered by vertex position."""
-        return _components(_adjacency(self))
+        return _components(self._nbrs)
 
     def to_json_obj(self) -> dict:
         edges = [
@@ -296,14 +304,6 @@ def parse_diagram(source) -> CoxeterDiagram:
     return preset(text)
 
 
-def _adjacency(d: CoxeterDiagram) -> dict[str, dict[str, float]]:
-    """{vertex: {neighbour: label}} over the edges of d, both directions."""
-    nbrs = {v: {} for v in d.vertices}
-    for a, b, m in d.edges:
-        nbrs[a][b] = nbrs[b][a] = m
-    return nbrs
-
-
 def _components(nbrs) -> tuple[tuple[str, ...], ...]:
     """Connected components of an adjacency map, each in the map's vertex
     order, listed by their first vertex."""
@@ -339,14 +339,18 @@ def _arm(nbrs, leaf) -> list[str]:
 
 
 def _tree_family(nbrs) -> tuple[str, int, int | None] | None:
-    """(family, rank, p) of a connected labelled tree; None when not finite.
+    """(family, rank, p) of a labelled tree; None when it is not a tree or
+    not finite.
 
-    ``nbrs`` is {vertex: {neighbour: label}}.  The classification theorem
-    (Humphreys, Reflection Groups and Coxeter Groups, 2.4-2.7) reads the
-    family off the shape: the arm lengths at the one branch vertex, or the
-    place of the one label other than 3 on a path.
+    ``nbrs`` is {vertex: {neighbour: label}}, a connected graph or a forest:
+    either is a tree exactly when it has n - 1 edges.  The classification
+    theorem (Humphreys, Reflection Groups and Coxeter Groups, 2.4-2.7) reads
+    the family off the shape: the arm lengths at the one branch vertex, or
+    the place of the one label other than 3 on a path.
     """
     n = len(nbrs)
+    if sum(map(len, nbrs.values())) != 2 * n - 2:
+        return None
     special = [(u, w, m) for u in nbrs for w, m in nbrs[u].items() if m != 3]
     if any(m == INF for _, _, m in special):
         return None
@@ -405,10 +409,6 @@ def _component_label(nbrs, comp) -> TypeLabel | None:
     """Classify one connected component, listed in vertex order; None when it
     matches no family."""
     sub = {v: nbrs[v] for v in comp}
-    if sum(map(len, sub.values())) != 2 * len(comp) - 2:
-        # every classification diagram is a tree (a connected component with
-        # more edges has a cycle and cannot match)
-        return None
     found = _tree_family(sub)
     if found is None:
         return None
@@ -422,28 +422,20 @@ def is_finite_type(d: CoxeterDiagram):
     Rank-2 components with label 3 or 4 come back canonicalized as A2 / B2
     rather than I2(3) / I2(4).
     """
-    nbrs = _adjacency(d)
-    labels = []
-    for comp in _components(nbrs):
-        lab = _component_label(nbrs, comp)
-        if lab is None:
-            return False, None
-        labels.append(lab)
-    return True, labels
+    labels = [_component_label(d._nbrs, comp) for comp in d.components()]
+    return (True, labels) if all(labels) else (False, None)
 
 
-def finite_type_subsets(
-    d: CoxeterDiagram, rank_guard: int = DEFAULT_RANK_GUARD
-) -> set[frozenset]:
-    """All T subseteq S whose induced subdiagram is finite type.
+def _sf_search(d: CoxeterDiagram) -> tuple[set[frozenset], list[frozenset]]:
+    """Sf, and the minimal subsets outside it, smallest first.
 
     Built level by level; downward closure of the family prunes the search.
-    Always contains the empty set and every singleton.
+    A candidate is tried only when every proper subset is in Sf, so the
+    candidates that fail are exactly the minimal non-members.
     """
-    if d.rank > rank_guard:
-        raise RankGuardError("finite_type_subsets", d.rank, rank_guard)
-    nbrs = _adjacency(d)
+    nbrs = d._nbrs
     sf = {frozenset()}
+    minimal = []
     level = [frozenset()]
     while level:
         nxt = []
@@ -454,85 +446,65 @@ def finite_type_subsets(
                 if any(T2 - {u} not in sf for u in T2):
                     continue
                 # Every proper subset of T2 is finite type.  So a disconnected
-                # T2 is too, a connected T2 with a cycle is not (every finite
-                # type diagram is a forest), and only trees need classifying.
+                # T2 is too, and a connected T2 is finite type exactly when
+                # it is a tree of a finite family.
                 reach, stack = {v}, [v]
                 while stack:
                     for u in nbrs[stack.pop()].keys() & (T2 - reach):
                         reach.add(u)
                         stack.append(u)
-                if len(reach) < len(T2):
-                    finite = True
-                else:
-                    sub = _induced(nbrs, T2)
-                    edges = sum(map(len, sub.values())) // 2
-                    finite = edges < len(T2) and _tree_family(sub) is not None
-                if finite:
+                if len(reach) < len(T2) or _tree_family(_induced(nbrs, T2)) is not None:
                     sf.add(T2)
                     nxt.append(T2)
+                else:
+                    minimal.append(T2)
         level = nxt
-    return sf
+    return sf, minimal
 
 
-def _infinity_free_subsets(d: CoxeterDiagram):
-    """Subsets containing no pair with an infinite label, smallest first."""
-    inf_pairs = {frozenset((a, b)) for a, b, m in d.edges if m == INF}
-    level = [frozenset()]
-    yield frozenset()
-    while level:
-        nxt = []
-        for T in level:
-            top = max((d.index(v) for v in T), default=-1)
-            for v in d.vertices[top + 1 :]:
-                if any(frozenset((u, v)) in inf_pairs for u in T):
-                    continue
-                T2 = T | {v}
-                nxt.append(T2)
-                yield T2
-        level = nxt
+def finite_type_subsets(
+    d: CoxeterDiagram, rank_guard: int = DEFAULT_RANK_GUARD
+) -> set[frozenset]:
+    """All T subseteq S whose induced subdiagram is finite type.
+
+    Always contains the empty set and every singleton.
+    """
+    if d.rank > rank_guard:
+        raise RankGuardError("finite_type_subsets", d.rank, rank_guard)
+    return _sf_search(d)[0]
 
 
 def classify_taxonomy(
     d: CoxeterDiagram, rank_guard: int = DEFAULT_RANK_GUARD
 ) -> TaxonomyReport:
-    """Evaluate every taxonomy flag literally from its definition."""
+    """Read every taxonomy flag off Sf and its minimal non-members.
+
+    A minimal non-member is a pair with an infinite label or an
+    infinity-free set of at least three vertices, so the diagram is FC (Sf
+    is a flag complex) exactly when every minimal non-member is a pair.
+    """
     if d.rank > rank_guard:
         raise RankGuardError("classify_taxonomy", d.rank, rank_guard)
-    nbrs = _adjacency(d)
-    components = tuple(_component_label(nbrs, comp) for comp in _components(nbrs))
-    finite = all(c is not None for c in components)
-    sf = finite_type_subsets(d, rank_guard)
-
-    fc = all(T in sf for T in _infinity_free_subsets(d))
-    two_dim = max(len(T) for T in sf) <= 2
-    large = all(m != 2 for _, _, m in d.pairs())
+    nbrs = d._nbrs
+    components = tuple(_component_label(nbrs, comp) for comp in d.components())
+    sf, minimal = _sf_search(d)
     free_inf = all(m != INF for _, _, m in d.edges)
-
-    # A component of a member of Sf is a member of Sf, and a member is a
-    # forest, connected exactly when it has |T| - 1 edges.  So the components
-    # with more than two vertices are the connected members with |T| >= 3.
-    locally_reducible = all(
-        _tree_family(sub) == ("A", 3, None)
-        for T in sf
-        if len(T) >= 3
-        for sub in (_induced(nbrs, T),)
-        if sum(map(len, sub.values())) == 2 * len(T) - 2
-    )
-
-    almost_spherical = (
-        free_inf
-        and not finite
-        and all(
-            frozenset(d.vertices) - {v} in sf for v in d.vertices
-        )  # downward closure: all proper subsets finite iff all corank-1 are
-    )
     return TaxonomyReport(
-        finite_type=finite,
-        fc_type=fc,
-        two_dimensional=two_dim,
-        large_type=large,
-        locally_reducible=locally_reducible,
+        finite_type=all(components),
+        fc_type=all(len(T) == 2 for T in minimal),
+        two_dimensional=max(len(T) for T in sf) <= 2,
+        large_type=2 * len(d.edges) == d.rank * (d.rank - 1),
+        # A component of a member of Sf is a member, so the connected members
+        # with |T| >= 3 are the components with more than two vertices; a
+        # disconnected member is no tree.
+        locally_reducible=all(
+            _tree_family(_induced(nbrs, T)) in (None, ("A", 3, None))
+            for T in sf
+            if len(T) >= 3
+        ),
         free_of_infinity=free_inf,
-        almost_spherical=almost_spherical,
+        # S is the only minimal non-member: S is not spherical, every proper
+        # subset is
+        almost_spherical=free_inf and minimal == [frozenset(d.vertices)],
         components=components,
     )

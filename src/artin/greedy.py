@@ -44,10 +44,7 @@ class _Greedy:
         self.deltas: dict[int, int] = {}
         self.twists: dict[int, int] = {}
         self.complements: dict[int, int] = {}
-        m = [[2] * self.n for _ in range(self.n)]
-        for a, b, label in d.edges:
-            i, j = self.key[a], self.key[b]
-            m[i][j] = m[j][i] = label
+        m = [[d._nbrs[a].get(b, 2) for b in self.names] for a in self.names]
         # comp[s][t] = s\t, the letters t s t ... with s * (s\t) = lcm(s, t)
         self.comp = [
             [None if m[s][t] == INF else tuple((t, s)[i % 2] for i in range(int(m[s][t]) - 1))

@@ -263,14 +263,24 @@ def parse_chamber_json(text: str) -> tuple[ChamberComplex, tuple[int, ...] | Non
     extra = set(obj) - {"n", "chambers", "index"}
     if extra:
         raise ValueError(f"unexpected chamber JSON keys {sorted(extra)}")
-    idx = obj.get("index")
+    n, chambers, idx = obj["n"], obj["chambers"], obj.get("index")
     try:
-        chambers = tuple(frozenset(c) for c in obj["chambers"])
-        n = int(obj["n"])
-        idx = None if idx is None else tuple(int(v) for v in idx)
+        if not (
+            _is_int(n)
+            and isinstance(chambers, list)
+            and all(isinstance(c, list) for c in chambers)
+            and (idx is None or isinstance(idx, list) and all(map(_is_int, idx)))
+        ):
+            raise TypeError
+        chambers = tuple(frozenset(c) for c in chambers)
     except TypeError:
         raise ValueError(
             "chamber JSON needs an integer 'n', a list of vertex-id lists "
             "'chambers' and a list of integers 'index'"
         ) from None
-    return ChamberComplex(n, chambers), idx
+    return ChamberComplex(n, chambers), None if idx is None else tuple(idx)
+
+
+def _is_int(v) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)

@@ -36,15 +36,9 @@ def bilinear_form(d: CoxeterDiagram) -> np.ndarray:
     """
     n = d.rank
     B = np.eye(n)
-    for s, t, m in d.pairs():
+    for s, t, m in d.edges:
         i, j = d.index(s), d.index(t)
-        if m == 2:
-            entry = 0.0
-        elif m == INF:
-            entry = -1.0
-        else:
-            entry = -math.cos(math.pi / m)
-        B[i, j] = B[j, i] = entry
+        B[i, j] = B[j, i] = -1.0 if m == INF else -math.cos(math.pi / m)
     return B
 
 
@@ -97,8 +91,7 @@ def pair_order(
     """
     _check_tol(tol)
     if cap is None:
-        finite_labels = [int(m) for _, _, m in d.pairs() if m != INF]
-        cap = 4 * max(finite_labels, default=2)
+        cap = 4 * max((m for _, _, m in d.edges if m != INF), default=2)
     M = word_to_matrix(d, (s, t))
     P = M.copy()
     eye = np.eye(d.rank)

@@ -8,9 +8,15 @@ component vertices in declared order.  It decides nothing from the shape of
 the tree and keeps its own component scan, so it checks the shape reader in
 artin.diagram from outside; the two must agree on the flag and on every
 TypeLabel, witness included.
+
+``taxonomy`` evaluates every TaxonomyReport flag from its literal
+definition, by brute force over all vertex subsets, where the library reads
+the flags off Sf and its minimal non-members.
 """
 
-from artin.diagram import INF, CoxeterDiagram, TypeLabel, _build_family
+import itertools
+
+from artin.diagram import INF, CoxeterDiagram, TaxonomyReport, TypeLabel, _build_family
 
 
 def degree_key(d: CoxeterDiagram, v: str) -> tuple:
@@ -144,3 +150,53 @@ def is_finite_type(d):
             return False, None
         labels.append(lab)
     return True, labels
+
+
+def infinity_free_subsets(d):
+    """Subsets containing no pair with an infinite label, smallest first."""
+    inf_pairs = {frozenset((a, b)) for a, b, m in d.edges if m == INF}
+    level = [frozenset()]
+    yield frozenset()
+    while level:
+        nxt = []
+        for T in level:
+            top = max((d.index(v) for v in T), default=-1)
+            for v in d.vertices[top + 1 :]:
+                if any(frozenset((u, v)) in inf_pairs for u in T):
+                    continue
+                T2 = T | {v}
+                nxt.append(T2)
+                yield T2
+        level = nxt
+
+
+def taxonomy(d):
+    """The TaxonomyReport of d, each flag from its definition."""
+    S = frozenset(d.vertices)
+    subsets = [frozenset(T) for k in range(d.rank + 1) for T in itertools.combinations(S, k)]
+    spherical = {T: not T or is_finite_type(d.subdiagram(T))[0] for T in subsets}
+    labels = [d.m(s, t) for s, t in itertools.combinations(d.vertices, 2)]
+    free_inf = INF not in labels
+    return TaxonomyReport(
+        finite_type=spherical[S],
+        # FC: every infinity-free subset is spherical
+        fc_type=all(spherical[T] for T in infinity_free_subsets(d)),
+        # no spherical subset of three generators
+        two_dimensional=not any(spherical[T] for T in subsets if len(T) == 3),
+        # every pair labelled at least 3
+        large_type=all(m >= 3 for m in labels),
+        # every connected spherical subset of at least three generators is A3
+        locally_reducible=all(
+            [(lab.family, lab.rank) for lab in is_finite_type(sub)[1]] == [("A", 3)]
+            for T in subsets
+            if len(T) >= 3 and spherical[T]
+            for sub in (d.subdiagram(T),)
+            if len(components(sub)) == 1
+        ),
+        free_of_infinity=free_inf,
+        # free of infinity, not spherical, every proper subset spherical
+        almost_spherical=free_inf
+        and not spherical[S]
+        and all(spherical[T] for T in subsets if T != S),
+        components=tuple(component_label(d, comp) for comp in components(d)),
+    )

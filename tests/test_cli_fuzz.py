@@ -74,9 +74,12 @@ def bad_diagrams(draw):
 
 NOT_INT = st.one_of(
     st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
     st.lists(st.integers(), max_size=2),
     st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
     st.text(alphabet="abxyz -", max_size=4),
+    st.text(alphabet="0123456789", min_size=1, max_size=3),
 )
 
 
@@ -95,11 +98,19 @@ def bad_chambers(draw):
     elif how == 4:
         obj["n"] = draw(NOT_INT)
     elif how == 5:
-        obj["chambers"] = draw(st.one_of(st.none(), st.booleans(), st.integers()))
+        obj["chambers"] = draw(st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=3)))
     elif how == 6:
-        obj["chambers"].append(draw(st.one_of(st.integers(), st.none(), st.just([["a"]]))))
+        obj["chambers"].append(
+            draw(st.one_of(st.integers(), st.none(), st.just([["a"]]), st.text(max_size=3)))
+        )
     else:
-        obj["index"] = draw(st.one_of(st.integers(), st.just(["x"]), st.just([None])))
+        obj["index"] = draw(
+            st.one_of(
+                st.integers(),
+                st.text(alphabet="0123456789", min_size=1, max_size=3),
+                st.lists(NOT_INT, min_size=1, max_size=2),
+            )
+        )
     return json.dumps(obj)
 
 

@@ -20,6 +20,7 @@ from artin.diagram import (
 from artin.errors import DiagramError, RankGuardError
 
 from classify_oracle import is_finite_type as trial_is_finite_type
+from classify_oracle import taxonomy as literal_taxonomy
 from conftest import random_diagram
 
 FINITE_PRESETS = [
@@ -363,3 +364,30 @@ def test_sf_builds_no_diagram_and_searches_no_isomorphism(rng, monkeypatch):
     # the counter sees a diagram being built
     diagrams[-1].subdiagram(("s", "t"))
     assert calls["built"] == 1
+
+
+EVERY_PRESET = (
+    [f"A{k}" for k in range(1, 9)]
+    + [f"B{k}" for k in range(2, 9)]
+    + [f"D{k}" for k in range(4, 9)]
+    + [f"I2({p})" for p in range(3, 10)]
+    + ["F4", "H3", "H4", "E6", "E7", "E8", "Atilde2"]
+)
+
+
+def test_taxonomy_flags_match_their_definitions(rng):
+    diagrams = [preset(name) for name in EVERY_PRESET]
+    diagrams += [
+        _random_labelled(rng, rng.randint(1, 8), rng.choice((0.2, 0.4, 0.7)), (3, 4, 5, 6, INF))
+        for _ in range(300)
+    ]
+    seen = set()
+    for d in diagrams:
+        order = list(d.vertices)
+        rng.shuffle(order)
+        d = CoxeterDiagram(tuple(order), d.edges)
+        rep = classify_taxonomy(d)
+        assert rep == literal_taxonomy(d), d
+        seen.update((flag, value) for flag, value in vars(rep).items() if flag != "components")
+    # every flag takes both values
+    assert len(seen) == 2 * 7, seen

@@ -117,7 +117,7 @@ def _positive_definite(d):
 
 def _recognized(edges, n):
     d = CoxeterDiagram(tuple(f"v{i}" for i in range(n)), tuple(edges))
-    return diagram._tree_family(diagram._adjacency(d)) is not None, d
+    return diagram._tree_family(d._nbrs) is not None, d
 
 
 def test_tree_recognizer_agrees_with_signature_on_random_trees(rng):
