@@ -4,11 +4,14 @@ Three posets are built: the Salvetti poset W x Sf with its T-minimality
 order, the Davis poset of cosets w W_T under inclusion, and the
 fundamental-domain poset Sf under subset order.  Each is built from the
 lower sets of its elements, so the work grows with the relations, not with
-the square of the size.  Order complexes realize posets simplicially, with
-the maximal chains as facets.  Homology is computed over Z: coreduction
-first removes cells in pairs that do not change it, then a sparse Smith
-normal form with arbitrary-precision integers runs on what is left, so
-every Betti number and torsion coefficient is exact.
+the square of the size.  The Davis cells w W_T are the Salvetti cells
+(w, T) with w T-minimal, under the Salvetti order, so one builder lists
+both posets, already in order, without a sort.  Order complexes realize
+posets simplicially, with the maximal chains as facets.  Homology is
+computed over Z: coreduction first removes cells in pairs that do not
+change it, then a sparse Smith normal form with arbitrary-precision
+integers runs on what is left, so every Betti number and torsion
+coefficient is exact.
 """
 
 from __future__ import annotations
@@ -263,6 +266,17 @@ def invariant_factors(rows: dict[int, dict[int, int]]) -> list[int]:
     return [1] * units + sorted(diag)
 
 
+def _abelian_group(rank: int, torsion) -> str:
+    """Z^rank + Z/t + ... for a finitely generated abelian group, 0 if trivial."""
+    parts = []
+    if rank == 1:
+        parts.append("Z")
+    elif rank > 1:
+        parts.append(f"Z^{rank}")
+    parts.extend(f"Z/{t}" for t in torsion)
+    return " + ".join(parts) if parts else "0"
+
+
 @dataclass(frozen=True)
 class HomologyResult:
     """Unreduced integer homology: per dimension a Betti number and the
@@ -274,14 +288,7 @@ class HomologyResult:
     def group(self, k: int) -> str:
         if k >= len(self.betti):
             return "0"
-        parts = []
-        b = self.betti[k]
-        if b == 1:
-            parts.append("Z")
-        elif b > 1:
-            parts.append(f"Z^{b}")
-        parts.extend(f"Z/{t}" for t in self.torsion[k])
-        return " + ".join(parts) if parts else "0"
+        return _abelian_group(self.betti[k], self.torsion[k])
 
     def pretty(self) -> str:
         return ", ".join(f"H_{k} = {self.group(k)}" for k in range(len(self.betti)))
@@ -416,35 +423,33 @@ def _subsets(A: frozenset) -> list[frozenset]:
     return [frozenset(c) for k in range(len(A) + 1) for c in itertools.combinations(A, k)]
 
 
-def salvetti_poset(d: CoxeterDiagram, ball="all", cap: int = DEFAULT_CAP) -> Poset:
-    """Elements (u, T) in W x Sf with (u,T) <= (v,R) iff T is a subset of R,
-    v^-1 u lies in W_R, and v^-1 u is T-minimal.
-
-    Every reduced word of an element of W_R uses letters of R only, so the
-    elements under (v, R) are the (v x, T) for x in W_R and T a subset of R
-    that avoids the right descents of x.
-    """
+def _cell_poset(d: CoxeterDiagram, ball, cap: int, kind: str, label: str, minimal: bool):
+    """The cells (u, T) of W x Sf, u in the ball, T by T in `_sf_sorted` order
+    and u in ShortLex order, under the Salvetti order and named by `label`;
+    if `minimal`, only those with u T-minimal.  For v R-minimal and x in W_R,
+    the right descents of v x in R are those of x, so walks meet no others."""
     elements_w = _w_elements(d, ball, cap)
     sf = _sf_sorted(d)
-    elems = [(u, frozenset(T)) for u in elements_w for T in sf]
-    labels = [f"({''.join(u.word) or 'e'},{_set_label(d, T)})" for u, T in elems]
-
     eng = coxeter._engine(d)
-    eng.begin(cap, "salvetti_poset")
+    eng.begin(cap, f"{kind}_poset")
     ids = {u: eng.walk(0, u.word) for u in elements_w}
-    present = set(ids.values())
-    walks = {R: _parabolic(eng, R) for R in map(frozenset, sf) if R}
+    length = {e: len(u.word) for u, e in ids.items()}
+    walks = {R: _parabolic(eng, R) for R in sf}
     subsets: dict[frozenset, list[frozenset]] = {}
+
+    def descent(u, s):  # u s is one letter shorter, so it lies in the ball
+        return length.get(eng.times(ids[u], eng.key[s])) == len(u.word) - 1
+
+    cells = [(u, T) for T in sf for u in elements_w
+             if not (minimal and any(descent(u, s) for s in T))]
 
     def below(y):
         v, R = y
-        if not R:
-            return
         at = []
         for parent, s, descents in walks[R]:
             e = ids[v] if parent < 0 else eng.times(at[parent], s)
             at.append(e)
-            if e in present:
+            if e in length:
                 u = eng.element(e)
                 free = R - descents
                 if free not in subsets:
@@ -453,45 +458,33 @@ def salvetti_poset(d: CoxeterDiagram, ball="all", cap: int = DEFAULT_CAP) -> Pos
                     if parent >= 0 or T != R:
                         yield u, T
 
-    meta = (("complex", "salvetti"), ("ball", "all" if ball == "all" else int(ball)))
-    pairs = [(e, lab) for e, lab in zip(elems, labels)]
-    pairs.sort(key=lambda el: (len(el[0][1]), sorted(d.index(v) for v in el[0][1]),
-                               el[0][0].sort_key()))
-    return _poset([e for e, _ in pairs], [l for _, l in pairs], below, meta)
+    meta = (("complex", kind), ("ball", "all" if ball == "all" else int(ball)))
+    labels = [label.format("".join(u.word) or "e", _set_label(d, T)) for u, T in cells]
+    return _poset(cells, labels, below, meta)
+
+
+def salvetti_poset(d: CoxeterDiagram, ball="all", cap: int = DEFAULT_CAP) -> Poset:
+    """Elements (u, T) in W x Sf with (u,T) <= (v,R) iff T is a subset of R,
+    v^-1 u lies in W_R, and v^-1 u is T-minimal.
+
+    Every reduced word of an element of W_R uses letters of R only, so the
+    elements under (v, R) are the (v x, T) for x in W_R and T a subset of R
+    that avoids the right descents of x.
+    """
+    return _cell_poset(d, ball, cap, "salvetti", "({},{})", minimal=False)
 
 
 def davis_poset(d: CoxeterDiagram, ball="all", cap: int = DEFAULT_CAP) -> Poset:
     """Cosets w W_T for T in Sf, named by T-minimal representatives and
     ordered by coset inclusion: w W_T lies in v W_R exactly when T is a
     subset of R and v is the R-minimal representative of w."""
-    elements_w = _w_elements(d, ball, cap)
-    sf = [frozenset(T) for T in _sf_sorted(d)]
-    reps = {w: {T: coxeter.t_minimal_representative(d, w, T, cap) for T in sf}
-            for w in elements_w}
-    elems = list(dict.fromkeys((reps[w][T], T) for T in sf for w in elements_w))
-    labels = [f"{''.join(rep.word) or 'e'}W{_set_label(d, T)}" for rep, T in elems]
-    # A representative w of w W_T lies in the ball, and is its own T-minimal
-    # representative, so its row of `reps` lists every coset above w W_T.
-    lower: dict[tuple, set] = {}
-    for w, T in elems:
-        for R in sf:
-            if T < R:
-                lower.setdefault((reps[w][R], R), set()).add((w, T))
-
-    meta = (("complex", "davis"), ("ball", "all" if ball == "all" else int(ball)))
-    order = sorted(
-        range(len(elems)),
-        key=lambda i: (len(elems[i][1]), sorted(d.index(v) for v in elems[i][1]),
-                       elems[i][0].sort_key()),
-    )
-    return _poset([elems[i] for i in order], [labels[i] for i in order],
-                  lambda y: lower.get(y, ()), meta)
+    return _cell_poset(d, ball, cap, "davis", "{}W{}", minimal=True)
 
 
 def deligne_fundamental_domain(d: CoxeterDiagram) -> tuple[Poset, SimplicialComplex]:
     """The fundamental-domain poset {A_T : T in Sf} under inclusion (a copy
     of Sf ordered by subset), with its order complex."""
-    sf = [frozenset(T) for T in _sf_sorted(d)]
+    sf = _sf_sorted(d)
     labels = [f"A{_set_label(d, T)}" for T in sf]
     # Sf is closed under subsets, so every proper subset of R is in it.
     p = _poset(sf, labels, lambda R: _subsets(R)[:-1], (("complex", "deligne-fd"),))
@@ -530,13 +523,7 @@ class Abelianization:
     torsion: tuple[int, ...]
 
     def pretty(self) -> str:
-        parts = []
-        if self.rank == 1:
-            parts.append("Z")
-        elif self.rank > 1:
-            parts.append(f"Z^{self.rank}")
-        parts.extend(f"Z/{t}" for t in self.torsion)
-        return " + ".join(parts) if parts else "0"
+        return _abelian_group(self.rank, self.torsion)
 
     def to_json_obj(self) -> dict:
         return {"rank": self.rank, "torsion": list(self.torsion), "pretty": self.pretty()}

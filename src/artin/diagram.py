@@ -32,9 +32,6 @@ INF = float("inf")
 
 DEFAULT_RANK_GUARD = 20
 
-_FAMILIES = ("A", "B", "D", "I2", "F4", "H3", "H4", "E6", "E7", "E8")
-
-
 @dataclass(frozen=True)
 class CoxeterDiagram:
     """Vertex set S with symmetric labels m_st in {3, 4, ...} or infinity.
@@ -84,6 +81,10 @@ class CoxeterDiagram:
             nbrs[a][b] = nbrs[b][a] = m
         object.__setattr__(self, "_nbrs", nbrs)
         object.__setattr__(self, "_pos", pos)
+
+    def __reduce__(self):
+        # Rebuild on unpickling: the cached hash depends on the string hash seed.
+        return (CoxeterDiagram, (self.vertices, self.edges))
 
     def __hash__(self) -> int:
         # Per-diagram caches key on the diagram, so hash it once, on first
@@ -241,9 +242,7 @@ def preset(name: str) -> CoxeterDiagram:
     if name == "Atilde2":
         v = _names(3)
         return CoxeterDiagram(v, ((v[0], v[1], 3), (v[0], v[2], 3), (v[1], v[2], 3)))
-    if name in ("F4", "H3", "H4"):
-        return _build_family(name, int(name[1]))
-    if name in ("E6", "E7", "E8"):
+    if name in ("F4", "H3", "H4", "E6", "E7", "E8"):
         return _build_family(name, int(name[1]))
     m = _I2_RE.match(name)
     if m:
@@ -436,12 +435,11 @@ def _sf_search(d: CoxeterDiagram) -> tuple[set[frozenset], list[frozenset]]:
     nbrs = d._nbrs
     sf = {frozenset()}
     minimal = []
-    level = [frozenset()]
+    level = [(frozenset(), 0)]  # (T, index after its last vertex)
     while level:
         nxt = []
-        for T in level:
-            top = max((d.index(v) for v in T), default=-1)
-            for v in d.vertices[top + 1 :]:
+        for T, start in level:
+            for i, v in enumerate(d.vertices[start:], start):
                 T2 = T | {v}
                 if any(T2 - {u} not in sf for u in T2):
                     continue
@@ -455,7 +453,7 @@ def _sf_search(d: CoxeterDiagram) -> tuple[set[frozenset], list[frozenset]]:
                         stack.append(u)
                 if len(reach) < len(T2) or _tree_family(_induced(nbrs, T2)) is not None:
                     sf.add(T2)
-                    nxt.append(T2)
+                    nxt.append((T2, i + 1))
                 else:
                     minimal.append(T2)
         level = nxt

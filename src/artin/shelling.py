@@ -11,6 +11,7 @@ entire boundary, in which case only (n-1)-connectivity is certified.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -159,7 +160,7 @@ def verify_claims(cc: ChamberComplex, index) -> ClaimsReport:
             claim_a.append(ClaimCheck(lv, (i,), ok, witness))
             if ok and len(maximal[i]) == cc.n + 1:
                 full_boundary_glue = True
-        for a, b in _same_level_pairs(by_level[lv]):
+        for a, b in itertools.combinations(by_level[lv], 2):
             # inter lies in chamber a, so it lies in C(lv - 1) iff it lies in
             # a face that chamber a shares with C(lv - 1).
             inter = cc.chambers[a] & cc.chambers[b]
@@ -180,12 +181,6 @@ def verify_claims(cc: ChamberComplex, index) -> ClaimsReport:
     else:
         conclusion = f"{cc.n - 1}-connected"
     return ClaimsReport(cc.n, tuple(claim_a), tuple(claim_b), conclusion)
-
-
-def _same_level_pairs(ids):
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            yield a, b
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Posets, order complexes, Smith normal form homology, quotient cells."""
 
+import itertools
 import time
 
 import numpy as np
@@ -94,19 +95,25 @@ def _rank_three_ball(rng):
 
 
 def test_lower_set_posets_match_the_pairwise_oracle(rng):
-    # Salvetti and Davis posets on I2(3..8), A1^3, A1 x A2, A3 and B3, Davis
-    # H3, balls of radius 2 and 3 in the affine groups A~2, C~2 and G~2, and
-    # balls in random infinite rank-3 groups.
+    # Salvetti and Davis posets on I2(3..8), A1^3, A1 x A2, and A3 and B3 in
+    # every vertex order, Davis H3, balls of radius 2 and 3 in the affine
+    # groups A~2, C~2 and G~2, and balls in random infinite rank-3 groups,
+    # each also in a shuffled vertex order.  The oracle sorts its elements,
+    # so equal element tuples show that the lower-set builder needs no sort.
     finite = [preset(f"I2({m})") for m in range(3, 9)]
     finite += [CoxeterDiagram(("a", "b", "c"), ()),
-               CoxeterDiagram(("a", "b", "c"), (("b", "c", 3),)),
-               preset("A3"), preset("B3")]
+               CoxeterDiagram(("a", "b", "c"), (("b", "c", 3),))]
+    finite += [CoxeterDiagram(order, d.edges) for d in (preset("A3"), preset("B3"))
+               for order in itertools.permutations(d.vertices)]
     cases = [(kind, d, "all") for d in finite for kind in ("salvetti", "davis")]
     cases.append(("davis", preset("H3"), "all"))
     affine = [preset("Atilde2"),
               CoxeterDiagram(("s", "t", "u"), (("s", "t", 4), ("t", "u", 4))),
               CoxeterDiagram(("s", "t", "u"), (("s", "t", 6), ("t", "u", 3)))]
-    affine += [_rank_three_ball(rng) for _ in range(4)]
+    balls = [_rank_three_ball(rng) for _ in range(4)]
+    # permutations() lists the declared order first, so each copy is reordered
+    affine += balls + [CoxeterDiagram(rng.choice(list(itertools.permutations(d.vertices))[1:]),
+                                      d.edges) for d in balls]
     cases += [(kind, d, ball) for d in affine for ball in (2, 3)
               for kind in ("salvetti", "davis")]
     for kind, d, ball in cases:
@@ -114,6 +121,22 @@ def test_lower_set_posets_match_the_pairwise_oracle(rng):
         q = getattr(poset_oracle, f"{kind}_poset")(d, ball)
         assert (p.elements, p.labels, p.metadata) == (q.elements, q.labels, q.metadata)
         assert p.less == q.less, (kind, d, ball)
+
+
+def test_davis_poset_finds_no_coset_representative(monkeypatch):
+    # The Davis cells are read off the walks that build the Salvetti order,
+    # not found coset by coset; a call count gates where wall time cannot.
+    calls = []
+    real = coxeter.t_minimal_representative
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(coxeter, "t_minimal_representative", counted)
+    sizes = [len(davis_poset(d, ball)) for d, ball in
+             ((preset("A3"), "all"), (preset("B3"), "all"), (preset("Atilde2"), 3))]
+    assert calls == [] and min(sizes) > 0
 
 
 # ---------------------------------------------------------------- SNF

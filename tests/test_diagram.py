@@ -2,6 +2,9 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -176,6 +179,25 @@ def test_finite_type_subsets_match_brute_force(rng):
             if not T or is_finite_type(d.subdiagram(T))[0]
         }
         assert finite_type_subsets(d) == brute, d
+
+
+def test_unpickled_diagram_hashes_like_a_fresh_one(tmp_path):
+    # A string's hash depends on the interpreter's hash seed, so a hash cached
+    # before pickling must not travel with the diagram to another interpreter.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(diagram.__file__)))
+    path = str(tmp_path / "a3.pickle")
+    dump = ("import pickle, sys\nfrom artin.diagram import preset\n"
+            "d = preset('A3')\nhash(d)\n"
+            "with open(sys.argv[1], 'wb') as f:\n    pickle.dump(d, f)\n")
+    load = ("import pickle, sys\nfrom artin.diagram import preset\n"
+            "with open(sys.argv[1], 'rb') as f:\n    d = pickle.load(f)\n"
+            "a3 = preset('A3')\n"
+            "assert d == a3 and hash(d) == hash(a3) and len({d, a3}) == 1\n")
+    for seed, script in (("1", dump), ("2", load)):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        p = subprocess.run([sys.executable, "-c", script, path],
+                           capture_output=True, text=True, env=env, timeout=60)
+        assert p.returncode == 0, p.stderr
 
 
 def test_index_and_labels_by_position():
