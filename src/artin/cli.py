@@ -169,14 +169,13 @@ def _cmd_rep_check(d, args):
     for s, t, m in d.pairs():
         order = tits.pair_order(d, s, t, tol=args.tol)
         expected = None if m == INF else int(m)
-        good = order == expected if expected is not None else order is None
+        good = order == expected
         ok = ok and good
         pairs.append(
             {"s": s, "t": t, "m": "inf" if m == INF else int(m), "order": order, "ok": good}
         )
-    dev = 0.0
-    for i, M in enumerate(tits.reflection_matrices(d)):
-        dev = max(dev, float(np.max(np.abs(M @ M - np.eye(d.rank)))))
+    dev = max(float(np.max(np.abs(M @ M - np.eye(d.rank))))
+              for M in tits.reflection_matrices(d))
     involutions_ok = dev <= args.tol
     obj = {"ok": ok and involutions_ok, "involutions_ok": involutions_ok, "pairs": pairs}
     text = f"representation check: {'pass' if obj['ok'] else 'FAIL'}"
@@ -400,12 +399,11 @@ def _cmd_deligne_fd(d, args):
 def _cmd_homology(d, args):
     from . import complexes
 
-    if args.complex == "salvetti":
-        c = complexes.order_complex(complexes.salvetti_poset(d, _ball(args), args.cap))
-    elif args.complex == "davis":
-        c = complexes.order_complex(complexes.davis_poset(d, _ball(args), args.cap))
-    else:
+    if args.complex == "deligne-fd":
         c = complexes.deligne_fundamental_domain(d)[1]
+    else:
+        poset = getattr(complexes, f"{args.complex}_poset")
+        c = complexes.order_complex(poset(d, _ball(args), args.cap))
     h = complexes.homology(c)
     obj = {
         "complex": args.complex,

@@ -397,10 +397,11 @@ def _w_elements(d: CoxeterDiagram, ball, cap: int):
     return [w for layer in coxeter.enumerate_elements(d, ball, cap) for w in layer]
 
 
-def _parabolic(eng, R) -> list[tuple[int, int, frozenset]]:
-    """W_R by breadth-first search in the engine, R a finite-type subset:
-    per element x, in order of length, the index of a shorter element
-    x s^-1 (-1 for the identity), the generator s, and the right descents of x.
+def _parabolic(eng, R, reach) -> list[tuple[int, int, int, frozenset]]:
+    """W_R by breadth-first search in the engine, R a finite-type subset, up
+    to length `reach`: per element x, in order of length, the index of a
+    shorter element x s^-1 (-1 for the identity), the generator s, the length
+    of x, and its right descents, read off the level above, so all exact.
     """
     letters = [eng.key[t] for t in eng.names if t in R]
     order, depth, steps, descents = [0], {0: 0}, [(-1, -1)], []
@@ -408,14 +409,14 @@ def _parabolic(eng, R) -> list[tuple[int, int, frozenset]]:
         down = set()
         for s in letters:
             y = eng.times(x, s)
-            if y not in depth:
+            if depth.get(y, math.inf) < depth[x]:
+                down.add(eng.names[s])
+            elif y not in depth and depth[x] < reach:
                 depth[y] = depth[x] + 1
                 order.append(y)
                 steps.append((i, s))
-            elif depth[y] < depth[x]:
-                down.add(eng.names[s])
         descents.append(frozenset(down))
-    return [step + (D,) for step, D in zip(steps, descents)]
+    return [step + (depth[x], D) for step, x, D in zip(steps, order, descents)]
 
 
 def _subsets(A: frozenset) -> list[frozenset]:
@@ -423,18 +424,22 @@ def _subsets(A: frozenset) -> list[frozenset]:
     return [frozenset(c) for k in range(len(A) + 1) for c in itertools.combinations(A, k)]
 
 
-def _cell_poset(d: CoxeterDiagram, ball, cap: int, kind: str, label: str, minimal: bool):
+def _cell_poset(d: CoxeterDiagram, ball, cap: int, minimal: bool):
     """The cells (u, T) of W x Sf, u in the ball, T by T in `_sf_sorted` order
-    and u in ShortLex order, under the Salvetti order and named by `label`;
-    if `minimal`, only those with u T-minimal.  For v R-minimal and x in W_R,
-    the right descents of v x in R are those of x, so walks meet no others."""
+    and u in ShortLex order, under the Salvetti order; if `minimal`, only
+    those with u T-minimal, named as Davis cosets.  For v R-minimal and x in
+    W_R, the right descents of v x in R are those of x, so walks meet no others."""
+    kind, label = ("davis", "{}W{}") if minimal else ("salvetti", "({},{})")
     elements_w = _w_elements(d, ball, cap)
     sf = _sf_sorted(d)
     eng = coxeter._engine(d)
     eng.begin(cap, f"{kind}_poset")
     ids = {u: eng.walk(0, u.word) for u in elements_w}
     length = {e: len(u.word) for u, e in ids.items()}
-    walks = {R: _parabolic(eng, R) for R in sf}
+    # v and v x in a ball of radius r need l(x) <= r + l(v) <= 2r, and
+    # l(x) <= r - l(v) if v is R-minimal, for then l(v x) = l(v) + l(x).
+    radius = math.inf if ball == "all" else int(ball)
+    walks = {R: _parabolic(eng, R, radius if minimal else 2 * radius) for R in sf}
     subsets: dict[frozenset, list[frozenset]] = {}
 
     def descent(u, s):  # u s is one letter shorter, so it lies in the ball
@@ -445,8 +450,11 @@ def _cell_poset(d: CoxeterDiagram, ball, cap: int, kind: str, label: str, minima
 
     def below(y):
         v, R = y
+        reach = radius - len(v.word) if minimal else radius + len(v.word)
         at = []
-        for parent, s, descents in walks[R]:
+        for parent, s, depth, descents in walks[R]:
+            if depth > reach:
+                break
             e = ids[v] if parent < 0 else eng.times(at[parent], s)
             at.append(e)
             if e in length:
@@ -471,14 +479,14 @@ def salvetti_poset(d: CoxeterDiagram, ball="all", cap: int = DEFAULT_CAP) -> Pos
     elements under (v, R) are the (v x, T) for x in W_R and T a subset of R
     that avoids the right descents of x.
     """
-    return _cell_poset(d, ball, cap, "salvetti", "({},{})", minimal=False)
+    return _cell_poset(d, ball, cap, minimal=False)
 
 
 def davis_poset(d: CoxeterDiagram, ball="all", cap: int = DEFAULT_CAP) -> Poset:
     """Cosets w W_T for T in Sf, named by T-minimal representatives and
     ordered by coset inclusion: w W_T lies in v W_R exactly when T is a
     subset of R and v is the R-minimal representative of w."""
-    return _cell_poset(d, ball, cap, "davis", "{}W{}", minimal=True)
+    return _cell_poset(d, ball, cap, minimal=True)
 
 
 def deligne_fundamental_domain(d: CoxeterDiagram) -> tuple[Poset, SimplicialComplex]:
@@ -507,12 +515,8 @@ class QuotientCells:
 
 
 def salvetti_quotient_cells(d: CoxeterDiagram) -> QuotientCells:
-    sf = finite_type_subsets(d)
-    top = max(len(T) for T in sf)
-    counts = [0] * (top + 1)
-    for T in sf:
-        counts[len(T)] += 1
-    return QuotientCells(tuple(counts))
+    sizes = collections.Counter(map(len, finite_type_subsets(d)))
+    return QuotientCells(tuple(sizes[k] for k in range(max(sizes) + 1)))
 
 
 @dataclass(frozen=True)
@@ -535,13 +539,8 @@ def abelianization(d: CoxeterDiagram) -> Abelianization:
     A relation of odd length m identifies its two generators; even or
     infinite labels abelianize to nothing.
     """
-    rows = dict(
-        enumerate(
-            {d.index(s): 1, d.index(t): -1}
-            for s, t, m in d.edges
-            if m != float("inf") and m % 2
-        )
-    )
+    odd = [(s, t) for s, t, m in d.edges if m != float("inf") and m % 2]
+    rows = {i: {d.index(s): 1, d.index(t): -1} for i, (s, t) in enumerate(odd)}
     factors = invariant_factors(rows)
     return Abelianization(
         rank=d.rank - len(factors), torsion=tuple(t for t in factors if t > 1)

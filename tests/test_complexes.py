@@ -96,7 +96,7 @@ def _rank_three_ball(rng):
 
 def test_lower_set_posets_match_the_pairwise_oracle(rng):
     # Salvetti and Davis posets on I2(3..8), A1^3, A1 x A2, and A3 and B3 in
-    # every vertex order, Davis H3, balls of radius 2 and 3 in the affine
+    # every vertex order, Davis H3, balls of radius 1 to 3 in the affine
     # groups A~2, C~2 and G~2, and balls in random infinite rank-3 groups,
     # each also in a shuffled vertex order.  The oracle sorts its elements,
     # so equal element tuples show that the lower-set builder needs no sort.
@@ -114,7 +114,7 @@ def test_lower_set_posets_match_the_pairwise_oracle(rng):
     # permutations() lists the declared order first, so each copy is reordered
     affine += balls + [CoxeterDiagram(rng.choice(list(itertools.permutations(d.vertices))[1:]),
                                       d.edges) for d in balls]
-    cases += [(kind, d, ball) for d in affine for ball in (2, 3)
+    cases += [(kind, d, ball) for d in affine for ball in (1, 2, 3)
               for kind in ("salvetti", "davis")]
     for kind, d, ball in cases:
         p = getattr(complexes, f"{kind}_poset")(d, ball)
@@ -137,6 +137,20 @@ def test_davis_poset_finds_no_coset_representative(monkeypatch):
     sizes = [len(davis_poset(d, ball)) for d, ball in
              ((preset("A3"), "all"), (preset("B3"), "all"), (preset("Atilde2"), 3))]
     assert calls == [] and min(sizes) > 0
+
+
+def test_cell_posets_walk_w_r_only_as_far_as_the_ball():
+    # W(E6) has 51,840 elements and W(E8) 696,729,600.  A cell (v, R) in a
+    # ball of radius r lies over v x with x in W_R only if l(x) <= 2r, so the
+    # radius-1 posets bring the engine at most the elements of length 3 or
+    # less: 77 in E6 and 155 in E8.  E6 comes first, where a full walk fails fast.
+    for d, seen in ((preset("E6"), 77), (preset("E8"), 155)):
+        n = len(d.vertices)
+        eng = coxeter._engine(d)
+        before = len(eng.sig)
+        assert len(davis_poset(d, 1)) == 2**n + n * 2 ** (n - 1)
+        assert len(salvetti_poset(d, 1)) == (n + 1) * 2**n
+        assert len(eng.sig) - before <= seen
 
 
 # ---------------------------------------------------------------- SNF
