@@ -107,14 +107,16 @@ class Poset:
         return "\n".join(lines)
 
 
-def _poset(elements, labels, below, metadata=()) -> Poset:
-    """The poset on `elements` in which x < y for every x that `below(y)`
-    yields; `below(y)` lists the elements strictly under y."""
+def _poset(elements, label, below, metadata=()) -> Poset:
+    """The poset on `elements`, each named by `label`, in which x < y for
+    every x that `below(y)` yields; `below(y)` lists the elements strictly
+    under y.  Elements are drawn from their iterable only one past the guard."""
+    elements = tuple(itertools.islice(elements, DEFAULT_POSET_GUARD + 1))
     if len(elements) > DEFAULT_POSET_GUARD:
         raise CapExceededError("poset size", DEFAULT_POSET_GUARD)
     index = {x: i for i, x in enumerate(elements)}
     less = frozenset((index[x], j) for j, y in enumerate(elements) for x in below(y))
-    return Poset(tuple(elements), tuple(labels), less, tuple(metadata))
+    return Poset(elements, tuple(map(label, elements)), less, tuple(metadata))
 
 
 @dataclass(frozen=True)
@@ -310,6 +312,8 @@ def homology(c: SimplicialComplex, face_guard: int = DEFAULT_FACE_GUARD) -> Homo
     removes pairs (a, b) where b is the only face of a left: both span an
     acyclic subcomplex of the quotient, so its homology is unchanged.
     """
+    if len(c.facets) > face_guard:  # every facet is a face
+        raise CapExceededError("homology face count", face_guard)
     faces = c.faces_by_dim()
     if not faces:
         return HomologyResult((), ())
@@ -439,18 +443,20 @@ def _cell_poset(d: CoxeterDiagram, ball, cap: int, minimal: bool):
     # v and v x in a ball of radius r need l(x) <= r + l(v) <= 2r, and
     # l(x) <= r - l(v) if v is R-minimal, for then l(v x) = l(v) + l(x).
     radius = math.inf if ball == "all" else int(ball)
-    walks = {R: _parabolic(eng, R, radius if minimal else 2 * radius) for R in sf}
+    walks = {}  # R -> W_R walk, built in `below`, so only past the poset guard
     subsets: dict[frozenset, list[frozenset]] = {}
 
     def descent(u, s):  # u s is one letter shorter, so it lies in the ball
         return length.get(eng.times(ids[u], eng.key[s])) == len(u.word) - 1
 
-    cells = [(u, T) for T in sf for u in elements_w
-             if not (minimal and any(descent(u, s) for s in T))]
+    cells = ((u, T) for T in sf for u in elements_w
+             if not (minimal and any(descent(u, s) for s in T)))
 
     def below(y):
         v, R = y
         reach = radius - len(v.word) if minimal else radius + len(v.word)
+        if R not in walks:
+            walks[R] = _parabolic(eng, R, radius if minimal else 2 * radius)
         at = []
         for parent, s, depth, descents in walks[R]:
             if depth > reach:
@@ -467,8 +473,8 @@ def _cell_poset(d: CoxeterDiagram, ball, cap: int, minimal: bool):
                         yield u, T
 
     meta = (("complex", kind), ("ball", "all" if ball == "all" else int(ball)))
-    labels = [label.format("".join(u.word) or "e", _set_label(d, T)) for u, T in cells]
-    return _poset(cells, labels, below, meta)
+    return _poset(cells, lambda c: label.format("".join(c[0].word) or "e", _set_label(d, c[1])),
+                  below, meta)
 
 
 def salvetti_poset(d: CoxeterDiagram, ball="all", cap: int = DEFAULT_CAP) -> Poset:
@@ -493,9 +499,9 @@ def deligne_fundamental_domain(d: CoxeterDiagram) -> tuple[Poset, SimplicialComp
     """The fundamental-domain poset {A_T : T in Sf} under inclusion (a copy
     of Sf ordered by subset), with its order complex."""
     sf = _sf_sorted(d)
-    labels = [f"A{_set_label(d, T)}" for T in sf]
     # Sf is closed under subsets, so every proper subset of R is in it.
-    p = _poset(sf, labels, lambda R: _subsets(R)[:-1], (("complex", "deligne-fd"),))
+    p = _poset(sf, lambda T: f"A{_set_label(d, T)}", lambda R: _subsets(R)[:-1],
+               (("complex", "deligne-fd"),))
     return p, order_complex(p)
 
 

@@ -36,7 +36,8 @@ function here bounds the new roots one call may create, counted in nonzero
 integer coefficients: a root over Z costs its number of nonzero
 coordinates, and a root over Z[zeta] the number of basis terms of all its
 coordinates.  The Artin monoid and group build their normal forms on the
-same engine (module ``greedy``).
+same engine, which also owns their state (module ``monoid``).  Engines are
+kept for the 64 most recently used diagrams.
 """
 
 from __future__ import annotations
@@ -281,6 +282,8 @@ class _Engine:
     Elements are ids keyed by their signature tuple of root ids; element 0
     is the identity.  ``right[e*n + s]`` and ``left[e*n + s]`` are the ids of
     e*s and s*e (-1 until first needed), and ``nf[e]`` the normal form.
+    ``monoid`` is the Artin monoid state on this engine, built by ``monoid``
+    on first use.
     """
 
     def __init__(self, d: CoxeterDiagram):
@@ -315,6 +318,7 @@ class _Engine:
         self._element(tuple(range(n)))
         self.nf[0] = ()
         self._finite: bool | None = None
+        self.monoid = None
 
     @property
     def finite(self) -> bool:
@@ -450,7 +454,7 @@ class _Engine:
         return el
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _engine(d: CoxeterDiagram) -> _Engine:
     return _Engine(d)
 

@@ -313,7 +313,7 @@ def _fresh_env():
 
 BASE_MODULES = {"artin", "artin.cli", "artin.diagram", "artin.errors"}
 COXETER = BASE_MODULES | {"artin.coxeter"}
-MONOID = COXETER | {"artin.greedy", "artin.monoid"}
+MONOID = COXETER | {"artin.monoid"}
 W = ["--word", "s t u"]
 LR = ["--left", "s t", "--right", "t s"]
 
@@ -468,12 +468,11 @@ CAP_TRIPS = [
 
 @pytest.mark.parametrize("argv", CAP_TRIPS, ids=lambda argv: argv[0])
 def test_cap_trip_is_one_error_line(capsys, argv):
-    from artin import coxeter, greedy
+    from artin import coxeter
 
     # A CLI process starts with empty caches; warm engines would spend no
     # new work and so never reach the cap.
-    for cached in (coxeter._engine, greedy._greedy):
-        cached.cache_clear()
+    coxeter._engine.cache_clear()
     code, out, err = run([argv[0], "--preset", "B3", "--cap", "1", *argv[1:]], capsys)
     assert code == 1
     assert out == ""

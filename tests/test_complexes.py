@@ -153,6 +153,18 @@ def test_cell_posets_walk_w_r_only_as_far_as_the_ball():
         assert len(eng.sig) - before <= seen
 
 
+
+def test_cell_posets_stop_at_the_poset_guard():
+    # |W(E6)| = 51,840: the cells past the 3,000-element guard are never
+    # listed and no W_R is walked, so each call stops in well under 3 s.
+    for build in (davis_poset, salvetti_poset):
+        coxeter._engine.cache_clear()
+        t0 = time.perf_counter()
+        with pytest.raises(CapExceededError, match="poset size exceeded cap 3000"):
+            build(preset("E6"))
+        assert time.perf_counter() - t0 < 3
+
+
 # ---------------------------------------------------------------- SNF
 
 def test_invariant_factors_examples():
@@ -383,6 +395,18 @@ def test_salvetti_h3_stops_at_the_face_guard():
     with pytest.raises(CapExceededError, match="homology face count exceeded cap 200000"):
         homology(c)
     assert time.perf_counter() - t0 < 6
+
+
+
+def test_face_guard_counts_facets_before_listing_faces(monkeypatch):
+    c = order_complex(salvetti_poset(preset("A2")))
+
+    def unlisted(self):
+        raise AssertionError("faces listed past the face guard")
+
+    monkeypatch.setattr(SimplicialComplex, "faces_by_dim", unlisted)
+    with pytest.raises(CapExceededError, match="homology face count"):
+        homology(c, face_guard=len(c.facets) - 1)
 
 
 def test_salvetti_h1_rank_equals_reflection_count():

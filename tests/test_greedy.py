@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from artin import greedy, group, monoid
+from artin import coxeter, group, monoid
 from artin.diagram import INF, CoxeterDiagram, preset
 from artin.errors import CapExceededError
 from closure_oracle import ClosureOracle
@@ -88,7 +88,7 @@ def test_lcm_is_least_on_longer_a3_words():
 
 def test_cap_counts_the_same_work_warm_or_cold():
     word = ("s", "t", "u") * 4
-    greedy._greedy.cache_clear()
+    coxeter._engine.cache_clear()
     with pytest.raises(CapExceededError):
         monoid.canonicalize(preset("A3"), word, cap=5)
     monoid.canonicalize(preset("A3"), word, cap=10**6)
@@ -103,7 +103,7 @@ def test_long_signed_word_round_trip(name):
     d = preset(name)
     rng = random.Random(2026)
     letters = [(rng.choice(d.vertices), rng.choice((1, -1))) for _ in range(200)]
-    greedy._greedy.cache_clear()
+    coxeter._engine.cache_clear()
     t0 = time.perf_counter()
     g = group.from_letters(d, letters)
     e = group.multiply(g, group.invert(g))
