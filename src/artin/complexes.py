@@ -398,7 +398,14 @@ def _w_elements(d: CoxeterDiagram, ball, cap: int):
         raise FiniteTypeRequiredError(
             "ball='all' needs a finite-type diagram; pass an integer ball"
         )
-    return [w for layer in coxeter.enumerate_elements(d, ball, cap) for w in layer]
+    try:
+        layers = coxeter.enumerate_elements(d, ball, cap, size_guard=DEFAULT_POSET_GUARD)
+    except CapExceededError as exc:
+        if exc.what != "element enumeration":
+            raise
+        # every element u of the ball gives the cell (u, {}), so the poset is over its guard too
+        raise CapExceededError("poset size", DEFAULT_POSET_GUARD) from None
+    return [w for layer in layers for w in layer]
 
 
 def _parabolic(eng, R, reach) -> list[tuple[int, int, int, frozenset]]:

@@ -7,6 +7,15 @@ union in a non-empty union of its own facets (Claim A) and that same-level
 chambers meet each other inside the previous level (Claim B).  When both
 hold the complex is contractible, unless some chamber glues along its
 entire boundary, in which case only (n-1)-connectivity is certified.
+
+Both claims, and the shelling check, are decided per chamber from the
+facets it shares with earlier chambers, found in a facet index, and the
+chambers at one of its vertices; only a chamber that fails is intersected
+with every earlier one, to name a witness.  A witness face is the first by
+size, then by sorted vertex reprs, so reports do not depend on hashing.
+
+The Coxeter chamber system reads every coset representative off one table
+per generator, filled in length order over the enumerated ball.
 """
 
 from __future__ import annotations
@@ -73,27 +82,63 @@ def build_filtration(cc: ChamberComplex, index, k: int) -> ChamberComplex:
 
 
 def _meets_in_facet_union(chamber: frozenset, others, n: int):
-    """(ok, witness, maximal) for: the intersection of `chamber` with the
-    union of `others` is a non-empty union of (n-1)-faces of `chamber`;
-    `maximal` lists the maximal faces that `chamber` shares with `others`.
+    """(witness, maximal) for: the intersection of `chamber` with the union
+    of `others` is a non-empty union of (n-1)-faces of `chamber`; the witness
+    is None when it is, and `maximal` lists the maximal faces that `chamber`
+    shares with `others`.
 
     Maximal shared vertex sets must all have size n.  An empty intersection
-    or a maximal shared face of smaller dimension is a violation.
+    or a maximal shared face of another dimension is a violation; the
+    witness names the one that comes first by size, then by sorted reprs.
+    This walks every chamber in `others`, so it is used only for a chamber
+    that `_glued_vertices` does not certify.
     """
     shared = {chamber & o for o in others}
     shared.discard(frozenset())
     maximal = [f for f in shared if not any(f < g for g in shared)]
     if not shared:
-        return False, "empty intersection with the previous union", maximal
-    for f in maximal:
+        return "empty intersection with the previous union", maximal
+    for f in sorted(maximal, key=lambda f: (len(f), sorted(map(repr, f)))):
         if len(f) != n:
             return (
-                False,
                 f"maximal shared face {sorted(f, key=repr)} has dimension "
                 f"{len(f) - 1}, expected {n - 1}",
                 maximal,
             )
-    return True, None, maximal
+    return None, maximal
+
+
+def _glued_vertices(cc: ChamberComplex, level) -> list[frozenset | None]:
+    """Per chamber c, the vertices x whose facet c - x lies in an earlier
+    chamber (one of lower level), when c meets the earlier chambers in a
+    non-empty union of its facets; None when it does not.
+
+    Let X be that vertex set.  A face c & o lies in a shared facet c - x
+    exactly when x is in X and not in o, so c glues along facets exactly
+    when X is non-empty and no earlier chamber contains all of X.  A facet
+    index finds X, and the chambers at one vertex of X decide the rest.
+    Facets of a 0-simplex are empty, and an empty union fails, so for
+    n = 0 every chamber gets None.
+    """
+    chambers = cc.chambers
+    if cc.n == 0:
+        return [None] * len(chambers)
+    holders: dict = {}  # vertex -> chambers containing it
+    facets: dict[frozenset, list[int]] = {}  # facet -> chambers containing it
+    for i, c in enumerate(chambers):
+        for x in c:
+            holders.setdefault(x, []).append(i)
+            facets.setdefault(c - {x}, []).append(i)
+    out = []
+    for i, c in enumerate(chambers):
+        lv = level[i]
+        glued = frozenset(x for x in c if any(level[j] < lv for j in facets[c - {x}]))
+        if glued:
+            x = min(glued, key=lambda v: len(holders[v]))
+            if any(level[j] < lv and glued <= chambers[j] for j in holders[x]):
+                glued = None
+        out.append(glued or None)
+    return out
 
 
 @dataclass(frozen=True)
@@ -141,34 +186,47 @@ def verify_claims(cc: ChamberComplex, index) -> ClaimsReport:
     inside C(k).  When both pass everywhere, the union is contractible if
     no chamber glued along its whole boundary, and (n-1)-connected
     otherwise.
+
+    Claim A is read off the facets each chamber shares with lower levels
+    (`_glued_vertices`); only a chamber that fails it is intersected with
+    all of C(k), for its witness and for its Claim B pairs.
     """
     idx = _check_index(cc, index)
     by_level: dict[int, list[int]] = {}
     for i, v in enumerate(idx):
         by_level.setdefault(v, []).append(i)
-    levels = sorted(by_level)
+    glued = _glued_vertices(cc, idx)
 
     claim_a, claim_b = [], []
     full_boundary_glue = False
-    for lv in levels:
+    for lv in sorted(by_level):
         if lv == 0:
             continue
-        previous = [cc.chambers[i] for i, v in enumerate(idx) if v < lv]
-        maximal = {}
+        maximal = {}  # a failing chamber -> the maximal faces it shares with C(lv - 1)
+        previous = None
         for i in by_level[lv]:
-            ok, witness, maximal[i] = _meets_in_facet_union(cc.chambers[i], previous, cc.n)
-            claim_a.append(ClaimCheck(lv, (i,), ok, witness))
-            if ok and len(maximal[i]) == cc.n + 1:
-                full_boundary_glue = True
+            if glued[i] is not None:
+                claim_a.append(ClaimCheck(lv, (i,), True))
+                full_boundary_glue |= len(glued[i]) == cc.n + 1
+                continue
+            if previous is None:
+                previous = [c for c, v in zip(cc.chambers, idx) if v < lv]
+            witness, maximal[i] = _meets_in_facet_union(cc.chambers[i], previous, cc.n)
+            claim_a.append(ClaimCheck(lv, (i,), False, witness))
         for a, b in itertools.combinations(by_level[lv], 2):
             # inter lies in chamber a, so it lies in C(lv - 1) iff it lies in
-            # a face that chamber a shares with C(lv - 1).
-            inter = cc.chambers[a] & cc.chambers[b]
-            inside = not inter or any(inter <= f for f in maximal[a])
+            # a face that chamber a shares with C(lv - 1): a facet a - x
+            # with x glued and not in b, if chamber a passed Claim A.
+            ca, cb = cc.chambers[a], cc.chambers[b]
+            if glued[a] is not None:
+                inside = ca.isdisjoint(cb) or not glued[a] <= cb
+            else:
+                inter = ca & cb
+                inside = not inter or any(inter <= f for f in maximal[a])
             witness = None
             if not inside:
                 witness = (
-                    f"chambers {a} and {b} share {sorted(inter, key=repr)}, "
+                    f"chambers {a} and {b} share {sorted(ca & cb, key=repr)}, "
                     f"which is not a face of C({lv - 1})"
                 )
             claim_b.append(ClaimCheck(lv, (a, b), inside, witness))
@@ -203,11 +261,14 @@ def is_shelling(cc: ChamberComplex, order) -> ShellingCheck:
     order = tuple(int(i) for i in order)
     if sorted(order) != list(range(len(cc.chambers))):
         raise ValueError("order must be a permutation of the chamber indices")
+    position = [0] * len(order)
+    for pos, i in enumerate(order):
+        position[i] = pos
+    glued = _glued_vertices(cc, position)
     for pos in range(1, len(order)):
-        chamber = cc.chambers[order[pos]]
-        previous = [cc.chambers[j] for j in order[:pos]]
-        ok, witness, _ = _meets_in_facet_union(chamber, previous, cc.n)
-        if not ok:
+        if glued[order[pos]] is None:
+            previous = [cc.chambers[j] for j in order[:pos]]
+            witness, _ = _meets_in_facet_union(cc.chambers[order[pos]], previous, cc.n)
             return ShellingCheck(False, pos, f"chamber {order[pos]}: {witness}")
     return ShellingCheck(True)
 
@@ -224,27 +285,37 @@ def coxeter_chamber_system(
     would get the same name that way (a generator called "e", or names such as
     a, b and ab), and then as its word tuple.  The index function is Coxeter
     length, so the unique index-0 chamber is the identity.
+
+    Representatives come from one table per generator s, filled in length
+    order: w is its own representative unless it has a right descent t != s,
+    and then it shares the representative of w t.  The enumeration has
+    already linked every element of the ball to its descents, which lie in
+    the ball, so the table creates no element and spends no root budget.
     """
     if d.rank < 2:
         raise DiagramError("chamber system needs rank >= 2 (chambers must be simplices)")
     elements = [w for layer in coxeter.enumerate_elements(d, ball, cap) for w in layer]
-    rows = []
-    for w in elements:
-        row = []
-        for s in d.vertices:
-            T = tuple(t for t in d.vertices if t != s)
-            row.append((s, coxeter.t_minimal_representative(d, w, T, cap).word))
-        rows.append(row)
-    cosets = {v for row in rows for v in row}
-    joined = len({(s, "".join(rep) or "e") for s, rep in cosets}) == len(cosets)
-    chambers = []
-    for w, row in zip(elements, rows):
-        chamber = frozenset((s, "".join(rep) or "e") if joined else (s, rep) for s, rep in row)
-        if len(chamber) != d.rank:
-            raise DiagramError(f"degenerate chamber for element {w!r}")
-        chambers.append(chamber)
-    cc = ChamberComplex(d.rank - 1, tuple(chambers))
-    return cc, tuple(w.length for w in elements)
+    eng = coxeter._engine(d)
+    n, right = eng.n, eng.right
+    ids = [eng.walk(0, w.word) for w in elements]  # table lookups: the enumeration linked them
+    at = {e: i for i, e in enumerate(ids)}
+    rep = [list(range(len(elements))) for _ in range(n)]  # rep[s][i]: w_i W_(S-s)
+    for i, e in enumerate(ids):
+        # w_i t is one letter longer or shorter, and the list is in length
+        # order, so t is a right descent exactly when w_i t comes before w_i.
+        down = [(t, j) for t in range(n) if (j := at.get(right[e * n + t], i)) < i]
+        for s in range(n):
+            rep[s][i] = rep[s][next((j for t, j in down if t != s), i)]
+    names = ["".join(w.word) or "e" for w in elements]
+    cosets = {(s, j) for k, s in enumerate(d.vertices) for j in rep[k]}
+    joined = len({(s, names[i]) for s, i in cosets}) == len(cosets)
+    if not joined:
+        names = [w.word for w in elements]
+    chambers = tuple(
+        frozenset((s, names[rep[k][i]]) for k, s in enumerate(d.vertices))
+        for i in range(len(elements))
+    )
+    return ChamberComplex(d.rank - 1, chambers), tuple(w.length for w in elements)
 
 
 def parse_chamber_json(text: str) -> tuple[ChamberComplex, tuple[int, ...] | None]:

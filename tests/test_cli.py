@@ -160,6 +160,31 @@ def test_delta_error_text_does_not_depend_on_the_hash_seed():
     )
 
 
+def test_chamber_witnesses_do_not_depend_on_the_hash_seed(tmp_path):
+    # chamber 2 meets the earlier ones in two vertices, each a maximal face
+    # of the wrong dimension; the witness names the first by its repr
+    path, glued = tmp_path / "c.json", tmp_path / "g.json"
+    path.write_text('{"n":2,"chambers":[["p","q","r"],["q","a","s"],["p","s","x"]],'
+                    '"index":[0,1,2]}')
+    glued.write_text('{"n":2,"chambers":[["p","q","r"],["q","r","s"],["p","s","x"]]}')
+    argvs = [["shelling-check", "--chambers", str(path)],
+             ["shelling-check", "--chambers", str(path), "--format", "text"],
+             ["is-shelling", "--chambers", str(glued)]]
+    runs = []
+    for seed in ("1", "2", "5"):
+        runs.append([])
+        for argv in argvs:
+            p = subprocess.run(
+                [sys.executable, "-m", "artin", *argv], capture_output=True, timeout=60,
+                env=dict(_fresh_env(), PYTHONHASHSEED=seed),
+            )
+            runs[-1].append((p.returncode, p.stdout, p.stderr))
+    assert runs[0] == runs[1] == runs[2]
+    witness = json.loads(runs[0][0][1])["claim_a"][1]["witness"]
+    assert witness == "maximal shared face ['p'] has dimension 0, expected 1"
+    assert json.loads(runs[0][2][1])["witness"] == f"chamber 2: {witness}"
+
+
 def test_file_source(tmp_path, capsys):
     path = tmp_path / "d.json"
     path.write_text('{"vertices":["x","y"],"edges":[{"a":"x","b":"y","m":5}]}')

@@ -165,6 +165,22 @@ def test_cell_posets_stop_at_the_poset_guard():
         assert time.perf_counter() - t0 < 3
 
 
+def test_cell_posets_stop_enumerating_w_at_the_poset_guard():
+    # Each element u of the ball gives the cell (u, {}), so an enumeration
+    # past 3,000 elements already decides the guard: the engine stops near
+    # the guard instead of meeting all of W, and E7 and E8, over the 10^6
+    # size guard of a whole enumeration, report the poset guard too.
+    for name in ("E6", "E7", "E8"):
+        for build in (davis_poset, salvetti_poset):
+            coxeter._engine.cache_clear()
+            with pytest.raises(CapExceededError) as err:
+                build(preset(name))
+            assert (err.value.what, err.value.cap, str(err.value)) == (
+                "poset size", 3000, "poset size exceeded cap 3000"
+            )
+            assert len(coxeter._engine(preset(name)).sig) < 4000
+
+
 # ---------------------------------------------------------------- SNF
 
 def test_invariant_factors_examples():

@@ -260,3 +260,152 @@ def test_claims_imply_index_sorted_orders_shell():
         assert verify_claims(cc, idx).passed
         order = sorted(range(len(cc.chambers)), key=lambda i: idx[i])
         assert is_shelling(cc, tuple(order)).ok
+
+
+# ---------------------------------------------------------------- oracles
+
+import random  # noqa: E402
+
+import shelling_oracle  # noqa: E402
+
+from artin import coxeter  # noqa: E402
+from artin.diagram import INF  # noqa: E402
+
+SMALL_PRESETS = ["A2", "A3", "A4", "B2", "B3", "B4", "D4", "F4", "H3", "H4",
+                 "I2(5)", "I2(6)", "I2(8)"]
+
+
+def _shuffled(d, rng):
+    names = list(d.vertices)
+    rng.shuffle(names)
+    return CoxeterDiagram(tuple(names), d.edges)
+
+
+def _same_chamber_system(d, ball="all", verify=True):
+    coxeter._engine.cache_clear()
+    got = coxeter_chamber_system(d, ball)
+    coxeter._engine.cache_clear()
+    want = shelling_oracle.coxeter_chamber_system(d, ball)
+    assert got == want
+    if verify:
+        assert verify_claims(*got) == shelling_oracle.verify_claims(*want)
+
+
+@pytest.mark.parametrize("name", SMALL_PRESETS)
+def test_chamber_system_matches_oracle_in_shuffled_vertex_orders(name):
+    rng = random.Random(name)
+    d = preset(name)
+    for k in range(3):
+        # H4's report lists ~10^6 same-level pairs; its chambers are compared alone
+        _same_chamber_system(d if k == 0 else _shuffled(d, rng), verify=name != "H4")
+
+
+def _random_infinite(rng, rank):
+    names = tuple("abcd"[:rank])
+    labels = [2, 3, 4, 5, 6, INF]
+    while True:
+        edges = tuple((x, y, m) for x, y in itertools.combinations(names, 2)
+                      if (m := rng.choice(labels)) != 2)
+        d = CoxeterDiagram(names, edges)
+        if not coxeter._engine(d).finite:
+            return d
+
+
+@pytest.mark.parametrize("ball", [1, 2, 3])
+def test_chamber_system_matches_oracle_on_infinite_balls(ball):
+    rng = random.Random(ball)
+    diagrams = [preset("Atilde2"), _shuffled(preset("Atilde2"), rng)]
+    diagrams += [_random_infinite(rng, rank) for rank in (3, 3, 4, 4)]
+    for d in diagrams:
+        _same_chamber_system(d, ball)
+
+
+@pytest.mark.parametrize("names", [("e", "f", "g"), ("a", "b", "c", "ab"), ("ab", "c", "a", "b")])
+def test_chamber_system_matches_oracle_on_colliding_names(names):
+    d = CoxeterDiagram(names, tuple((x, y, 3) for x, y in zip(names, names[1:])))
+    _same_chamber_system(d)
+    _same_chamber_system(d, 2)
+
+
+def _random_indexed_complex(rng):
+    """A chamber complex on integer vertices, mostly grown by gluing new
+    chambers along facets of old ones, with a mostly increasing index."""
+    n = rng.randint(0, 3)
+    chambers = [frozenset(range(n + 1))]
+    top = n + 1
+    for _ in range(rng.randint(0, 9)):
+        if n and rng.random() < 0.75:
+            base = sorted(rng.choice(chambers))
+            facet = set(base) - {rng.choice(base)}
+            x = top if rng.random() < 0.6 else rng.randrange(top)
+            if x in facet:
+                x = top
+            chamber = frozenset(facet | {x})
+        else:
+            chamber = frozenset(rng.sample(range(top + 2), n + 1))
+        top = max(top, max(chamber) + 1)
+        chambers.append(chamber)
+    index = [0] + sorted(rng.randint(1, 4) for _ in chambers[1:])
+    if rng.random() < 0.3:
+        rest = index[1:]
+        rng.shuffle(rest)
+        index = [0] + rest
+    return ChamberComplex(n, tuple(chambers)), tuple(index)
+
+
+def test_claims_and_shellings_match_oracle_on_random_complexes():
+    rng = random.Random(2024)
+    outcomes = set()
+    for _ in range(3000):
+        cc, index = _random_indexed_complex(rng)
+        got = verify_claims(cc, index)
+        assert got == shelling_oracle.verify_claims(cc, index), (cc, index)
+        order = sorted(range(len(index)), key=lambda i: (index[i], rng.random()))
+        if rng.random() < 0.3:
+            rng.shuffle(order)
+        chk = is_shelling(cc, order)
+        assert chk == shelling_oracle.is_shelling(cc, order), (cc, order)
+        outcomes.add((cc.n, got.passed, chk.ok))
+    # every dimension, with passing and failing reports and orders; for n = 0
+    # only a single chamber passes
+    both = {(n, x) for n in (1, 2, 3) for x in (True, False)}
+    assert {(n, p) for n, p, _ in outcomes} >= both | {(0, False)}
+    assert {(n, ok) for n, _, ok in outcomes} >= both
+
+
+# ---------------------------------------------------------------- gates
+
+def test_chamber_system_calls_no_coset_representative(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("t_minimal_representative called")
+
+    monkeypatch.setattr(coxeter, "t_minimal_representative", boom)
+    coxeter._engine.cache_clear()
+    cc, idx = coxeter_chamber_system(preset("B4"))
+    assert len(cc.vertices) == 8 + 24 + 32 + 16  # |W(B4)| / |W(S - s)| over s
+    assert len(cc.chambers) == 384 and max(idx) == 16
+
+
+def test_claims_on_b4_intersect_no_chamber_with_all_earlier_ones(monkeypatch):
+    cc, idx = coxeter_chamber_system(preset("B4"))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("all-chambers fallback called")
+
+    monkeypatch.setattr(shelling, "_meets_in_facet_union", boom)
+    rep = verify_claims(cc, idx)
+    assert rep.passed and rep.conclusion == "2-connected"
+    order = sorted(range(len(idx)), key=lambda i: idx[i])
+    assert is_shelling(cc, order).ok
+
+
+def test_witness_names_the_first_face_by_size_then_reprs():
+    # chamber 2 meets the earlier chambers in the vertices p and s alone
+    cc = ChamberComplex(2, tuple(map(frozenset, ("pqr", "qas", "psx"))))
+    rep = verify_claims(cc, (0, 1, 2))
+    assert rep.claim_a[1].witness == "maximal shared face ['p'] has dimension 0, expected 1"
+    # the same chamber 2 after two chambers glued along the edge qr
+    chk = is_shelling(ChamberComplex(2, tuple(map(frozenset, ("pqr", "qrs", "psx")))), (0, 1, 2))
+    assert (chk.violation_position, chk.witness) == (
+        2, "chamber 2: maximal shared face ['p'] has dimension 0, expected 1"
+    )
