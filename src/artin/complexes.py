@@ -394,18 +394,18 @@ def _set_label(d: CoxeterDiagram, T) -> str:
 
 
 def _w_elements(d: CoxeterDiagram, ball, cap: int):
+    """`coxeter._ball` for the cell posets, whose size guard it is."""
     if ball == "all" and not coxeter._engine(d).finite:
         raise FiniteTypeRequiredError(
             "ball='all' needs a finite-type diagram; pass an integer ball"
         )
     try:
-        layers = coxeter.enumerate_elements(d, ball, cap, size_guard=DEFAULT_POSET_GUARD)
+        return coxeter._ball(d, ball, cap, size_guard=DEFAULT_POSET_GUARD)
     except CapExceededError as exc:
         if exc.what != "element enumeration":
             raise
         # every element u of the ball gives the cell (u, {}), so the poset is over its guard too
         raise CapExceededError("poset size", DEFAULT_POSET_GUARD) from None
-    return [w for layer in layers for w in layer]
 
 
 def _parabolic(eng, R, reach) -> list[tuple[int, int, int, frozenset]]:
@@ -441,23 +441,20 @@ def _cell_poset(d: CoxeterDiagram, ball, cap: int, minimal: bool):
     those with u T-minimal, named as Davis cosets.  For v R-minimal and x in
     W_R, the right descents of v x in R are those of x, so walks meet no others."""
     kind, label = ("davis", "{}W{}") if minimal else ("salvetti", "({},{})")
-    elements_w = _w_elements(d, ball, cap)
+    elements_w, ball_ids, down = _w_elements(d, ball, cap)
     sf = _sf_sorted(d)
     eng = coxeter._engine(d)
     eng.begin(cap, f"{kind}_poset")
-    ids = {u: eng.walk(0, u.word) for u in elements_w}
-    length = {e: len(u.word) for u, e in ids.items()}
+    ids = dict(zip(elements_w, ball_ids))
+    in_ball = set(ball_ids)
     # v and v x in a ball of radius r need l(x) <= r + l(v) <= 2r, and
     # l(x) <= r - l(v) if v is R-minimal, for then l(v x) = l(v) + l(x).
     radius = math.inf if ball == "all" else int(ball)
     walks = {}  # R -> W_R walk, built in `below`, so only past the poset guard
     subsets: dict[frozenset, list[frozenset]] = {}
 
-    def descent(u, s):  # u s is one letter shorter, so it lies in the ball
-        return length.get(eng.times(ids[u], eng.key[s])) == len(u.word) - 1
-
-    cells = ((u, T) for T in sf for u in elements_w
-             if not (minimal and any(descent(u, s) for s in T)))
+    cells = ((u, T) for T in sf for u, descents in zip(elements_w, down)
+             if not (minimal and any(eng.names[t] in T for t, _ in descents)))
 
     def below(y):
         v, R = y
@@ -470,7 +467,7 @@ def _cell_poset(d: CoxeterDiagram, ball, cap: int, minimal: bool):
                 break
             e = ids[v] if parent < 0 else eng.times(at[parent], s)
             at.append(e)
-            if e in length:
+            if e in in_ball:
                 u = eng.element(e)
                 free = R - descents
                 if free not in subsets:

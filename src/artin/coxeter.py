@@ -509,11 +509,15 @@ def enumerate_elements(
     max_length="all",
     cap: int = DEFAULT_CAP,
     size_guard: int = DEFAULT_SIZE_GUARD,
+    *,
+    _ids: list[int] | None = None,
 ) -> list[list[CoxeterElement]]:
     """BFS ball of the group, grouped by length (layer index = length), each
     layer in ShortLex order.
 
     max_length="all" walks the whole group and requires finite type.
+    `_ids`, if given, receives the engine id of each element in that order
+    (for `_ball`).
     """
     eng = _engine(d)
     if max_length == "all":
@@ -531,6 +535,8 @@ def enumerate_elements(
     layer = [0]
     layers = [[eng.element(0)]]
     seen = {0}
+    if _ids is not None:
+        _ids.append(0)
     while limit is None or len(layers) <= limit:
         # By parity an unseen neighbour of length k is one letter longer.
         # Scanning the layer in ShortLex order and the letters in vertex
@@ -552,8 +558,31 @@ def enumerate_elements(
         if not nxt:
             break
         layers.append([eng.element(e) for e in nxt])
+        if _ids is not None:
+            _ids.extend(nxt)
         layer = nxt
     return layers
+
+
+def _ball(
+    d: CoxeterDiagram, max_length, cap: int, size_guard: int = DEFAULT_SIZE_GUARD
+) -> tuple[list[CoxeterElement], list[int], list[list[tuple[int, int]]]]:
+    """The elements of `enumerate_elements` in its order, their engine ids,
+    and their right descents: down[i] holds (t, j) for each generator index
+    t with w_i t = w_j one letter shorter.  Each element of length k + 1 was
+    reached from all its neighbours of length k, so the enumeration has set
+    those Cayley edges and reading them creates nothing."""
+    ids: list[int] = []
+    elements = [w for layer in enumerate_elements(d, max_length, cap, size_guard, _ids=ids)
+                for w in layer]
+    eng = _engine(d)
+    n, right = eng.n, eng.right
+    at = {e: i for i, e in enumerate(ids)}
+    # w_i t is one letter longer or shorter and the list is in length order,
+    # so t is a right descent exactly when w_i t is listed before w_i.
+    down = [[(t, j) for t in range(n) if (j := at.get(right[e * n + t], i)) < i]
+            for i, e in enumerate(ids)]
+    return elements, ids, down
 
 
 def longest_element(d: CoxeterDiagram, cap: int = DEFAULT_CAP) -> CoxeterElement:
@@ -601,14 +630,12 @@ def reflections(
         raise FiniteTypeRequiredError(
             "reflections on a non-finite-type diagram needs a ball bound"
         )
-    layers = enumerate_elements(d, ball, cap)
+    elements, ids, _ = _ball(d, ball, cap)
     eng.begin(cap, "reflections")
     out = set()
-    for layer in layers:
-        for el in layer:
-            e = eng.walk(0, el.word)
-            for s in range(n):
-                out.add(eng.walk(eng.times(e, s), reversed(el.word)))
+    for el, e in zip(elements, ids):
+        for s in range(n):
+            out.add(eng.walk(eng.times(e, s), reversed(el.word)))
     return {eng.element(e) for e in out}
 
 

@@ -288,24 +288,18 @@ def coxeter_chamber_system(
 
     Representatives come from one table per generator s, filled in length
     order: w is its own representative unless it has a right descent t != s,
-    and then it shares the representative of w t.  The enumeration has
-    already linked every element of the ball to its descents, which lie in
-    the ball, so the table creates no element and spends no root budget.
+    and then it shares the representative of w t.  The descents are read off
+    the enumeration (`coxeter._ball`), so the table creates no element and
+    spends no root budget.
     """
     if d.rank < 2:
         raise DiagramError("chamber system needs rank >= 2 (chambers must be simplices)")
-    elements = [w for layer in coxeter.enumerate_elements(d, ball, cap) for w in layer]
-    eng = coxeter._engine(d)
-    n, right = eng.n, eng.right
-    ids = [eng.walk(0, w.word) for w in elements]  # table lookups: the enumeration linked them
-    at = {e: i for i, e in enumerate(ids)}
+    elements, _, down = coxeter._ball(d, ball, cap)
+    n = d.rank
     rep = [list(range(len(elements))) for _ in range(n)]  # rep[s][i]: w_i W_(S-s)
-    for i, e in enumerate(ids):
-        # w_i t is one letter longer or shorter, and the list is in length
-        # order, so t is a right descent exactly when w_i t comes before w_i.
-        down = [(t, j) for t in range(n) if (j := at.get(right[e * n + t], i)) < i]
+    for i, descents in enumerate(down):
         for s in range(n):
-            rep[s][i] = rep[s][next((j for t, j in down if t != s), i)]
+            rep[s][i] = rep[s][next((j for t, j in descents if t != s), i)]
     names = ["".join(w.word) or "e" for w in elements]
     cosets = {(s, j) for k, s in enumerate(d.vertices) for j in rep[k]}
     joined = len({(s, names[i]) for s, i in cosets}) == len(cosets)

@@ -32,7 +32,7 @@ def _sort_key(d, elem):
 
 
 def salvetti_poset(d, ball="all", cap=DEFAULT_CAP) -> Poset:
-    elements_w = _w_elements(d, ball, cap)
+    elements_w = _w_elements(d, ball, cap)[0]
     elems = [(u, frozenset(T)) for u in elements_w for T in _sf_sorted(d)]
     elems.sort(key=lambda e: _sort_key(d, e))
     labels = [f"({''.join(u.word) or 'e'},{_set_label(d, T)})" for u, T in elems]
@@ -55,7 +55,7 @@ def salvetti_poset(d, ball="all", cap=DEFAULT_CAP) -> Poset:
 
 
 def davis_poset(d, ball="all", cap=DEFAULT_CAP) -> Poset:
-    elements_w = _w_elements(d, ball, cap)
+    elements_w = _w_elements(d, ball, cap)[0]
     elems = list(dict.fromkeys(
         (coxeter.t_minimal_representative(d, w, T, cap), frozenset(T))
         for T in _sf_sorted(d)

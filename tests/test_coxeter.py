@@ -269,6 +269,26 @@ def test_enumerate_size_guard():
         coxeter.enumerate_elements(preset("Atilde2"), 6, size_guard=10)
 
 
+def test_ball_reads_descents_off_the_enumeration(rng):
+    diagrams = [(preset(name), "all") for name in ("A3", "B3", "H3")]
+    diagrams += [(preset("Atilde2"), 3)] + [(random_diagram(rng, 4), 2) for _ in range(6)]
+    for d, ball in diagrams:
+        coxeter._engine.cache_clear()
+        coxeter.enumerate_elements(d, ball)
+        created = len(coxeter._engine(d).sig)
+        coxeter._engine.cache_clear()
+        elements, ids, down = coxeter._ball(d, ball, 10**6)
+        eng = coxeter._engine(d)
+        assert len(eng.sig) == created  # the descents come from edges already set
+        assert elements == [w for layer in coxeter.enumerate_elements(d, ball) for w in layer]
+        assert [eng.element(e) for e in ids] == elements
+        for w, descents in zip(elements, down):
+            assert [(d.vertices[t], elements[j]) for t, j in descents] == [
+                (s, ws) for s in d.vertices
+                if (ws := coxeter.normalize(d, w.word + (s,))).length < w.length
+            ]
+
+
 def test_closure_cap():
     # fresh vertex names: the per-diagram rewriter memoizes closures, and a
     # cache hit legitimately bypasses the work cap

@@ -2,15 +2,17 @@
 end-to-end metrics as a BENCH_*.json file.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \
-        --workload coxeter-enum --seeds 1301-1311 --seconds 24 --out BENCH_13.json
+        --workload coxeter-enum --seeds 1301-1311 --out BENCH_13.json
 
 Each seed gives one pair: both checkouts run `artinbench/run.py` with that
-seed, in turn, the side that goes first alternating from pair to pair so a
-drift in host speed falls on both.  For every end-to-end metric the file
-keeps each side's per-pair values, median and quartiles (the `inclusive`
-method of `statistics.quantiles`), and the number of pairs the change won,
-"better" taken from BENCHMARK.json.  Workloads already in `--out` are kept,
-so one file collects several invocations.
+seed for the `run_seconds` of the change's BENCHMARK.json, in turn, the side
+that goes first alternating from pair to pair so a drift in host speed falls
+on both.  For every end-to-end metric the file keeps each side's per-pair
+values, median and quartiles (the `inclusive` method of
+`statistics.quantiles`), and the number of pairs the change won, "better"
+taken from BENCHMARK.json.  The parent must be a git checkout; the file
+records its short commit id.  Workloads already in `--out` are kept, so one
+file collects several invocations against one parent.
 """
 
 from __future__ import annotations
@@ -37,9 +39,12 @@ def _run(root: str, workload: str, seed: int, seconds: float) -> dict:
          "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True, check=False,
     )
+    failed = f"{root}: {workload} seed {seed} failed"
+    if proc.returncode or not proc.stdout.strip():
+        raise SystemExit(f"{failed} (exit {proc.returncode}): {proc.stderr[-2000:]}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    if proc.returncode or not result["correct"]:
-        raise SystemExit(f"{root}: {workload} seed {seed} failed: {proc.stderr[-2000:]}")
+    if not result["correct"]:
+        raise SystemExit(f"{failed}: incorrect result\n{proc.stderr[-2000:]}")
     return result
 
 
@@ -52,23 +57,24 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, help="checkout of the change")
-    ap.add_argument("--parent-label", default="parent")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, help="e.g. 1301-1310 or 5,9,12")
-    ap.add_argument("--seconds", type=float, default=24)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
 
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
+    parent = subprocess.run(["git", "-C", args.parent, "rev-parse", "--short", "HEAD"],
+                            capture_output=True, text=True, check=True).stdout.strip()
     seeds = _seeds(args.seeds)
     runs = {"parent": [], "change": []}
     failed = {"parent": 0, "change": 0}
     for k, seed in enumerate(seeds):
         sides = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in sides:
-            result = _run(getattr(args, side), args.workload, seed, args.seconds)
+            result = _run(getattr(args, side), args.workload, seed, seconds)
             failed[side] += result["failed"]
             runs[side].append({m: v["value"] for m, v in result["metrics"].items()})
         print(f"{args.workload} seed {seed}: " + ", ".join(
@@ -82,14 +88,15 @@ def main(argv=None) -> int:
         wins = sum((b > a) if direction == "higher" else (b < a) for a, b in zip(old, new))
         metrics[m] = {"better": direction, "parent": _summary(old), "change": _summary(new),
                       "change_wins": wins}
-    record = {"pairs": len(seeds), "seeds": seeds, "seconds": args.seconds,
+    record = {"pairs": len(seeds), "seeds": seeds, "seconds": seconds,
               "failed_ops": failed, "metrics": metrics}
 
     doc = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             doc = json.load(fh)
-    doc.setdefault("parent", args.parent_label)
+    if doc.setdefault("parent", parent) != parent:
+        raise SystemExit(f"{args.out} holds runs against {doc['parent']}, not {parent}")
     doc.setdefault("workloads", {})[args.workload] = record
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
