@@ -142,10 +142,13 @@ class SimplicialComplex:
 
     @staticmethod
     def _from_facets(facets) -> "SimplicialComplex":
-        """The complex of pairwise incomparable nonempty frozensets."""
-        uniq = sorted(facets, key=lambda f: (len(f), sorted(map(repr, f))))
-        verts = sorted({v for f in uniq for v in f}, key=repr)
-        return SimplicialComplex(tuple(verts), tuple(uniq))
+        """The complex of pairwise incomparable nonempty frozensets, facets
+        sorted by size, then by their vertices' ranks in repr order."""
+        facets = list(facets)
+        verts = sorted({v for f in facets for v in f}, key=repr)
+        rank = {v: i for i, v in enumerate(verts)}
+        facets.sort(key=lambda f: (len(f), sorted(map(rank.__getitem__, f))))
+        return SimplicialComplex(tuple(verts), tuple(facets))
 
     @property
     def dimension(self) -> int:
@@ -174,10 +177,7 @@ class SimplicialComplex:
 
     def to_json_obj(self) -> dict:
         index = {v: i for i, v in enumerate(self.vertices)}
-        facets = sorted(
-            (sorted(f, key=index.__getitem__) for f in self.facets),
-            key=lambda f: (len(f), [index[v] for v in f]),
-        )
+        facets = [sorted(f, key=index.__getitem__) for f in self.facets]
         return {
             "vertices": [repr(v) if not isinstance(v, str) else v for v in self.vertices],
             "facets": [[repr(v) if not isinstance(v, str) else v for v in f] for f in facets],
@@ -408,28 +408,6 @@ def _w_elements(d: CoxeterDiagram, ball, cap: int):
         raise CapExceededError("poset size", DEFAULT_POSET_GUARD) from None
 
 
-def _parabolic(eng, R, reach) -> list[tuple[int, int, int, frozenset]]:
-    """W_R by breadth-first search in the engine, R a finite-type subset, up
-    to length `reach`: per element x, in order of length, the index of a
-    shorter element x s^-1 (-1 for the identity), the generator s, the length
-    of x, and its right descents, read off the level above, so all exact.
-    """
-    letters = [eng.key[t] for t in eng.names if t in R]
-    order, depth, steps, descents = [0], {0: 0}, [(-1, -1)], []
-    for i, x in enumerate(order):
-        down = set()
-        for s in letters:
-            y = eng.times(x, s)
-            if depth.get(y, math.inf) < depth[x]:
-                down.add(eng.names[s])
-            elif y not in depth and depth[x] < reach:
-                depth[y] = depth[x] + 1
-                order.append(y)
-                steps.append((i, s))
-        descents.append(frozenset(down))
-    return [step + (depth[x], D) for step, x, D in zip(steps, order, descents)]
-
-
 def _subsets(A: frozenset) -> list[frozenset]:
     """Every subset of A, by size, so A itself comes last."""
     return [frozenset(c) for k in range(len(A) + 1) for c in itertools.combinations(A, k)]
@@ -449,7 +427,7 @@ def _cell_poset(d: CoxeterDiagram, ball, cap: int, minimal: bool):
     in_ball = set(ball_ids)
     # v and v x in a ball of radius r need l(x) <= r + l(v) <= 2r, and
     # l(x) <= r - l(v) if v is R-minimal, for then l(v x) = l(v) + l(x).
-    radius = math.inf if ball == "all" else int(ball)
+    radius = math.inf if ball == "all" else ball
     walks = {}  # R -> W_R walk, built in `below`, so only past the poset guard
     subsets: dict[frozenset, list[frozenset]] = {}
 
@@ -460,23 +438,26 @@ def _cell_poset(d: CoxeterDiagram, ball, cap: int, minimal: bool):
         v, R = y
         reach = radius - len(v.word) if minimal else radius + len(v.word)
         if R not in walks:
-            walks[R] = _parabolic(eng, R, radius if minimal else 2 * radius)
+            letters = [eng.key[t] for t in eng.names if t in R]
+            walk = coxeter._walk(eng, letters, radius if minimal else 2 * radius, math.inf)
+            # per x in W_R: its length, its parent step, and R minus its right descents
+            walks[R] = [(k, step, R.difference(eng.names[t] for t, _ in descents))
+                        for _, k, step, descents in zip(*walk)]
         at = []
-        for parent, s, depth, descents in walks[R]:
-            if depth > reach:
+        for length, (parent, s), free in walks[R]:
+            if length > reach:
                 break
             e = ids[v] if parent < 0 else eng.times(at[parent], s)
             at.append(e)
             if e in in_ball:
                 u = eng.element(e)
-                free = R - descents
                 if free not in subsets:
                     subsets[free] = _subsets(free)
                 for T in subsets[free]:
                     if parent >= 0 or T != R:
                         yield u, T
 
-    meta = (("complex", kind), ("ball", "all" if ball == "all" else int(ball)))
+    meta = (("complex", kind), ("ball", ball))
     return _poset(cells, lambda c: label.format("".join(c[0].word) or "e", _set_label(d, c[1])),
                   below, meta)
 

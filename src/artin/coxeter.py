@@ -31,7 +31,11 @@ therefore part of the normal-form contract.  It is read off by taking the
 smallest left descent first (Casselman, Electron. J. Combin. 9, 2002).  One
 engine per diagram interns roots and elements as small integers and fills
 the action tables and Cayley-graph edges lazily, so a repeated normalize is
-one table step per letter plus a memo lookup.  The ``cap`` argument of every
+one table step per letter plus a memo lookup.  One breadth-first walk lists
+W, its balls and its parabolic subgroups W_R in ShortLex order, for the
+enumeration, the reflections, the chamber system and the cell posets: each
+normal form is its parent's plus one letter, and t is a right descent of w
+exactly when the walk lists w t first.  The ``cap`` argument of every
 function here bounds the new roots one call may create, counted in nonzero
 integer coefficients: a root over Z costs its number of nonzero
 coordinates, and a root over Z[zeta] the number of basis terms of all its
@@ -504,85 +508,81 @@ def invert(a: CoxeterElement, cap: int = DEFAULT_CAP) -> CoxeterElement:
     return normalize(a.diagram, a.word[::-1], cap)
 
 
-def enumerate_elements(
-    d: CoxeterDiagram,
-    max_length="all",
-    cap: int = DEFAULT_CAP,
-    size_guard: int = DEFAULT_SIZE_GUARD,
-    *,
-    _ids: list[int] | None = None,
-) -> list[list[CoxeterElement]]:
-    """BFS ball of the group, grouped by length (layer index = length), each
-    layer in ShortLex order.
+def _walk(eng: _Engine, letters, limit, size_guard) -> tuple[list, list, list, list]:
+    """W_R up to length `limit` (math.inf for all of it), R the generator
+    indices `letters`, in ShortLex order: per element w its engine id, its
+    length, its parent step (i, s) with w = w_i s ((-1, -1) for the identity)
+    and its right descents, (t, j) for each t in R with w t = w_j.  Fills `nf`.
 
-    max_length="all" walks the whole group and requires finite type.
-    `_ids`, if given, receives the engine id of each element in that order
-    (for `_ball`).
+    Scanning each layer in order and the letters in vertex order, the first
+    path to reach an element is its ShortLex-least word.  w t is one letter
+    longer or shorter, so t is a right descent exactly when w t is listed
+    before w (Bjorner-Brenti, Combinatorics of Coxeter Groups, 3.4).  Edges
+    leaving the last layer are only read: the walk set those to shorter
+    neighbours when it stepped from them.
     """
+    n, names, nf, right = eng.n, eng.names, eng.nf, eng.right
+    ids, lengths, steps, down = [0], [0], [(-1, -1)], []
+    at = {0: 0}
+    for i, e in enumerate(ids):
+        k, w, descents = lengths[i], nf[e], []
+        for s in letters:
+            f = right[e * n + s]
+            if f < 0 and k < limit:
+                f = eng.times(e, s)
+            j = at.get(f)
+            if j is not None:
+                if j < i:
+                    descents.append((s, j))
+            elif k < limit:
+                if len(ids) >= size_guard:
+                    raise CapExceededError("element enumeration", size_guard)
+                at[f] = len(ids)
+                ids.append(f)
+                lengths.append(k + 1)
+                steps.append((i, s))
+                if nf[f] is None:
+                    nf[f] = w + (names[s],)
+        down.append(descents)
+    return ids, lengths, steps, down
+
+
+def _ball(
+    d: CoxeterDiagram, max_length, cap: int, size_guard: int = DEFAULT_SIZE_GUARD
+) -> tuple[list[CoxeterElement], list[int], list[list[tuple[int, int]]]]:
+    """The ball of W up to `max_length` ("all" for all of finite W): the
+    elements of `_walk` in its order, their engine ids and their right
+    descents, down[i] holding (t, j) for each t with w_i t = w_j shorter."""
     eng = _engine(d)
     if max_length == "all":
         if not eng.finite:
             raise FiniteTypeRequiredError(
                 "enumerate_elements(max_length='all') needs a finite-type diagram"
             )
-        limit = None
-    else:
-        limit = int(max_length)
-        if limit < 0:
-            raise ValueError(f"max_length must be >= 0, got {limit}")
+    elif isinstance(max_length, bool) or not isinstance(max_length, int):
+        raise ValueError(f"max_length must be 'all' or an integer, got {max_length!r}")
+    elif max_length < 0:
+        raise ValueError(f"max_length must be >= 0, got {max_length}")
     eng.begin(cap, "enumerate_elements")
-    n, names, nf, right = eng.n, eng.names, eng.nf, eng.right
-    layer = [0]
-    layers = [[eng.element(0)]]
-    seen = {0}
-    if _ids is not None:
-        _ids.append(0)
-    while limit is None or len(layers) <= limit:
-        # By parity an unseen neighbour of length k is one letter longer.
-        # Scanning the layer in ShortLex order and the letters in vertex
-        # order, the first path to reach it is its ShortLex-least word.
-        nxt = []
-        for e in layer:
-            w = nf[e]
-            for s in range(n):
-                f = right[e * n + s]
-                if f < 0:
-                    f = eng.times(e, s)
-                if f not in seen:
-                    seen.add(f)
-                    if len(seen) > size_guard:
-                        raise CapExceededError("element enumeration", size_guard)
-                    if nf[f] is None:
-                        nf[f] = w + (names[s],)
-                    nxt.append(f)
-        if not nxt:
-            break
-        layers.append([eng.element(e) for e in nxt])
-        if _ids is not None:
-            _ids.extend(nxt)
-        layer = nxt
-    return layers
+    limit = math.inf if max_length == "all" else max_length
+    ids, _, _, down = _walk(eng, range(eng.n), limit, size_guard)
+    return [eng.element(e) for e in ids], ids, down
 
 
-def _ball(
-    d: CoxeterDiagram, max_length, cap: int, size_guard: int = DEFAULT_SIZE_GUARD
-) -> tuple[list[CoxeterElement], list[int], list[list[tuple[int, int]]]]:
-    """The elements of `enumerate_elements` in its order, their engine ids,
-    and their right descents: down[i] holds (t, j) for each generator index
-    t with w_i t = w_j one letter shorter.  Each element of length k + 1 was
-    reached from all its neighbours of length k, so the enumeration has set
-    those Cayley edges and reading them creates nothing."""
-    ids: list[int] = []
-    elements = [w for layer in enumerate_elements(d, max_length, cap, size_guard, _ids=ids)
-                for w in layer]
-    eng = _engine(d)
-    n, right = eng.n, eng.right
-    at = {e: i for i, e in enumerate(ids)}
-    # w_i t is one letter longer or shorter and the list is in length order,
-    # so t is a right descent exactly when w_i t is listed before w_i.
-    down = [[(t, j) for t in range(n) if (j := at.get(right[e * n + t], i)) < i]
-            for i, e in enumerate(ids)]
-    return elements, ids, down
+def enumerate_elements(
+    d: CoxeterDiagram,
+    max_length="all",
+    cap: int = DEFAULT_CAP,
+    size_guard: int = DEFAULT_SIZE_GUARD,
+) -> list[list[CoxeterElement]]:
+    """BFS ball of the group, grouped by length (layer index = length), each
+    layer in ShortLex order.
+
+    max_length is "all", which walks the whole group and requires finite
+    type, or an integer >= 0.
+    """
+    elements = _ball(d, max_length, cap, size_guard)[0]
+    return [list(layer) for _, layer in itertools.groupby(elements, key=lambda w: w.length)]
 
 
 def longest_element(d: CoxeterDiagram, cap: int = DEFAULT_CAP) -> CoxeterElement:
@@ -643,6 +643,8 @@ def t_minimal_representative(
     d: CoxeterDiagram, w: CoxeterElement, T, cap: int = DEFAULT_CAP
 ) -> CoxeterElement:
     """Shortest element of the coset w W_T, by greedy right descent in T."""
+    if w.diagram is not d and w.diagram != d:  # dataclass == compares every edge
+        raise DiagramError("element belongs to a different diagram")
     unknown = set(T) - set(d.vertices)
     if unknown:
         raise DiagramError(f"unknown generators {sorted(unknown)}")

@@ -142,16 +142,19 @@ def test_davis_poset_finds_no_coset_representative(monkeypatch):
 def test_cell_posets_walk_w_r_only_as_far_as_the_ball():
     # W(E6) has 51,840 elements and W(E8) 696,729,600.  A cell (v, R) in a
     # ball of radius r lies over v x with x in W_R only if l(x) <= 2r, so the
-    # radius-1 posets bring the engine at most the elements of length 3 or
-    # less: 77 in E6 and 155 in E8.  E6 comes first, where a full walk fails fast.
-    for d, seen in ((preset("E6"), 77), (preset("E8"), 155)):
+    # radius-1 Salvetti poset creates at most the elements of length 1 to 3:
+    # 76 in E6 and 155 in E8.  A Davis cell needs l(v) + l(x) <= r, and the
+    # walks only read the edges leaving their last layer, so the radius-1
+    # Davis poset creates the generators and nothing else.  E6 comes first,
+    # where a full walk fails fast.
+    for d, seen in ((preset("E6"), 76), (preset("E8"), 155)):
         n = len(d.vertices)
+        coxeter._engine.cache_clear()
         eng = coxeter._engine(d)
-        before = len(eng.sig)
         assert len(davis_poset(d, 1)) == 2**n + n * 2 ** (n - 1)
+        assert len(eng.sig) - 1 == n
         assert len(salvetti_poset(d, 1)) == (n + 1) * 2**n
-        assert len(eng.sig) - before <= seen
-
+        assert len(eng.sig) - 1 <= seen
 
 
 def test_cell_posets_stop_at_the_poset_guard():
@@ -278,6 +281,46 @@ def test_from_faces_matches_the_pairwise_definition(rng):
         nonempty = [f for f in faces if f]
         maximal = {f for f in nonempty if not any(f < g for g in nonempty)}
         assert set(SimplicialComplex.from_faces(faces).facets) == maximal
+
+
+def _json_in_repr_order(c):
+    """The JSON of `c` with vertices sorted by repr, each facet's vertices
+    too, and the facets by size, then by their sorted vertex reprs."""
+    def name(v):
+        return v if isinstance(v, str) else repr(v)
+
+    facets = sorted((sorted(f, key=repr) for f in c.facets),
+                    key=lambda f: (len(f), list(map(repr, f))))
+    return {"vertices": [name(v) for v in sorted(c.vertices, key=repr)],
+            "facets": [[name(v) for v in f] for f in facets],
+            "f_vector": list(c.f_vector())}
+
+
+def test_facets_are_stored_in_the_order_their_json_lists_them(rng):
+    c = SimplicialComplex.from_faces(
+        [(3, "b", (1,)), ("a", 10), (2, 3), ("b", (1,), "a"), (10, 2), ("c",)]
+    )
+    assert c.to_json_obj() == {
+        "vertices": ["a", "b", "c", "(1,)", "10", "2", "3"],
+        "facets": [["c"], ["a", "10"], ["10", "2"], ["2", "3"], ["a", "b", "(1,)"],
+                   ["b", "(1,)", "3"]],
+        "f_vector": [7, 8, 2],
+    }
+    complexes_ = [
+        order_complex(build(d, ball))
+        for d, ball in ((preset("A3"), "all"), (preset("B3"), "all"),
+                        (preset("I2(5)"), "all"), (preset("Atilde2"), 2))
+        for build in (salvetti_poset, davis_poset)
+    ]
+    complexes_ += [deligne_fundamental_domain(preset(name))[1]
+                   for name in ("A3", "B3", "I2(5)", "Atilde2")]
+    pool = list(range(8)) + list("abcdefgh") + [(i,) for i in range(4)] + [("a", 1), 2.5]
+    for _ in range(300):
+        complexes_.append(SimplicialComplex.from_faces(
+            rng.sample(pool, rng.randint(1, 4)) for _ in range(rng.randint(1, 10))
+        ))
+    for c in complexes_:
+        assert c.to_json_obj() == _json_in_repr_order(c)
 
 
 # ---------------------------------------------------------------- homology oracles

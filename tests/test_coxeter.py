@@ -1,6 +1,7 @@
 """Coxeter word problem against independent permutation-model oracles."""
 
 import itertools
+import math
 import time
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from artin import coxeter
 from artin.coxeter import _Cyclotomic, _prime_powers
-from artin.diagram import INF, CoxeterDiagram, preset
+from artin.diagram import INF, CoxeterDiagram, finite_type_subsets, preset
 from artin.errors import (
     CapExceededError,
     DiagramError,
@@ -264,6 +265,17 @@ def test_enumerate_all_requires_finite_type():
         coxeter.enumerate_elements(preset("Atilde2"), "all")
 
 
+@pytest.mark.parametrize("radius", [2.7, 2.0, True, "2", None, -1])
+def test_enumerate_takes_all_or_a_natural_radius(radius):
+    # int() would truncate 2.7 to 2 and read True as 1
+    d = preset("Atilde2")
+    with pytest.raises(ValueError, match="max_length must be"):
+        coxeter.enumerate_elements(d, radius)
+    with pytest.raises(ValueError, match="max_length must be"):
+        coxeter._ball(d, radius, 10**6)
+    assert [len(layer) for layer in coxeter.enumerate_elements(d, 0)] == [1]
+
+
 def test_enumerate_size_guard():
     with pytest.raises(CapExceededError):
         coxeter.enumerate_elements(preset("Atilde2"), 6, size_guard=10)
@@ -286,6 +298,18 @@ def test_ball_reads_descents_off_the_enumeration(rng):
             assert [(d.vertices[t], elements[j]) for t, j in descents] == [
                 (s, ws) for s in d.vertices
                 if (ws := coxeter.normalize(d, w.word + (s,))).length < w.length
+            ]
+        # The walk of each finite parabolic subgroup W_R in W's engine lists
+        # the ball of the subdiagram R: same words, lengths and descents.
+        for R in filter(None, finite_type_subsets(d)):
+            sub = d.subdiagram(R)
+            letters = [s for s, x in enumerate(d.vertices) if x in R]
+            ids, lengths, _, down = coxeter._walk(eng, letters, math.inf, 10**6)
+            sub_elements, _, sub_down = coxeter._ball(sub, "all", 10**6)
+            assert [eng.element(e).word for e in ids] == [w.word for w in sub_elements]
+            assert lengths == [w.length for w in sub_elements]
+            assert [[(d.vertices[t], j) for t, j in D] for D in down] == [
+                [(sub.vertices[t], j) for t, j in D] for D in sub_down
             ]
 
 
@@ -394,6 +418,13 @@ def test_t_minimal_representative_brute_force(name):
             assert rep.length == min(x.length for x in coset)
             assert rep.length < min((x.length for x in coset if x != rep),
                                     default=rep.length + 1)
+
+
+def test_tmin_rejects_an_element_of_another_diagram():
+    # B3's s t u t has the letters of A3 but is another group's element
+    w = coxeter.normalize(preset("B3"), ("s", "t", "u", "t"))
+    with pytest.raises(DiagramError, match="element belongs to a different diagram"):
+        coxeter.t_minimal_representative(preset("A3"), w, ("t",))
 
 
 def test_tmin_of_coset_representative_is_fixed_point():

@@ -26,10 +26,19 @@ import sys
 
 
 def _seeds(text: str) -> list[int]:
+    """The seeds of "1301-1310" or "5,9,12": at least two, for the quartiles,
+    each once, and no range reversed."""
     out = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        out.extend(range(int(lo), int(hi or lo) + 1))
+        lo, hi = int(lo), int(hi or lo)
+        if hi < lo:
+            raise argparse.ArgumentTypeError(f"reversed seed range {part}")
+        out.extend(range(lo, hi + 1))
+    if len(set(out)) < len(out):
+        raise argparse.ArgumentTypeError(f"a seed repeats in {text}")
+    if len(out) < 2:
+        raise argparse.ArgumentTypeError(f"{text} gives {len(out)} seed(s); quartiles need two")
     return out
 
 
@@ -58,7 +67,7 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, help="checkout of the change")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--seeds", required=True, help="e.g. 1301-1310 or 5,9,12")
+    ap.add_argument("--seeds", required=True, type=_seeds, help="e.g. 1301-1310 or 5,9,12")
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
 
@@ -68,7 +77,7 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     parent = subprocess.run(["git", "-C", args.parent, "rev-parse", "--short", "HEAD"],
                             capture_output=True, text=True, check=True).stdout.strip()
-    seeds = _seeds(args.seeds)
+    seeds = args.seeds
     runs = {"parent": [], "change": []}
     failed = {"parent": 0, "change": 0}
     for k, seed in enumerate(seeds):
