@@ -421,8 +421,9 @@ def test_t_minimal_representative_brute_force(name):
 
 
 def test_tmin_rejects_an_element_of_another_diagram():
-    # B3's s t u t has the letters of A3 but is another group's element
-    w = coxeter.normalize(preset("B3"), ("s", "t", "u", "t"))
+    # B3's s t s is minimal in its coset s t s W_{t}; in A3, s t s = t s t and
+    # the minimum would be t s
+    w = coxeter.normalize(preset("B3"), ("s", "t", "s"))
     with pytest.raises(DiagramError, match="element belongs to a different diagram"):
         coxeter.t_minimal_representative(preset("A3"), w, ("t",))
 
