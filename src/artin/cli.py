@@ -17,7 +17,7 @@ import sys
 
 from . import diagram
 from .diagram import INF, classify_taxonomy, is_finite_type, preset
-from .errors import DEFAULT_CAP, ArtinError
+from .errors import DEFAULT_CAP, ArtinError, CapExceededError
 
 FORMAT_VERSION = 1
 
@@ -288,7 +288,7 @@ def _cmd_lcm(d, args):
 def _cmd_delta(d, args):
     from . import monoid
 
-    T = _split_subset(args.t) if args.t else d.vertices
+    T = d.vertices if args.t is None else _split_subset(args.t)
     el = monoid.garside_element(d, T, args.cap)
     return {"word": list(el.word), "length": el.length}, _word_str(el.word), None
 
@@ -369,22 +369,12 @@ def _cmd_project(d, args):
     return obj, _word_str(w.word), None
 
 
-def _poset_output(p):
-    obj = p.to_json_obj()
+def _cmd_cell_poset(d, args):
+    from . import complexes
+
+    p = getattr(complexes, f"{args.command}_poset")(d, _ball(args), args.cap)
     text = f"{len(p)} elements, {len(p.covers())} cover relations"
-    return obj, text, p.to_dot()
-
-
-def _cmd_salvetti(d, args):
-    from . import complexes
-
-    return _poset_output(complexes.salvetti_poset(d, _ball(args), args.cap))
-
-
-def _cmd_davis(d, args):
-    from . import complexes
-
-    return _poset_output(complexes.davis_poset(d, _ball(args), args.cap))
+    return p.to_json_obj(), text, p.to_dot()
 
 
 def _cmd_deligne_fd(d, args):
@@ -392,7 +382,7 @@ def _cmd_deligne_fd(d, args):
 
     p, c = complexes.deligne_fundamental_domain(d)
     obj = {"poset": p.to_json_obj(), "complex": c.to_json_obj()}
-    text = f"{len(p)} elements, order complex f-vector {list(c.f_vector())}"
+    text = f"{len(p)} elements, order complex f-vector {obj['complex']['f_vector']}"
     return obj, text, p.to_dot("deligne_fd")
 
 
@@ -402,15 +392,17 @@ def _cmd_homology(d, args):
     if args.complex == "deligne-fd":
         c = complexes.deligne_fundamental_domain(d)[1]
     else:
-        poset = getattr(complexes, f"{args.complex}_poset")
-        c = complexes.order_complex(poset(d, _ball(args), args.cap))
+        p = getattr(complexes, f"{args.complex}_poset")(d, _ball(args), args.cap)
+        # every maximal chain is a facet: count them before order_complex lists them
+        if p._count_maximal_chains() > complexes.DEFAULT_FACE_GUARD:
+            raise CapExceededError("homology face count", complexes.DEFAULT_FACE_GUARD)
+        c = complexes.order_complex(p)
     h = complexes.homology(c)
     obj = {
         "complex": args.complex,
         **h.to_json_obj(),
         # Euler-Poincare: the alternating sum of the Betti numbers
         "euler": sum((-1) ** k * b for k, b in enumerate(h.betti)),
-        "pretty": h.pretty(),
     }
     return obj, h.pretty(), None
 
@@ -510,8 +502,8 @@ _DIAGRAM_CMDS = {
     "fraction": (_cmd_fraction, {"word": True}),
     "section": (_cmd_section, {"word": True}),
     "project": (_cmd_project, {"word": True}),
-    "salvetti": (_cmd_salvetti, {"ball_opt": True, "dot": True}),
-    "davis": (_cmd_davis, {"ball_opt": True, "dot": True}),
+    "salvetti": (_cmd_cell_poset, {"ball_opt": True, "dot": True}),
+    "davis": (_cmd_cell_poset, {"ball_opt": True, "dot": True}),
     "deligne-fd": (_cmd_deligne_fd, {"dot": True}),
     "homology": (_cmd_homology, {"complex": True, "ball_opt": True}),
     "quotient-cells": (_cmd_quotient_cells, {}),

@@ -6,12 +6,14 @@ fundamental-domain poset Sf under subset order.  Each is built from the
 lower sets of its elements, so the work grows with the relations, not with
 the square of the size.  The Davis cells w W_T are the Salvetti cells
 (w, T) with w T-minimal, under the Salvetti order, so one builder lists
-both posets, already in order, without a sort.  Order complexes realize
-posets simplicially, with the maximal chains as facets.  Homology is
-computed over Z: coreduction first removes cells in pairs that do not
-change it, then a sparse Smith normal form with arbitrary-precision
-integers runs on what is left, so every Betti number and torsion
-coefficient is exact.
+both posets, already in order, without a sort.  A poset keeps one cover
+table, built when it is checked, and its covers, its maximal chains (walked
+on the table in lexicographic order), its dot output and its order complex
+all read that table.  Order complexes realize posets simplicially, with the
+maximal chains as facets.  Homology is computed over Z: coreduction
+first removes cells in pairs that do not change it, then a sparse Smith
+normal form with arbitrary-precision integers runs on what is left, so
+every Betti number and torsion coefficient is exact.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ DEFAULT_FACE_GUARD = 200_000
 @dataclass(frozen=True)
 class Poset:
     """Finite poset: opaque element labels plus the strict order as index
-    pairs (i, j) meaning elements[i] < elements[j]."""
+    pairs (i, j) meaning elements[i] < elements[j].  Construction checks the
+    order and keeps the one cover table that `covers` and `maximal_chains` read."""
 
     elements: tuple
     labels: tuple[str, ...]
@@ -41,54 +44,57 @@ class Poset:
     metadata: tuple = ()
 
     def __post_init__(self):
-        above: dict[int, set[int]] = {}
+        above: dict[int, set[int]] = {i: set() for i in range(len(self.elements))}
         for i, j in self.less:
-            above.setdefault(i, set()).add(j)
-        if any((j, i) in self.less for i, j in self.less):
-            raise ValueError("order relation is not antisymmetric")
-        if any(not above.get(j, set()) <= above[i] for i, j in self.less):
-            raise ValueError("order relation is not transitive")
+            if i not in above or j not in above:
+                raise ValueError(f"order relation pair {(i, j)} is not two element indices")
+            above[i].add(j)
+        up = []
+        for i, ups in above.items():
+            beyond = set()  # what lies above something above i
+            for k in ups:
+                beyond |= above[k]
+            if i in beyond:  # i < k <= i for some k
+                raise ValueError("order relation is not antisymmetric")
+            if not beyond <= ups:
+                raise ValueError("order relation is not transitive")
+            up.append(sorted(ups - beyond))
+        object.__setattr__(self, "_up", up)
 
     def __len__(self):
         return len(self.elements)
 
     def covers(self) -> list[tuple[int, int]]:
-        """Hasse diagram edges: i < j with nothing strictly between, i.e. the
-        j above i that are not above some other k above i."""
-        above: dict[int, set[int]] = {}
-        for i, j in self.less:
-            above.setdefault(i, set()).add(j)
-        out = []
-        for i, ups in above.items():
-            cover = set(ups)
-            for k in ups:
-                cover.difference_update(above.get(k, ()))
-            out.extend((i, j) for j in cover)
-        return sorted(out)
+        """Hasse diagram edges: i < j with nothing strictly between, sorted."""
+        return [(i, j) for i, ups in enumerate(self._up) for j in ups]
 
     def maximal_chains(self) -> list[tuple[int, ...]]:
-        """All inclusion-maximal chains, as index tuples bottom to top."""
-        n = len(self.elements)
-        cov_up = {i: [] for i in range(n)}
-        for i, j in self.covers():
-            cov_up[i].append(j)
-        has_lower = {j for _, j in self.less}
-        minimals = [i for i in range(n) if i not in has_lower]
+        """All inclusion-maximal chains, as index tuples bottom to top, in
+        lexicographic order: the cover paths from a minimal to a maximal element."""
+        has_lower = {j for ups in self._up for j in ups}
+        stack = [(i,) for i in reversed(range(len(self))) if i not in has_lower]
         chains = []
-
-        def walk(path):
-            ups = cov_up[path[-1]]
-            if not ups:
-                chains.append(tuple(path))
-                return
-            for j in sorted(ups):
-                path.append(j)
-                walk(path)
-                path.pop()
-
-        for i in sorted(minimals):
-            walk([i])
+        while stack:
+            path = stack.pop()
+            if ups := self._up[path[-1]]:
+                stack.extend(path + (j,) for j in reversed(ups))
+            else:
+                chains.append(path)
         return chains
+
+    def _count_maximal_chains(self) -> int:
+        """len(self.maximal_chains()) without listing a chain: paths[i] is
+        the number of cover paths from i up to a maximal element."""
+        paths = [0] * len(self)
+        stack = list(range(len(self)))
+        while stack:
+            if todo := [j for j in self._up[stack[-1]] if not paths[j]]:
+                stack += todo
+            else:
+                i = stack.pop()
+                paths[i] = sum(paths[j] for j in self._up[i]) or 1
+        has_lower = {j for ups in self._up for j in ups}
+        return sum(n for i, n in enumerate(paths) if i not in has_lower)
 
     def to_json_obj(self) -> dict:
         return {

@@ -491,17 +491,18 @@ def lcm(
 
     side="left" gives the shortest c with a and b both left-dividing c
     (c = a*x); side="right" symmetrically (c = x*a).  The lcm is returned
-    when its length is at most max(l(a), length_bound).  For a finite-type
-    diagram the default bound (l(a)+l(b))*l(Delta) always contains it, so
-    None is impossible there; for other diagrams the bound defaults to
-    2*(l(a)+l(b)), and None means either that no common multiple exists or
-    that the lcm is longer than the bound.
+    when its length is at most max(l(a), length_bound), on every diagram.
+    For a finite-type diagram the default bound (l(a)+l(b))*l(Delta) always
+    contains it, so None is impossible there; for other diagrams the bound
+    defaults to 2*(l(a)+l(b)), and None means either that no common
+    multiple exists or that the lcm is longer than the bound.
     """
     _check_side(side)
     st = _begin(d, cap, "lcm")
     aw, bw = _word(st, a), _word(st, b)
     finite = st.eng.finite
-    if length_bound is None:
+    default_bound = length_bound is None
+    if default_bound:
         scale = st.info[st.w0()][3] if finite else 2
         length_bound = (len(aw) + len(bw)) * scale
     flip = side == "right"
@@ -509,7 +510,7 @@ def lcm(
         aw, bw = aw[::-1], bw[::-1]
     ext = st.reverse(aw, bw, max(len(aw), length_bound))
     if ext is None:
-        if finite:
+        if finite and default_bound:
             raise GarsideError(
                 f"lcm search exhausted its bound {length_bound} on a finite-type diagram"
             )

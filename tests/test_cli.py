@@ -513,6 +513,35 @@ def test_delta_rejects_unknown_generators(capsys):
     assert (code, out) == (0, "sts\n")
 
 
+def test_delta_takes_an_empty_t_as_the_empty_subset(capsys):
+    for t in ("", " ", ","):
+        code, out, _ = run(["delta", "--preset", "A2", "--t", t, "--format", "text"], capsys)
+        assert (code, out) == (0, "e\n"), t
+    code, out, _ = run(["delta", "--preset", "A2", "--format", "text"], capsys)
+    assert (code, out) == (0, "sts\n")
+
+
+def test_lcm_past_an_explicit_length_bound_is_null(capsys):
+    argv = ["lcm", "--preset", "A2", "--left", "s", "--right", "t"]
+    code, out, err = run([*argv, "--length-bound", "2"], capsys)
+    assert (code, json.loads(out), err) == (0, {"word": None}, "")
+    code, out, _ = run([*argv, "--length-bound", "3", "--format", "text"], capsys)
+    assert (code, out) == (0, "sts\n")
+
+
+@pytest.mark.parametrize("kind", ["davis", "salvetti"])
+def test_homology_counts_maximal_chains_before_listing_them(kind, capsys, monkeypatch):
+    # E8 at radius 1 has 362,880 Davis and 2,419,200 Salvetti maximal chains
+    from artin import complexes
+
+    def listing(p):
+        raise AssertionError("order_complex listed the maximal chains")
+
+    monkeypatch.setattr(complexes, "order_complex", listing)
+    code, out, err = run(["homology", "--preset", "E8", "--ball", "1", "--complex", kind], capsys)
+    assert (code, out, err) == (1, "", "error: homology face count exceeded cap 200000\n")
+
+
 def test_index_override_applies_to_a_diagram_source(capsys):
     code, out, err = run(
         ["shelling-check", "--preset", "A2", "--index", "0,0,0,0,0,0"], capsys

@@ -45,6 +45,12 @@ def test_poset_rejects_cycles():
             Poset(elements=(0, 1), labels=("a", "b"), less=frozenset(less))
 
 
+@pytest.mark.parametrize("pair", [(0, 5), (5, 0), (-1, 1), (0, 2)])
+def test_poset_rejects_indices_outside_its_elements(pair):
+    with pytest.raises(ValueError, match="not two element indices"):
+        Poset(elements=("a", "b"), labels=("a", "b"), less=frozenset({pair}))
+
+
 def test_covers_and_chains_on_a_diamond():
     # 0 < 1,2 < 3
     less = frozenset({(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)})
@@ -71,6 +77,41 @@ def test_covers_match_their_definition(rng):
             if not any((i, k) in p.less and (k, j) in p.less for k in range(len(p)))
         )
         assert p.covers() == expect
+
+
+def _brute_maximal_chains(p):
+    """Maximal chains from their definition on `less` alone: the sequences
+    from a minimal to a maximal element, each step i < j with no k between."""
+    n = len(p)
+    ups = {i: [j for j in range(n) if (i, j) in p.less
+               and not any((i, k) in p.less and (k, j) in p.less for k in range(n))]
+           for i in range(n)}
+    todo = [(i,) for i in range(n) if not any((j, i) in p.less for j in range(n))]
+    chains = []
+    while todo:
+        c = todo.pop()
+        if ups[c[-1]]:
+            todo.extend(c + (j,) for j in ups[c[-1]])
+        else:
+            chains.append(c)
+    return sorted(chains)
+
+
+def _chain_cases(rng):
+    posets = [_random_poset(rng, rng.randint(0, 14)) for _ in range(200)]
+    for d in (preset("A3"), preset("B3"), preset("Atilde2")):
+        posets += [salvetti_poset(d, 2), davis_poset(d, 2), deligne_fundamental_domain(d)[0]]
+    return posets
+
+
+def test_maximal_chains_are_listed_in_lexicographic_order(rng):
+    for p in _chain_cases(rng):
+        assert p.maximal_chains() == _brute_maximal_chains(p)
+
+
+def test_maximal_chains_are_counted_without_listing_them(rng):
+    for p in _chain_cases(rng):
+        assert p._count_maximal_chains() == len(_brute_maximal_chains(p))
 
 
 def test_order_complex_is_the_complex_of_maximal_chains(rng):

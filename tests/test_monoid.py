@@ -152,6 +152,14 @@ def test_lcm_infinite_pair_not_found():
     assert monoid.lcm(d, ("s",), ("s", "t"), "left").word == ("s", "t")
 
 
+def test_lcm_longer_than_an_explicit_bound_is_none_on_finite_type():
+    d = preset("A2")
+    for side in ("left", "right"):
+        assert monoid.lcm(d, ("s",), ("t",), side, length_bound=2) is None
+        assert monoid.lcm(d, ("s",), ("t",), side, length_bound=3).word == ("s", "t", "s")
+    assert monoid.lcm(preset("B3"), ("s",), ("u",), length_bound=1) is None
+
+
 # ---------------------------------------------------------------- Garside
 
 def test_garside_element_examples():

@@ -10,14 +10,17 @@ that goes first alternating from pair to pair so a drift in host speed falls
 on both.  For every end-to-end metric the file keeps each side's per-pair
 values, median and quartiles (the `inclusive` method of
 `statistics.quantiles`), and the number of pairs the change won, "better"
-taken from BENCHMARK.json.  The parent must be a git checkout; the file
-records its short commit id.  Workloads already in `--out` are kept, so one
-file collects several invocations against one parent.
+taken from BENCHMARK.json.  Both checkouts must be git checkouts: the file
+records the parent's short commit id, and each workload records the change's,
+with the first 8 hex digits of the sha256 of `git diff HEAD` when the change's
+tracked files differ from its commit.  Workloads already in `--out` are kept,
+so one file collects several invocations against one parent.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -57,6 +60,10 @@ def _run(root: str, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
+def _git(root: str, *args: str) -> bytes:
+    return subprocess.run(["git", "-C", root, *args], capture_output=True, check=True).stdout
+
+
 def _summary(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"values": values, "median": statistics.median(values), "q1": q1, "q3": q3}
@@ -75,8 +82,10 @@ def main(argv=None) -> int:
         spec = json.load(fh)
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
-    parent = subprocess.run(["git", "-C", args.parent, "rev-parse", "--short", "HEAD"],
-                            capture_output=True, text=True, check=True).stdout.strip()
+    parent = _git(args.parent, "rev-parse", "--short", "HEAD").decode().strip()
+    version = {"change_commit": _git(args.change, "rev-parse", "--short", "HEAD").decode().strip()}
+    if diff := _git(args.change, "diff", "HEAD"):
+        version["change_diff"] = hashlib.sha256(diff).hexdigest()[:8]
     seeds = args.seeds
     runs = {"parent": [], "change": []}
     failed = {"parent": 0, "change": 0}
@@ -97,7 +106,7 @@ def main(argv=None) -> int:
         wins = sum((b > a) if direction == "higher" else (b < a) for a, b in zip(old, new))
         metrics[m] = {"better": direction, "parent": _summary(old), "change": _summary(new),
                       "change_wins": wins}
-    record = {"pairs": len(seeds), "seeds": seeds, "seconds": seconds,
+    record = {"pairs": len(seeds), "seeds": seeds, "seconds": seconds, **version,
               "failed_ops": failed, "metrics": metrics}
 
     doc = {}
