@@ -34,9 +34,8 @@ DEFAULT_FACE_GUARD = 200_000
 
 @dataclass(frozen=True)
 class Poset:
-    """Finite poset: opaque element labels plus the strict order as index
-    pairs (i, j) meaning elements[i] < elements[j].  Construction checks the
-    order and keeps the one cover table that `covers` and `maximal_chains` read."""
+    """Finite poset: opaque element labels plus the strict order as index pairs
+    (i, j) meaning elements[i] < elements[j], checked once into a cover table."""
 
     elements: tuple
     labels: tuple[str, ...]
