@@ -1,6 +1,6 @@
 """Chamber systems of small reflection groups run through the union-of-
-chambers verifier: the length index always passes, and a deliberately
-scrambled index shows what a failure witness looks like."""
+chambers verifier, level by level: the length index always passes, and a
+deliberately scrambled index shows what a failure witness looks like."""
 
 import argparse
 import itertools
@@ -11,11 +11,12 @@ from artin.diagram import is_finite_type, parse_diagram
 
 def show(rep):
     print(f"  passed={rep.passed} conclusion={rep.conclusion}")
-    for tag, checks in (("A", rep.claim_a), ("B", rep.claim_b)):
-        bad = [c for c in checks if not c.ok]
-        print(f"  claim {tag}: {len(checks) - len(bad)}/{len(checks)} ok")
+    for lv in rep.levels:
+        print(f"  level {lv.level}: claim A {lv.claim_a_passed}/{lv.chambers} chambers, "
+              f"claim B {lv.claim_b_passed}/{lv.pairs} pairs")
+    for tag, bad in (("A", rep.claim_a), ("B", rep.claim_b)):
         if bad:
-            print(f"    first witness: {bad[0].witness}")
+            print(f"  claim {tag}: {len(bad)} failing, first witness: {bad[0].witness}")
 
 
 def main():

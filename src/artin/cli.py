@@ -390,14 +390,13 @@ def _cmd_homology(d, args):
     from . import complexes
 
     if args.complex == "deligne-fd":
-        c = complexes.deligne_fundamental_domain(d)[1]
+        p = complexes._deligne_poset(d)
     else:
         p = getattr(complexes, f"{args.complex}_poset")(d, _ball(args), args.cap)
-        # every maximal chain is a facet: count them before order_complex lists them
-        if p._count_maximal_chains() > complexes.DEFAULT_FACE_GUARD:
-            raise CapExceededError("homology face count", complexes.DEFAULT_FACE_GUARD)
-        c = complexes.order_complex(p)
-    h = complexes.homology(c)
+    # every maximal chain is a facet: count them before order_complex lists them
+    if p._count_maximal_chains() > complexes.DEFAULT_FACE_GUARD:
+        raise CapExceededError("homology face count", complexes.DEFAULT_FACE_GUARD)
+    h = complexes.homology(complexes.order_complex(p))
     obj = {
         "complex": args.complex,
         **h.to_json_obj(),
@@ -450,11 +449,10 @@ def _cmd_shelling_check(args, parser):
         raise ArtinError("no index function: add \"index\" to the JSON or pass --index")
     rep = shelling.verify_claims(cc, idx)
     obj = rep.to_json_obj()
-    failures = [c for c in rep.claim_a + rep.claim_b if not c.ok]
     if rep.passed:
         text = f"claims A and B pass at all levels; conclusion: {rep.conclusion}"
     else:
-        first = failures[0]
+        first = (rep.claim_a + rep.claim_b)[0]
         text = f"FAIL at level {first.level}, chambers {list(first.chambers)}: {first.witness}"
     return obj, text, None
 

@@ -159,14 +159,20 @@ class SimplicialComplex:
     def dimension(self) -> int:
         return max((len(f) - 1 for f in self.facets), default=-1)
 
-    def faces_by_dim(self) -> list[list[tuple]]:
-        """All faces, dimension by dimension, each as a sorted vertex tuple."""
+    def _faces(self) -> tuple[set[tuple], dict]:
+        """Every face as a vertex tuple sorted by vertex position, and those
+        positions."""
         index = {v: i for i, v in enumerate(self.vertices)}
         seen = set()
         for f in self.facets:
             fs = tuple(sorted(f, key=index.__getitem__))
             for r in range(1, len(fs) + 1):
                 seen.update(itertools.combinations(fs, r))
+        return seen, index
+
+    def faces_by_dim(self) -> list[list[tuple]]:
+        """All faces, dimension by dimension, each as a sorted vertex tuple."""
+        seen, index = self._faces()
         out = [[] for _ in range(self.dimension + 1)]
         for face in seen:
             out[len(face) - 1].append(face)
@@ -175,7 +181,9 @@ class SimplicialComplex:
         return out
 
     def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(fs) for fs in self.faces_by_dim())
+        """The number of faces of each dimension, counted without sorting them."""
+        counts = collections.Counter(map(len, self._faces()[0]))
+        return tuple(counts[k] for k in range(1, self.dimension + 2))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * c for k, c in enumerate(self.f_vector()))
@@ -485,13 +493,19 @@ def davis_poset(d: CoxeterDiagram, ball="all", cap: int = DEFAULT_CAP) -> Poset:
     return _cell_poset(d, ball, cap, minimal=True)
 
 
+def _deligne_poset(d: CoxeterDiagram) -> Poset:
+    """The fundamental-domain poset {A_T : T in Sf} under inclusion (a copy
+    of Sf ordered by subset)."""
+    sf = _sf_sorted(d)
+    # Sf is closed under subsets, so every proper subset of R is in it.
+    return _poset(sf, lambda T: f"A{_set_label(d, T)}", lambda R: _subsets(R)[:-1],
+                  (("complex", "deligne-fd"),))
+
+
 def deligne_fundamental_domain(d: CoxeterDiagram) -> tuple[Poset, SimplicialComplex]:
     """The fundamental-domain poset {A_T : T in Sf} under inclusion (a copy
     of Sf ordered by subset), with its order complex."""
-    sf = _sf_sorted(d)
-    # Sf is closed under subsets, so every proper subset of R is in it.
-    p = _poset(sf, lambda T: f"A{_set_label(d, T)}", lambda R: _subsets(R)[:-1],
-               (("complex", "deligne-fd"),))
+    p = _deligne_poset(d)
     return p, order_complex(p)
 
 

@@ -8,11 +8,15 @@ chambers meet each other inside the previous level (Claim B).  When both
 hold the complex is contractible, unless some chamber glues along its
 entire boundary, in which case only (n-1)-connectivity is certified.
 
-Both claims, and the shelling check, are decided per chamber from the
-facets it shares with earlier chambers, found in a facet index, and the
-chambers at one of its vertices; only a chamber that fails is intersected
-with every earlier one, to name a witness.  A witness face is the first by
-size, then by sorted vertex reprs, so reports do not depend on hashing.
+Claim A, and the shelling check, are decided per chamber from the facets
+it shares with earlier chambers, found in a facet index, and the chambers
+at one of its vertices; only a chamber that fails is intersected with every
+earlier one, to name a witness.  Claim B is decided only for the
+same-level pairs that share a vertex, since the rest meet in the empty
+face.  A report lists the failing checks and counts, per level, the
+chambers, the pairs and how many of each pass, so its size grows with the
+number of levels and failures, not of pairs.  A witness face is the first
+by size, then by sorted vertex reprs, so reports do not depend on hashing.
 
 The Coxeter chamber system reads every coset representative off one table
 per generator, filled in length order over the enumerated ball.
@@ -20,7 +24,6 @@ per generator, filled in length order over the enumerated ball.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -158,21 +161,48 @@ class ClaimCheck:
 
 
 @dataclass(frozen=True)
+class LevelCounts:
+    """The checks at one level k >= 1: its chambers and how many pass Claim
+    A, its same-level pairs m(m-1)/2 and how many pass Claim B; a pair that
+    shares no vertex passes."""
+
+    level: int
+    chambers: int
+    claim_a_passed: int
+    pairs: int
+    claim_b_passed: int
+
+    def to_json_obj(self) -> dict:
+        return {
+            "level": self.level,
+            "chambers": self.chambers,
+            "claim_a_passed": self.claim_a_passed,
+            "pairs": self.pairs,
+            "claim_b_passed": self.claim_b_passed,
+        }
+
+
+@dataclass(frozen=True)
 class ClaimsReport:
+    """The failing checks of each claim, in level order, then chamber order,
+    and the counts of every level above 0."""
+
     n: int
     claim_a: tuple[ClaimCheck, ...]
     claim_b: tuple[ClaimCheck, ...]
+    levels: tuple[LevelCounts, ...]
     conclusion: str | None
 
     @property
     def passed(self) -> bool:
-        return all(c.ok for c in self.claim_a) and all(c.ok for c in self.claim_b)
+        return not self.claim_a and not self.claim_b
 
     def to_json_obj(self) -> dict:
         return {
             "n": self.n,
             "claim_a": [c.to_json_obj() for c in self.claim_a],
             "claim_b": [c.to_json_obj() for c in self.claim_b],
+            "levels": [c.to_json_obj() for c in self.levels],
             "passed": self.passed,
             "conclusion": self.conclusion,
         }
@@ -189,56 +219,61 @@ def verify_claims(cc: ChamberComplex, index) -> ClaimsReport:
 
     Claim A is read off the facets each chamber shares with lower levels
     (`_glued_vertices`); only a chamber that fails it is intersected with
-    all of C(k), for its witness and for its Claim B pairs.
+    all of C(k), for its witness and for its Claim B pairs.  Claim B looks
+    only for failures, among the later chambers of the level that share a
+    vertex with chamber a, found in a (vertex, level) index: a pair that
+    shares no vertex meets in the empty face.
     """
     idx = _check_index(cc, index)
+    chambers = cc.chambers
     by_level: dict[int, list[int]] = {}
-    for i, v in enumerate(idx):
-        by_level.setdefault(v, []).append(i)
+    at: dict = {}  # (vertex, level) -> the chambers of that level at that vertex
+    for i, (c, lv) in enumerate(zip(chambers, idx)):
+        by_level.setdefault(lv, []).append(i)
+        for x in c:
+            at.setdefault((x, lv), []).append(i)
     glued = _glued_vertices(cc, idx)
 
-    claim_a, claim_b = [], []
+    claim_a, claim_b, levels = [], [], []
     full_boundary_glue = False
     for lv in sorted(by_level):
         if lv == 0:
             continue
-        maximal = {}  # a failing chamber -> the maximal faces it shares with C(lv - 1)
+        earlier_a, earlier_b = len(claim_a), len(claim_b)  # failures below lv
         previous = None
-        for i in by_level[lv]:
-            if glued[i] is not None:
-                claim_a.append(ClaimCheck(lv, (i,), True))
-                full_boundary_glue |= len(glued[i]) == cc.n + 1
-                continue
-            if previous is None:
-                previous = [c for c, v in zip(cc.chambers, idx) if v < lv]
-            witness, maximal[i] = _meets_in_facet_union(cc.chambers[i], previous, cc.n)
-            claim_a.append(ClaimCheck(lv, (i,), False, witness))
-        for a, b in itertools.combinations(by_level[lv], 2):
-            # inter lies in chamber a, so it lies in C(lv - 1) iff it lies in
-            # a face that chamber a shares with C(lv - 1): a facet a - x
-            # with x glued and not in b, if chamber a passed Claim A.
-            ca, cb = cc.chambers[a], cc.chambers[b]
-            if glued[a] is not None:
-                inside = ca.isdisjoint(cb) or not glued[a] <= cb
+        for a in by_level[lv]:
+            ca, ga = chambers[a], glued[a]
+            if ga is not None:
+                # ca & cb lies in C(lv - 1) iff it lies in a facet a - x with
+                # x glued and not in b: b fails iff it holds all of ga.
+                full_boundary_glue |= len(ga) == cc.n + 1
+                x = min(ga, key=lambda v: len(at[v, lv]))
+                bad = [b for b in at[x, lv] if b > a and ga <= chambers[b]]
             else:
-                inter = ca & cb
-                inside = not inter or any(inter <= f for f in maximal[a])
-            witness = None
-            if not inside:
-                witness = (
-                    f"chambers {a} and {b} share {sorted(ca & cb, key=repr)}, "
-                    f"which is not a face of C({lv - 1})"
-                )
-            claim_b.append(ClaimCheck(lv, (a, b), inside, witness))
+                if previous is None:
+                    previous = [c for c, v in zip(chambers, idx) if v < lv]
+                witness, maximal = _meets_in_facet_union(ca, previous, cc.n)
+                claim_a.append(ClaimCheck(lv, (a,), False, witness))
+                near = sorted({b for x in ca for b in at[x, lv] if b > a})
+                bad = [b for b in near if not any(ca & chambers[b] <= f for f in maximal)]
+            claim_b.extend(
+                ClaimCheck(lv, (a, b), False,
+                           f"chambers {a} and {b} share {sorted(ca & chambers[b], key=repr)}, "
+                           f"which is not a face of C({lv - 1})")
+                for b in bad
+            )
+        m = len(by_level[lv])
+        pairs = m * (m - 1) // 2
+        levels.append(LevelCounts(lv, m, m - len(claim_a) + earlier_a,
+                                  pairs, pairs - len(claim_b) + earlier_b))
 
-    report = ClaimsReport(cc.n, tuple(claim_a), tuple(claim_b), None)
-    if not report.passed:
-        return report
-    if len(cc.chambers) == 1 or not full_boundary_glue:
-        conclusion = "contractible"
-    else:
-        conclusion = f"{cc.n - 1}-connected"
-    return ClaimsReport(cc.n, tuple(claim_a), tuple(claim_b), conclusion)
+    conclusion = None
+    if not claim_a and not claim_b:
+        if len(chambers) == 1 or not full_boundary_glue:
+            conclusion = "contractible"
+        else:
+            conclusion = f"{cc.n - 1}-connected"
+    return ClaimsReport(cc.n, tuple(claim_a), tuple(claim_b), tuple(levels), conclusion)
 
 
 @dataclass(frozen=True)

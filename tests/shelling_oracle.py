@@ -2,8 +2,9 @@
 representative at a time, kept as test oracles for `shelling`.
 
 `verify_claims` and `is_shelling` intersect every chamber with every earlier
-one; `coxeter_chamber_system` calls `coxeter.t_minimal_representative` once
-per element and generator.  Witnesses name the first wrong-dimension face
+one, and `verify_claims` checks every same-level pair;
+`coxeter_chamber_system` calls `coxeter.t_minimal_representative` once per
+element and generator.  Witnesses name the first wrong-dimension face
 by (size, sorted reprs), as `shelling` does.
 """
 
@@ -15,6 +16,7 @@ from artin.shelling import (
     ChamberComplex,
     ClaimCheck,
     ClaimsReport,
+    LevelCounts,
     ShellingCheck,
     _check_index,
 )
@@ -38,6 +40,9 @@ def meets_in_facet_union(chamber, others, n):
 
 
 def verify_claims(cc, index):
+    """Every Claim A chamber and every same-level Claim B pair, checked
+    against all earlier chambers, then reported as `shelling` reports them:
+    the failing checks, and per level the chambers, pairs and passes."""
     idx = _check_index(cc, index)
     by_level = {}
     for i, v in enumerate(idx):
@@ -64,14 +69,29 @@ def verify_claims(cc, index):
                     f"which is not a face of C({lv - 1})"
                 )
             claim_b.append(ClaimCheck(lv, (a, b), inside, witness))
-    report = ClaimsReport(cc.n, tuple(claim_a), tuple(claim_b), None)
-    if not report.passed:
-        return report
-    if len(cc.chambers) == 1 or not full_boundary_glue:
-        conclusion = "contractible"
-    else:
-        conclusion = f"{cc.n - 1}-connected"
-    return ClaimsReport(cc.n, tuple(claim_a), tuple(claim_b), conclusion)
+    levels = tuple(
+        LevelCounts(
+            lv,
+            sum(c.level == lv for c in claim_a),
+            sum(c.level == lv and c.ok for c in claim_a),
+            sum(c.level == lv for c in claim_b),
+            sum(c.level == lv and c.ok for c in claim_b),
+        )
+        for lv in sorted(by_level) if lv
+    )
+    conclusion = None
+    if all(c.ok for c in claim_a + claim_b):
+        if len(cc.chambers) == 1 or not full_boundary_glue:
+            conclusion = "contractible"
+        else:
+            conclusion = f"{cc.n - 1}-connected"
+    return ClaimsReport(
+        cc.n,
+        tuple(c for c in claim_a if not c.ok),
+        tuple(c for c in claim_b if not c.ok),
+        levels,
+        conclusion,
+    )
 
 
 def is_shelling(cc, order):

@@ -1,13 +1,18 @@
-"""Acceptance gate: ten timed criteria, one pass line each.
+"""Acceptance gate: timed criteria, one pass line each.
 
 Each test prints "PASS criterion N: ..." with its elapsed time and asserts
 the stated runtime budget, so a -v -s run shows one line per criterion.
 """
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 
+import artin
 from artin import complexes, coxeter, group, monoid, shelling, tits
 from artin.diagram import INF, CoxeterDiagram, is_finite_type, preset
 from conftest import random_diagram
@@ -306,3 +311,20 @@ def test_criterion_10_shelling():
     _report(10, 5.0, t0, "length index shells the hexagon and octagon, "
             "adversarial index fails Claim A with witness, all 24 "
             "tetrahedron orders shell")
+
+
+def test_criterion_11_h4_shelling_report_is_bounded():
+    # H4 has 2,559,149 same-level chamber pairs; the report counts them and
+    # lists only failures, so it stays a few kB
+    t0 = time.perf_counter()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(artin.__file__)))
+    p = subprocess.run(
+        [sys.executable, "-m", "artin", "shelling-check", "--preset", "H4"],
+        capture_output=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (p.returncode, p.stderr) == (0, b"")
+    assert len(p.stdout) < 10_000, len(p.stdout)
+    rep = json.loads(p.stdout)
+    assert rep["passed"] and rep["conclusion"] == "2-connected"
+    assert sum(lv["pairs"] for lv in rep["levels"]) == 2_559_149
+    _report(11, 20.0, t0, f"shelling-check --preset H4 passes in {len(p.stdout):,} B of JSON")

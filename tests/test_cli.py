@@ -542,6 +542,18 @@ def test_homology_counts_maximal_chains_before_listing_them(kind, capsys, monkey
     assert (code, out, err) == (1, "", "error: homology face count exceeded cap 200000\n")
 
 
+def test_deligne_homology_counts_maximal_chains_before_listing_them(capsys, monkeypatch):
+    # A9's Deligne poset is the Boolean lattice on 9 generators: 9! = 362,880 chains
+    from artin import complexes
+
+    def listing(p):
+        raise AssertionError("order_complex listed the maximal chains")
+
+    monkeypatch.setattr(complexes, "order_complex", listing)
+    code, out, err = run(["homology", "--preset", "A9", "--complex", "deligne-fd"], capsys)
+    assert (code, out, err) == (1, "", "error: homology face count exceeded cap 200000\n")
+
+
 def test_index_override_applies_to_a_diagram_source(capsys):
     code, out, err = run(
         ["shelling-check", "--preset", "A2", "--index", "0,0,0,0,0,0"], capsys

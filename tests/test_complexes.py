@@ -1,6 +1,7 @@
 """Posets, order complexes, Smith normal form homology, quotient cells."""
 
 import itertools
+import math
 import time
 
 import numpy as np
@@ -452,6 +453,27 @@ def _random_complex(rng):
     return _complex(
         rng.sample(range(n), rng.randint(1, min(n, 4))) for _ in range(rng.randint(1, 10))
     )
+
+
+def test_f_vector_counts_the_faces_that_faces_by_dim_lists(rng, monkeypatch):
+    cases = [_random_complex(rng) for _ in range(300)] + [SimplicialComplex((), ())]
+    want = [tuple(map(len, c.faces_by_dim())) for c in cases]
+
+    def listing(self):
+        raise AssertionError("f_vector sorted the faces")
+
+    monkeypatch.setattr(SimplicialComplex, "faces_by_dim", listing)
+    assert [c.f_vector() for c in cases] == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_deligne_f_vector_counts_the_chains_of_a_boolean_lattice(n):
+    # A_n's Sf is every subset of S, and a j-element chain of subsets of an
+    # n-set is a map S -> {1, ..., j + 1} that hits 2, ..., j: by inclusion-
+    # exclusion there are sum_i (-1)^i C(j - 1, i) (j + 1 - i)^n of them.
+    want = tuple(sum((-1) ** i * math.comb(j - 1, i) * (j + 1 - i) ** n for i in range(j))
+                 for j in range(1, n + 2))
+    assert deligne_fundamental_domain(preset(f"A{n}"))[1].f_vector() == want
 
 
 def test_coreduced_homology_matches_plain_smith_normal_form(rng):

@@ -1,5 +1,6 @@
 """Chamber complexes, filtration claims, and shelling orders."""
 
+import collections
 import itertools
 import json
 
@@ -10,6 +11,7 @@ from artin.diagram import CoxeterDiagram, preset
 from artin.errors import DiagramError
 from artin.shelling import (
     ChamberComplex,
+    LevelCounts,
     build_filtration,
     coxeter_chamber_system,
     is_shelling,
@@ -130,8 +132,10 @@ def test_hexagon_claims_pass():
     rep = verify_claims(cc, idx)
     assert rep.passed
     assert rep.conclusion == "0-connected"
-    assert all(c.ok for c in rep.claim_a)
-    assert all(c.ok for c in rep.claim_b)
+    assert rep.claim_a == rep.claim_b == ()
+    # lengths 1 and 2 hold two chambers each, one pair; length 3 one chamber
+    assert rep.levels == (LevelCounts(1, 2, 2, 1, 1), LevelCounts(2, 2, 2, 1, 1),
+                          LevelCounts(3, 1, 1, 0, 0))
 
 
 def test_octagon_claims_pass():
@@ -190,7 +194,8 @@ def test_claim_b_holds_on_a_face_shared_with_the_previous_level():
     cc = ChamberComplex(2, (frozenset("abc"), frozenset("abd"), frozenset("abe")))
     rep = verify_claims(cc, (0, 1, 1))
     assert rep.passed and rep.conclusion == "contractible"
-    assert [c.chambers for c in rep.claim_b] == [(1, 2)]
+    assert rep.claim_b == ()
+    assert rep.levels == (LevelCounts(1, 2, 2, 1, 1),)
 
 
 def test_claim_b_violation():
@@ -202,10 +207,10 @@ def test_claim_b_violation():
     )
     rep = verify_claims(cc, (0, 1, 1))
     assert not rep.passed
-    assert all(c.ok for c in rep.claim_a)
-    bad_b = [c for c in rep.claim_b if not c.ok]
-    assert bad_b
-    assert "not a face" in bad_b[0].witness
+    assert rep.claim_a == ()
+    assert [c.chambers for c in rep.claim_b] == [(1, 2)]
+    assert "not a face" in rep.claim_b[0].witness
+    assert rep.levels == (LevelCounts(1, 2, 2, 1, 0),)
 
 
 def test_index_validation():
@@ -296,8 +301,22 @@ def test_chamber_system_matches_oracle_in_shuffled_vertex_orders(name):
     rng = random.Random(name)
     d = preset(name)
     for k in range(3):
-        # H4's report lists ~10^6 same-level pairs; its chambers are compared alone
+        # the oracle checks H4's 2.6 M same-level pairs one by one; its chambers
+        # are compared alone, and its report in test_h4_claims_count_every_pair
         _same_chamber_system(d if k == 0 else _shuffled(d, rng), verify=name != "H4")
+
+
+def test_h4_claims_count_every_pair():
+    cc, idx = coxeter_chamber_system(preset("H4"))
+    rep = verify_claims(cc, idx)
+    assert rep.passed and rep.conclusion == "2-connected"
+    assert rep.claim_a == rep.claim_b == ()
+    sizes = sorted(collections.Counter(idx).items())[1:]
+    assert [(c.level, c.chambers) for c in rep.levels] == sizes
+    for c in rep.levels:
+        assert c.claim_a_passed == c.chambers
+        assert c.claim_b_passed == c.pairs == c.chambers * (c.chambers - 1) // 2
+    assert sum(c.pairs for c in rep.levels) == 2_559_149
 
 
 def _random_infinite(rng, rank):
@@ -403,6 +422,7 @@ def test_witness_names_the_first_face_by_size_then_reprs():
     # chamber 2 meets the earlier chambers in the vertices p and s alone
     cc = ChamberComplex(2, tuple(map(frozenset, ("pqr", "qas", "psx"))))
     rep = verify_claims(cc, (0, 1, 2))
+    assert [c.chambers for c in rep.claim_a] == [(1,), (2,)]
     assert rep.claim_a[1].witness == "maximal shared face ['p'] has dimension 0, expected 1"
     # the same chamber 2 after two chambers glued along the edge qr
     chk = is_shelling(ChamberComplex(2, tuple(map(frozenset, ("pqr", "qrs", "psx")))), (0, 1, 2))
