@@ -10,10 +10,10 @@ both posets, already in order, without a sort.  A poset keeps one cover
 table, built when it is checked, and its covers, its maximal chains (walked
 on the table in lexicographic order), its dot output and its order complex
 all read that table.  Order complexes realize posets simplicially, with the
-maximal chains as facets.  Homology is computed over Z: coreduction
-first removes cells in pairs that do not change it, then a sparse Smith
-normal form with arbitrary-precision integers runs on what is left, so
-every Betti number and torsion coefficient is exact.
+maximal chains as facets.  Homology is computed over Z: a cone answers
+from its facets; otherwise coreduction pairs off cells without changing it
+and a sparse Smith normal form with arbitrary-precision integers runs on the
+critical cells left, so every Betti number and torsion coefficient is exact.
 """
 
 from __future__ import annotations
@@ -159,30 +159,28 @@ class SimplicialComplex:
     def dimension(self) -> int:
         return max((len(f) - 1 for f in self.facets), default=-1)
 
-    def _faces(self) -> tuple[set[tuple], dict]:
-        """Every face as a vertex tuple sorted by vertex position, and those
-        positions."""
+    def _faces(self) -> set[tuple[int, ...]]:
+        """Every face as the ascending tuple of its vertices' positions."""
         index = {v: i for i, v in enumerate(self.vertices)}
         seen = set()
         for f in self.facets:
-            fs = tuple(sorted(f, key=index.__getitem__))
+            fs = tuple(sorted(map(index.__getitem__, f)))
             for r in range(1, len(fs) + 1):
                 seen.update(itertools.combinations(fs, r))
-        return seen, index
+        return seen
 
     def faces_by_dim(self) -> list[list[tuple]]:
         """All faces, dimension by dimension, each as a sorted vertex tuple."""
-        seen, index = self._faces()
         out = [[] for _ in range(self.dimension + 1)]
-        for face in seen:
+        for face in sorted(self._faces()):
             out[len(face) - 1].append(face)
-        for dim_faces in out:
-            dim_faces.sort(key=lambda f: tuple(index[v] for v in f))
+        if (verts := self.vertices) != tuple(range(len(verts))):  # else positions are vertices
+            out = [[tuple(map(verts.__getitem__, f)) for f in fs] for fs in out]
         return out
 
     def f_vector(self) -> tuple[int, ...]:
         """The number of faces of each dimension, counted without sorting them."""
-        counts = collections.Counter(map(len, self._faces()[0]))
+        counts = collections.Counter(map(len, self._faces()))
         return tuple(counts[k] for k in range(1, self.dimension + 2))
 
     def euler_characteristic(self) -> int:
@@ -317,83 +315,85 @@ class HomologyResult:
 
 
 def homology(c: SimplicialComplex, face_guard: int = DEFAULT_FACE_GUARD) -> HomologyResult:
-    """Integer simplicial homology: coreduction, then Smith normal form of
-    the boundaries among the cells that survive it.
-
-    Coreduction (Mrozek-Batko, Discrete Comput. Geom. 41, 2009) first takes
-    one vertex out of each connected component, each a Z in H_0, and then
-    removes pairs (a, b) where b is the only face of a left: both span an
-    acyclic subcomplex of the quotient, so its homology is unchanged.
-    """
+    """Integer simplicial homology by discrete Morse reduction.  A cone (a
+    vertex in every facet) is contractible.  Otherwise coreduction (Mrozek-
+    Batko, Discrete Comput. Geom. 41, 2009) builds the complex up by pairs
+    that keep its homology, a cell with its one unbuilt face, and when it
+    stalls the lowest unbuilt cell becomes critical.  Critical boundaries flow
+    through the pairs, latest first, to the Morse complex (Harker-Mischaikow-
+    Mrozek-Nanda, Found. Comput. Math. 14, 2014); Smith normal form runs there."""
     if len(c.facets) > face_guard:  # every facet is a face
         raise CapExceededError("homology face count", face_guard)
-    faces = c.faces_by_dim()
-    if not faces:
+    if not c.facets:
         return HomologyResult((), ())
+    if frozenset.intersection(*c.facets):
+        return HomologyResult((1,) + (0,) * c.dimension, ((),) * (c.dimension + 1))
+    index = {v: i for i, v in enumerate(c.vertices)}
+    faces = SimplicialComplex(
+        tuple(range(len(index))), tuple(frozenset(map(index.__getitem__, f)) for f in c.facets)
+    ).faces_by_dim()
     if sum(len(fs) for fs in faces) > face_guard:
         raise CapExceededError("homology face count", face_guard)
-    dim = len(faces) - 1
 
     # Cells are numbered dimension by dimension; every coefficient is +-1.
     offset = list(itertools.accumulate((len(fs) for fs in faces), initial=0))
     position = {f: offset[len(f) - 1] + i for fs in faces for i, f in enumerate(fs)}
-    boundary: list[list[int]] = [[] for _ in faces[0]]
-    coboundary: list[list[int]] = [[] for _ in range(len(position))]
-    for fs in faces[1:]:
-        for face in fs:
-            a = len(boundary)
-            bd = [position[face[:i] + face[i + 1 :]] for i in range(len(face))]
-            boundary.append(bd)
-            for b in bd:
-                coboundary[b].append(a)
+    # combinations drop the last vertex first, so boundary[a][i] drops vertex i
+    boundary = [[] for _ in faces[0]] + [
+        list(map(position.__getitem__, itertools.combinations(f, len(f) - 1)))[::-1]
+        for fs in faces[1:] for f in fs]
+    coboundary: list[list[int]] = [[] for _ in position]
+    for a, bd in enumerate(boundary):
+        for b in bd:
+            coboundary[b].append(a)
 
-    alive = [True] * len(position)
-    parent = list(range(len(faces[0])))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        return v
-
-    for u, v in boundary[offset[1] : offset[2]] if dim else ():
-        parent[find(u)] = find(v)
-    queue = collections.deque()
-    components = 0
-    for v in range(len(faces[0])):
-        if find(v) == v:
-            components += 1
-            alive[v] = False
-            queue.extend(coboundary[v])
-    while queue:
-        a = queue.popleft()
-        if not alive[a]:
+    partner = [None] * len(position)  # the other cell of its pair, itself if critical
+    left = list(map(len, boundary))  # faces not yet built; 0 once built
+    order, queue, low = [], collections.deque(), 0  # queue: cells with one face left
+    while low < len(position):
+        if queue:
+            if left[a := queue.popleft()] != 1:
+                continue
+            b = next(b for b in boundary[a] if partner[b] is None)
+            partner[a], partner[b] = b, a
+        elif partner[low] is not None:
+            low += 1
             continue
-        left = [b for b in boundary[a] if alive[b]]
-        if len(left) == 1:
-            b = left[0]
-            alive[a] = alive[b] = False
-            queue.extend(coboundary[a])
-            queue.extend(coboundary[b])
+        else:  # every cell below low is built, so are its faces
+            a = b = partner[low] = low
+        for x in (b, a) if a != b else (a,):
+            order.append(x)
+            for y in coboundary[x]:
+                left[y] -= 1
+                if left[y] == 1:
+                    queue.append(y)
 
-    factors = []  # factors[k]: invariant factors of boundary_(k+1)
-    for k in range(dim):
-        rows: dict[int, dict[int, int]] = {}
-        for a in range(offset[k + 1], offset[k + 2]):
-            if alive[a]:
-                for i, b in enumerate(boundary[a]):
-                    if alive[b]:
-                        rows.setdefault(b, {})[a] = (-1) ** i
-        factors.append(invariant_factors(rows))
-
-    betti, torsion = [], []
-    for k in range(dim + 1):
-        cells = sum(alive[offset[k] : offset[k + 1]])
-        rank_out = len(factors[k - 1]) if k >= 1 else 0
-        rank_in = len(factors[k]) if k < dim else 0
-        betti.append(cells - rank_out - rank_in)
-        torsion.append(tuple(t for t in factors[k] if t > 1) if k < dim else ())
-    betti[0] += components
-    return HomologyResult(tuple(betti), tuple(torsion))
+    # Undoing the pair (b, p) sends p to 0 and b to b - [dp : b] dp, whose
+    # other cells were built before b.  rows[b][a]: b's coefficient in a's chain.
+    critical = [a for a in order if partner[a] == a]
+    rows = collections.defaultdict(dict)
+    for a in critical:
+        for i, b in enumerate(boundary[a]):
+            rows[b][a] = (-1) ** i
+    for b in reversed(order):
+        if partner[b] > b and (row := rows.get(b)):  # b is its pair's lower cell
+            j = (bd := boundary[partner[b]]).index(b)
+            for i, y in enumerate(bd):
+                if i != j:
+                    s, target = (-1) ** (i + j + 1), rows[y]
+                    for a, x in row.items():
+                        if v := target.get(a, 0) + s * x:
+                            target[a] = v
+                        else:
+                            del target[a]
+    # factors[k]: invariant factors of the Morse boundary_(k+1)
+    factors = [invariant_factors({b: rows[b] for b in critical
+                                  if offset[k] <= b < offset[k + 1] and rows.get(b)})
+               for k in range(len(faces) - 1)]
+    ranks = [0, *map(len, factors), 0]
+    betti = tuple(sum(offset[k] <= a < offset[k + 1] for a in critical) - ranks[k] - ranks[k + 1]
+                  for k in range(len(faces)))
+    return HomologyResult(betti, tuple(tuple(t for t in f if t > 1) for f in factors) + ((),))
 
 
 def _sf_sorted(d: CoxeterDiagram):

@@ -554,6 +554,20 @@ def test_deligne_homology_counts_maximal_chains_before_listing_them(capsys, monk
     assert (code, out, err) == (1, "", "error: homology face count exceeded cap 200000\n")
 
 
+def test_deligne_homology_of_a8_answers_as_a_cone(capsys):
+    # 8! = 40,320 maximal chains, under the face guard, list 2,183,339 faces,
+    # past it; the domain is a cone on A_{}, so homology needs its facets only
+    code, out, err = run(["homology", "--preset", "A8", "--complex", "deligne-fd"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "complex": "deligne-fd",
+        "betti": [1] + [0] * 8,
+        "torsion": [[]] * 9,
+        "pretty": "H_0 = Z, " + ", ".join(f"H_{k} = 0" for k in range(1, 9)),
+        "euler": 1,
+    }
+
+
 def test_index_override_applies_to_a_diagram_source(capsys):
     code, out, err = run(
         ["shelling-check", "--preset", "A2", "--index", "0,0,0,0,0,0"], capsys

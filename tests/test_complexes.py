@@ -484,6 +484,94 @@ def test_coreduced_homology_matches_plain_smith_normal_form(rng):
     assert h_empty == plain_homology(SimplicialComplex((), ())) == complexes.HomologyResult((), ())
 
 
+# the minimal triangulations of RP^2 (6 vertices) and of the torus (7)
+_RP2 = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+        (2, 3, 5), (3, 5, 6), (3, 4, 6), (2, 4, 6), (2, 4, 5)]
+_TORUS = [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)] + [
+    (i, (i + 2) % 7, (i + 3) % 7) for i in range(7)]
+
+
+def _is_cone(c):
+    return bool(c.facets) and bool(frozenset.intersection(*c.facets))
+
+
+def _point(dim):
+    return complexes.HomologyResult((1,) + (0,) * dim, ((),) * (dim + 1))
+
+
+def test_morse_reduction_matches_plain_smith_normal_form_off_cones(rng):
+    # Random 2- and 3-complexes on 8-12 vertices, none a cone, so homology
+    # takes the Morse path.  A Betti number or torsion past H_0 needs a
+    # critical cell in that dimension besides the critical vertex.
+    randoms = []
+    while len(randoms) < 150:
+        n = rng.randint(8, 12)
+        c = _complex(rng.sample(range(n), rng.choice((3, 4))) for _ in range(rng.randint(4, 16)))
+        if not _is_cone(c):
+            randoms.append(c)
+    suspension = _complex(f + (pole,) for f in _RP2 for pole in (7, 8))
+    wedge = _complex(_RP2 + [tuple(10 + v if v else 1 for v in f) for f in _TORUS])
+    assert homology(suspension) == plain_homology(suspension)
+    assert (homology(suspension).betti, homology(suspension).torsion) == (
+        (1, 0, 0, 0), ((), (), (2,), ()))
+    assert homology(wedge) == plain_homology(wedge)
+    assert homology(wedge).pretty() == "H_0 = Z, H_1 = Z^2 + Z/2, H_2 = Z"
+    assert not _is_cone(suspension) and not _is_cone(wedge)
+    higher = 0
+    for c in randoms:
+        h = homology(c)
+        assert h == plain_homology(c), c
+        higher += any(h.betti[1:]) or any(h.torsion)
+    assert higher >= 100
+    for name in ("A1", "A2", "B2", "I2(5)", "I2(6)"):
+        d = preset(name)
+        for c in (order_complex(salvetti_poset(d)), order_complex(davis_poset(d)),
+                  deligne_fundamental_domain(d)[1]):
+            assert homology(c) == plain_homology(c), name
+    for ball in (1, 2, 3):
+        for build in (salvetti_poset, davis_poset):
+            c = order_complex(build(inf_pair(), ball))
+            assert homology(c) == plain_homology(c), (build, ball)
+
+
+def test_cones_answer_without_listing_faces(monkeypatch):
+    cone = _complex(f + (0,) for f in _RP2)
+    assert plain_homology(cone) == _point(3)
+    faces = sum(cone.f_vector())
+    assert faces > len(cone.facets)
+    # the Davis complex with ball="all" is a cone on W, the Deligne domain one on {}
+    davis = order_complex(davis_poset(preset("B4")))
+    deligne = deligne_fundamental_domain(preset("A7"))[1]
+
+    def unlisted(self):
+        raise AssertionError("a cone listed its faces")
+
+    monkeypatch.setattr(SimplicialComplex, "faces_by_dim", unlisted)
+    assert homology(cone) == _point(3)
+    assert homology(cone, face_guard=len(cone.facets)) == _point(3)  # < faces
+    with pytest.raises(CapExceededError, match="homology face count"):
+        homology(cone, face_guard=len(cone.facets) - 1)
+    assert homology(davis) == _point(4)
+    assert homology(deligne) == _point(7)
+
+
+def test_salvetti_smith_normal_form_runs_on_critical_cells_only(monkeypatch):
+    # Smith normal form sees only the Morse complex: at most one row per
+    # critical cell, and here no more rows in all than the Betti numbers' sum.
+    handed = []
+
+    def counting(rows):
+        handed.append(len(rows))
+        return invariant_factors(rows)
+
+    monkeypatch.setattr(complexes, "invariant_factors", counting)
+    for name, total in (("A3", 24), ("B3", 48)):
+        handed.clear()
+        h = homology(order_complex(salvetti_poset(preset(name))))
+        assert sum(h.betti) == total, name
+        assert sum(handed) <= total, (name, handed)
+
+
 # ---------------------------------------------------------------- salvetti
 
 def test_salvetti_a1_is_a_four_cycle():
