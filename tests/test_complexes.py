@@ -511,12 +511,11 @@ def test_morse_reduction_matches_plain_smith_normal_form_off_cones(rng):
             randoms.append(c)
     suspension = _complex(f + (pole,) for f in _RP2 for pole in (7, 8))
     wedge = _complex(_RP2 + [tuple(10 + v if v else 1 for v in f) for f in _TORUS])
-    assert homology(suspension) == plain_homology(suspension)
-    assert (homology(suspension).betti, homology(suspension).torsion) == (
-        (1, 0, 0, 0), ((), (), (2,), ()))
-    assert homology(wedge) == plain_homology(wedge)
-    assert homology(wedge).pretty() == "H_0 = Z, H_1 = Z^2 + Z/2, H_2 = Z"
-    assert not _is_cone(suspension) and not _is_cone(wedge)
+    for c, want in ((suspension, "H_0 = Z, H_1 = 0, H_2 = Z/2, H_3 = 0"),
+                    (wedge, "H_0 = Z, H_1 = Z^2 + Z/2, H_2 = Z")):
+        assert not _is_cone(c)
+        assert homology(c) == plain_homology(c)
+        assert homology(c).pretty() == want
     higher = 0
     for c in randoms:
         h = homology(c)
@@ -537,8 +536,7 @@ def test_morse_reduction_matches_plain_smith_normal_form_off_cones(rng):
 def test_cones_answer_without_listing_faces(monkeypatch):
     cone = _complex(f + (0,) for f in _RP2)
     assert plain_homology(cone) == _point(3)
-    faces = sum(cone.f_vector())
-    assert faces > len(cone.facets)
+    assert sum(cone.f_vector()) > len(cone.facets)
     # the Davis complex with ball="all" is a cone on W, the Deligne domain one on {}
     davis = order_complex(davis_poset(preset("B4")))
     deligne = deligne_fundamental_domain(preset("A7"))[1]
@@ -548,7 +546,7 @@ def test_cones_answer_without_listing_faces(monkeypatch):
 
     monkeypatch.setattr(SimplicialComplex, "faces_by_dim", unlisted)
     assert homology(cone) == _point(3)
-    assert homology(cone, face_guard=len(cone.facets)) == _point(3)  # < faces
+    assert homology(cone, face_guard=len(cone.facets)) == _point(3)  # below its face count
     with pytest.raises(CapExceededError, match="homology face count"):
         homology(cone, face_guard=len(cone.facets) - 1)
     assert homology(davis) == _point(4)
