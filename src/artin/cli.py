@@ -3,13 +3,20 @@
 Output is deterministic; JSON is the default format, `text` renders the
 same data for humans, and `dot` emits Hasse diagrams for the poset
 subcommands.  Exit codes: 0 success, 1 domain error (typed library
-errors), 2 usage error.  Each subcommand imports only the library modules
-it calls, and the parser is built for that subcommand alone.
+errors), 2 usage error.
+
+Each row of the subcommand tables names its handler and declares its own
+arguments, as (flag, add_argument keywords) specs that follow the common
+ones.  The library modules other than `diagram` and `errors` are bound to
+handles that import the module on its first attribute access, so a
+subcommand loads only the library modules its handler calls, and the parser
+is built for that subcommand alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import re
@@ -22,14 +29,40 @@ from .errors import DEFAULT_CAP, ArtinError, CapExceededError
 FORMAT_VERSION = 1
 
 
-def _positive_cap(text: str) -> int:
+class _Lazy:
+    """A library module, imported on its first attribute access."""
+
+    def __init__(self, name: str):
+        self._name = f"artin.{name}"
+
+    def __getattr__(self, attr: str):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+complexes, coxeter, group, monoid, shelling, tits = map(
+    _Lazy, ("complexes", "coxeter", "group", "monoid", "shelling", "tits")
+)
+
+
+def _int(text: str) -> int:
     try:
-        cap = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _positive_cap(text: str) -> int:
+    cap = _int(text)
     if cap <= 0:
         raise argparse.ArgumentTypeError(f"cap must be positive, got {cap}")
     return cap
+
+
+def _natural(text: str) -> int:
+    n = _int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
 
 
 def _env_cap(parser) -> int:
@@ -62,11 +95,11 @@ def _subset_list(d, T) -> list[str]:
 
 
 def _resolve_diagram(args, parser):
-    if getattr(args, "preset", None) and getattr(args, "file", None):
+    if args.preset and args.file:
         parser.error("pass exactly one diagram source (--preset or --file)")
-    if getattr(args, "preset", None):
+    if args.preset:
         return preset(args.preset)
-    if getattr(args, "file", None):
+    if args.file:
         try:
             with open(args.file, encoding="utf-8") as fh:
                 return diagram.parse_diagram(fh.read())
@@ -76,7 +109,11 @@ def _resolve_diagram(args, parser):
 
 
 def _ball(args):
-    return "all" if args.ball is None else int(args.ball)
+    return "all" if args.ball is None else args.ball
+
+
+def _element(el):
+    return {"word": list(el.word), "length": el.length}, _word_str(el.word), None
 
 
 # ---------------------------------------------------------------- handlers
@@ -118,8 +155,6 @@ def _cmd_taxonomy(d, args):
 
 
 def _cmd_sf(d, args):
-    from . import complexes
-
     subsets = [_subset_list(d, T) for T in complexes._sf_sorted(d)]
     obj = {"count": len(subsets), "subsets": subsets}
     text = f"{len(subsets)} finite-type subsets\n" + "\n".join(
@@ -129,19 +164,13 @@ def _cmd_sf(d, args):
 
 
 def _cmd_form(d, args):
-    from . import tits
-
     B = tits.bilinear_form(d)
     obj = {"vertices": list(d.vertices), "matrix": [[float(x) for x in row] for row in B]}
-    text = "\n".join(
-        "  ".join(f"{x: .6f}" for x in row) for row in B
-    )
+    text = "\n".join("  ".join(f"{x: .6f}" for x in row) for row in B)
     return obj, text, None
 
 
 def _cmd_signature(d, args):
-    from . import tits
-
     sig = tits.signature(tits.bilinear_form(d), args.tol)
     obj = {
         "n_pos": sig.n_pos,
@@ -160,8 +189,6 @@ def _cmd_signature(d, args):
 
 def _cmd_rep_check(d, args):
     import numpy as np
-
-    from . import tits
 
     tits._check_tol(args.tol)
     pairs = []
@@ -185,16 +212,10 @@ def _cmd_rep_check(d, args):
 
 
 def _cmd_cox_nf(d, args):
-    from . import coxeter
-
-    el = coxeter.normalize(d, _word(args.word), args.cap)
-    obj = {"word": list(el.word), "length": el.length}
-    return obj, _word_str(el.word), None
+    return _element(coxeter.normalize(d, _word(args.word), args.cap))
 
 
 def _cmd_enumerate(d, args):
-    from . import coxeter
-
     max_length = args.max_length if args.max_length == "all" else int(args.max_length)
     layers = coxeter.enumerate_elements(d, max_length, args.cap)
     counts = {str(k): len(layer) for k, layer in enumerate(layers)}
@@ -207,33 +228,22 @@ def _cmd_enumerate(d, args):
 
 
 def _cmd_longest(d, args):
-    from . import coxeter
-
-    el = coxeter.longest_element(d, args.cap)
-    return {"word": list(el.word), "length": el.length}, _word_str(el.word), None
+    return _element(coxeter.longest_element(d, args.cap))
 
 
 def _cmd_reflections(d, args):
-    from . import coxeter
-
-    ball = None if args.ball is None else int(args.ball)
-    refl = sorted(coxeter.reflections(d, ball, args.cap), key=lambda e: e.sort_key())
+    refl = sorted(coxeter.reflections(d, args.ball, args.cap), key=lambda e: e.sort_key())
     obj = {"count": len(refl), "reflections": [list(e.word) for e in refl]}
     text = f"{len(refl)} reflections\n" + "\n".join(_word_str(e.word) for e in refl)
     return obj, text, None
 
 
 def _cmd_tmin(d, args):
-    from . import coxeter
-
     w = coxeter.normalize(d, _word(args.word), args.cap)
-    el = coxeter.t_minimal_representative(d, w, _split_subset(args.t), args.cap)
-    return {"word": list(el.word), "length": el.length}, _word_str(el.word), None
+    return _element(coxeter.t_minimal_representative(d, w, _split_subset(args.t), args.cap))
 
 
 def _cmd_coxeter_elements(d, args):
-    from . import coxeter
-
     els = sorted(coxeter.coxeter_elements(d, cap=args.cap), key=lambda e: e.sort_key())
     obj = {"count": len(els), "elements": [list(e.word) for e in els]}
     text = "\n".join(_word_str(e.word) for e in els)
@@ -241,61 +251,39 @@ def _cmd_coxeter_elements(d, args):
 
 
 def _cmd_mon_nf(d, args):
-    from . import monoid
-
-    el = monoid.canonicalize(d, _word(args.word), args.cap)
-    return {"word": list(el.word), "length": el.length}, _word_str(el.word), None
+    return _element(monoid.canonicalize(d, _word(args.word), args.cap))
 
 
 def _cmd_mon_equal(d, args):
-    from . import monoid
-
     eq = monoid.monoid_equal(d, _word(args.left), _word(args.right), args.cap)
     return eq, "true" if eq else "false", None
 
 
 def _cmd_divides(d, args):
-    from . import monoid
-
     cof = monoid.divides(d, _word(args.dvr), _word(args.word), args.side, args.cap)
     if cof is None:
         return {"divides": False, "cofactor": None}, "no", None
-    return (
-        {"divides": True, "cofactor": list(cof.word)},
-        f"yes, cofactor {_word_str(cof.word)}",
-        None,
-    )
+    obj = {"divides": True, "cofactor": list(cof.word)}
+    return obj, f"yes, cofactor {_word_str(cof.word)}", None
 
 
 def _cmd_gcd(d, args):
-    from . import monoid
-
-    el = monoid.gcd(d, _word(args.left), _word(args.right), args.side, args.cap)
-    return {"word": list(el.word), "length": el.length}, _word_str(el.word), None
+    return _element(monoid.gcd(d, _word(args.left), _word(args.right), args.side, args.cap))
 
 
 def _cmd_lcm(d, args):
-    from . import monoid
-
-    el = monoid.lcm(
-        d, _word(args.left), _word(args.right), args.side, args.cap, args.length_bound
-    )
+    el = monoid.lcm(d, _word(args.left), _word(args.right), args.side, args.cap, args.length_bound)
     if el is None:
         return {"word": None}, "none within bound", None
-    return {"word": list(el.word), "length": el.length}, _word_str(el.word), None
+    return _element(el)
 
 
 def _cmd_delta(d, args):
-    from . import monoid
-
     T = d.vertices if args.t is None else _split_subset(args.t)
-    el = monoid.garside_element(d, T, args.cap)
-    return {"word": list(el.word), "length": el.length}, _word_str(el.word), None
+    return _element(monoid.garside_element(d, T, args.cap))
 
 
 def _cmd_sigma(d, args):
-    from . import monoid
-
     table = monoid.garside_permutation(d, args.cap)
     obj = {"sigma": {s: table[s] for s in d.vertices}}
     text = "\n".join(f"{s} -> {table[s]}" for s in d.vertices)
@@ -303,8 +291,6 @@ def _cmd_sigma(d, args):
 
 
 def _cmd_garside_nf(d, args):
-    from . import monoid
-
     nf = monoid.garside_normal_form(d, _word(args.word), args.cap)
     obj = {"blocks": nf.to_json_obj()}
     text = " . ".join("{" + ",".join(T) + "}" for T in nf.blocks) or "e"
@@ -312,13 +298,9 @@ def _cmd_garside_nf(d, args):
 
 
 def _cmd_axioms(d, args):
-    from . import monoid
-
     rep = monoid.verify_garside_axioms(d, args.length_cap, args.cap)
     obj = rep.to_json_obj()
-    text = "\n".join(
-        f"{k}: {v}" for k, v in obj.items() if k != "lcm_failures"
-    )
+    text = "\n".join(f"{k}: {v}" for k, v in obj.items() if k != "lcm_failures")
     if obj["lcm_failures"]:
         text += "\nlcm failures: " + "; ".join(
             f"({_word_str(a)}, {_word_str(b)})" for a, b in rep.lcm_failures
@@ -327,16 +309,12 @@ def _cmd_axioms(d, args):
 
 
 def _cmd_grp_nf(d, args):
-    from . import group
-
     g = group.from_letters(d, args.word, args.cap)
     obj = g.to_json_obj()
     return obj, f"Delta^{g.k} * {_word_str(g.a.word)}", None
 
 
 def _cmd_grp_equal(d, args):
-    from . import group
-
     g = group.from_letters(d, args.left, args.cap)
     h = group.from_letters(d, args.right, args.cap)
     eq = group.equal(g, h)
@@ -344,8 +322,6 @@ def _cmd_grp_equal(d, args):
 
 
 def _cmd_fraction(d, args):
-    from . import group
-
     g = group.from_letters(d, args.word, args.cap)
     a, b = group.fraction_decomposition(g, args.cap)
     obj = {"a": list(a.word), "b": list(b.word)}
@@ -353,16 +329,12 @@ def _cmd_fraction(d, args):
 
 
 def _cmd_section(d, args):
-    from . import coxeter, group
-
     w = coxeter.normalize(d, _word(args.word), args.cap)
     g = group.canonical_section(d, w, args.cap)
     return g.to_json_obj(), f"Delta^{g.k} * {_word_str(g.a.word)}", None
 
 
 def _cmd_project(d, args):
-    from . import group
-
     g = group.from_letters(d, args.word, args.cap)
     w = group.project(g, args.cap)
     obj = {"word": list(w.word), "pure": w.length == 0}
@@ -370,16 +342,12 @@ def _cmd_project(d, args):
 
 
 def _cmd_cell_poset(d, args):
-    from . import complexes
-
     p = getattr(complexes, f"{args.command}_poset")(d, _ball(args), args.cap)
     text = f"{len(p)} elements, {len(p.covers())} cover relations"
     return p.to_json_obj(), text, p.to_dot()
 
 
 def _cmd_deligne_fd(d, args):
-    from . import complexes
-
     p, c = complexes.deligne_fundamental_domain(d)
     obj = {"poset": p.to_json_obj(), "complex": c.to_json_obj()}
     text = f"{len(p)} elements, order complex f-vector {obj['complex']['f_vector']}"
@@ -387,8 +355,6 @@ def _cmd_deligne_fd(d, args):
 
 
 def _cmd_homology(d, args):
-    from . import complexes
-
     if args.complex == "deligne-fd":
         p = complexes._deligne_poset(d)
     else:
@@ -407,8 +373,6 @@ def _cmd_homology(d, args):
 
 
 def _cmd_quotient_cells(d, args):
-    from . import complexes
-
     q = complexes.salvetti_quotient_cells(d)
     obj = q.to_json_obj()
     text = f"f-vector {list(q.f_vector)}, euler {q.euler_characteristic}"
@@ -416,15 +380,11 @@ def _cmd_quotient_cells(d, args):
 
 
 def _cmd_abelianization(d, args):
-    from . import complexes
-
     ab = complexes.abelianization(d)
     return ab.to_json_obj(), ab.pretty(), None
 
 
 def _chamber_input(args, parser):
-    from . import shelling
-
     if args.chambers:
         if args.preset or args.file:
             parser.error("pass either --chambers or a diagram source, not both")
@@ -442,8 +402,6 @@ def _chamber_input(args, parser):
 
 
 def _cmd_shelling_check(args, parser):
-    from . import shelling
-
     cc, idx = _chamber_input(args, parser)
     if idx is None:
         raise ArtinError("no index function: add \"index\" to the JSON or pass --index")
@@ -458,8 +416,6 @@ def _cmd_shelling_check(args, parser):
 
 
 def _cmd_is_shelling(args, parser):
-    from . import shelling
-
     cc, _ = _chamber_input(args, parser)
     if args.order:
         order = tuple(int(v) for v in args.order.split(","))
@@ -472,45 +428,77 @@ def _cmd_is_shelling(args, parser):
 
 
 # ---------------------------------------------------------------- parser
+# A row is (handler, specs): each spec is (flag, add_argument keywords), added
+# after the common specs; a spec for a common flag replaces it in its place.
+
+_COMMON = (
+    ("--preset", {"help": "preset diagram name, e.g. A2, B3, I2(5), Atilde2"}),
+    ("--file", {"help": "path to a diagram JSON file"}),
+    ("--format", {"choices": ["json", "text"], "default": "json"}),
+    ("--cap", {"type": _positive_cap, "default": None,
+               "help": "work bound per call: new root coefficients, monoid and group "
+               "normal-form steps (default ARTIN_CAP or 10^6)"}),
+)
+_DOT_FORMAT = ("--format", {"choices": ["json", "text", "dot"], "default": "json"})
+_WORD = ("--word", {"required": True, "help": "whitespace-separated letters"})
+_LEFT_RIGHT = (("--left", {"required": True}), ("--right", {"required": True}))
+_SIDE = ("--side", {"choices": ["left", "right"], "default": "left"})
+_BALL = ("--ball", {"type": _natural, "default": None, "help": "radius for infinite groups"})
+_CHAMBERS = ("--chambers", {"help": "chamber complex JSON file"})
 
 _DIAGRAM_CMDS = {
-    "classify": (_cmd_classify, {}),
-    "taxonomy": (_cmd_taxonomy, {}),
-    "sf": (_cmd_sf, {}),
-    "form": (_cmd_form, {}),
-    "signature": (_cmd_signature, {"tol": 1e-8}),
-    "rep-check": (_cmd_rep_check, {"tol": 1e-9}),
-    "cox-nf": (_cmd_cox_nf, {"word": True}),
-    "enumerate": (_cmd_enumerate, {"max_length": True}),
-    "longest": (_cmd_longest, {}),
-    "reflections": (_cmd_reflections, {"ball_opt": True}),
-    "tmin": (_cmd_tmin, {"word": True, "t": True}),
-    "coxeter-elements": (_cmd_coxeter_elements, {}),
-    "mon-nf": (_cmd_mon_nf, {"word": True}),
-    "mon-equal": (_cmd_mon_equal, {"left_right": True}),
-    "divides": (_cmd_divides, {"dvr": True, "word": True, "side": True}),
-    "gcd": (_cmd_gcd, {"left_right": True, "side": True}),
-    "lcm": (_cmd_lcm, {"left_right": True, "side": True, "length_bound": True}),
-    "delta": (_cmd_delta, {"t_opt": True}),
-    "sigma": (_cmd_sigma, {}),
-    "garside-nf": (_cmd_garside_nf, {"word": True}),
-    "axioms": (_cmd_axioms, {"length_cap": 4}),
-    "grp-nf": (_cmd_grp_nf, {"word": True}),
-    "grp-equal": (_cmd_grp_equal, {"left_right": True}),
-    "fraction": (_cmd_fraction, {"word": True}),
-    "section": (_cmd_section, {"word": True}),
-    "project": (_cmd_project, {"word": True}),
-    "salvetti": (_cmd_cell_poset, {"ball_opt": True, "dot": True}),
-    "davis": (_cmd_cell_poset, {"ball_opt": True, "dot": True}),
-    "deligne-fd": (_cmd_deligne_fd, {"dot": True}),
-    "homology": (_cmd_homology, {"complex": True, "ball_opt": True}),
-    "quotient-cells": (_cmd_quotient_cells, {}),
-    "abelianization": (_cmd_abelianization, {}),
+    "classify": (_cmd_classify, ()),
+    "taxonomy": (_cmd_taxonomy, ()),
+    "sf": (_cmd_sf, ()),
+    "form": (_cmd_form, ()),
+    "signature": (_cmd_signature, (("--tol", {"type": float, "default": 1e-8}),)),
+    "rep-check": (_cmd_rep_check, (("--tol", {"type": float, "default": 1e-9}),)),
+    "cox-nf": (_cmd_cox_nf, (_WORD,)),
+    "enumerate": (_cmd_enumerate, (
+        ("--max-length", {"default": "all"}),
+        ("--words", {"action": "store_true", "help": "include full word lists"}),
+    )),
+    "longest": (_cmd_longest, ()),
+    "reflections": (_cmd_reflections, (_BALL,)),
+    "tmin": (_cmd_tmin, (_WORD, ("--t", {"required": True, "help": "subset, comma-separated"}))),
+    "coxeter-elements": (_cmd_coxeter_elements, ()),
+    "mon-nf": (_cmd_mon_nf, (_WORD,)),
+    "mon-equal": (_cmd_mon_equal, _LEFT_RIGHT),
+    "divides": (_cmd_divides, (
+        _WORD, ("--dvr", {"required": True, "help": "the divisor word"}), _SIDE,
+    )),
+    "gcd": (_cmd_gcd, (*_LEFT_RIGHT, _SIDE)),
+    "lcm": (_cmd_lcm, (
+        *_LEFT_RIGHT, _SIDE, ("--length-bound", {"type": _natural, "default": None}),
+    )),
+    "delta": (_cmd_delta, (
+        ("--t", {"default": None, "help": "subset, comma-separated (default: all)"}),
+    )),
+    "sigma": (_cmd_sigma, ()),
+    "garside-nf": (_cmd_garside_nf, (_WORD,)),
+    "axioms": (_cmd_axioms, (("--length-cap", {"type": _natural, "default": 4}),)),
+    "grp-nf": (_cmd_grp_nf, (_WORD,)),
+    "grp-equal": (_cmd_grp_equal, _LEFT_RIGHT),
+    "fraction": (_cmd_fraction, (_WORD,)),
+    "section": (_cmd_section, (_WORD,)),
+    "project": (_cmd_project, (_WORD,)),
+    "salvetti": (_cmd_cell_poset, (_DOT_FORMAT, _BALL)),
+    "davis": (_cmd_cell_poset, (_DOT_FORMAT, _BALL)),
+    "deligne-fd": (_cmd_deligne_fd, (_DOT_FORMAT,)),
+    "homology": (_cmd_homology, (
+        _BALL, ("--complex", {"choices": ["salvetti", "davis", "deligne-fd"], "required": True}),
+    )),
+    "quotient-cells": (_cmd_quotient_cells, ()),
+    "abelianization": (_cmd_abelianization, ()),
 }
 
 _CHAMBER_CMDS = {
-    "shelling-check": (_cmd_shelling_check, {"index_opt": True}),
-    "is-shelling": (_cmd_is_shelling, {"order_opt": True}),
+    "shelling-check": (_cmd_shelling_check, (
+        _BALL, _CHAMBERS, ("--index", {"help": "comma-separated index function override"}),
+    )),
+    "is-shelling": (_cmd_is_shelling, (
+        _BALL, _CHAMBERS, ("--order", {"help": "comma-separated chamber order (default: listed)"}),
+    )),
 }
 
 
@@ -533,62 +521,13 @@ def _build_parser(only) -> argparse.ArgumentParser:
         version=f"artin {__version__} (format {FORMAT_VERSION})",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
-
-    def add_common(sp, opts, chambers=False):
-        sp.add_argument("--preset", help="preset diagram name, e.g. A2, B3, I2(5), Atilde2")
-        sp.add_argument("--file", help="path to a diagram JSON file")
-        formats = ["json", "text"] + (["dot"] if opts.get("dot") else [])
-        sp.add_argument("--format", choices=formats, default="json")
-        sp.add_argument(
-            "--cap",
-            type=_positive_cap,
-            default=None,
-            help="work bound per call: new root coefficients, monoid and group "
-            "normal-form steps (default ARTIN_CAP or 10^6)",
-        )
-        if "tol" in opts:
-            sp.add_argument("--tol", type=float, default=opts["tol"])
-        if opts.get("word"):
-            sp.add_argument("--word", required=True, help="whitespace-separated letters")
-        if opts.get("left_right"):
-            sp.add_argument("--left", required=True)
-            sp.add_argument("--right", required=True)
-        if opts.get("dvr"):
-            sp.add_argument("--dvr", required=True, help="the divisor word")
-        if opts.get("side"):
-            sp.add_argument("--side", choices=["left", "right"], default="left")
-        if opts.get("t"):
-            sp.add_argument("--t", required=True, help="subset, comma-separated")
-        if opts.get("t_opt"):
-            sp.add_argument("--t", default=None, help="subset, comma-separated (default: all)")
-        if opts.get("max_length"):
-            sp.add_argument("--max-length", default="all")
-            sp.add_argument("--words", action="store_true", help="include full word lists")
-        if opts.get("ball_opt") or chambers:
-            sp.add_argument("--ball", type=int, default=None, help="radius for infinite groups")
-        if opts.get("length_bound"):
-            sp.add_argument("--length-bound", type=int, default=None)
-        if "length_cap" in opts:
-            sp.add_argument("--length-cap", type=int, default=opts["length_cap"])
-        if opts.get("complex"):
-            sp.add_argument(
-                "--complex",
-                choices=["salvetti", "davis", "deligne-fd"],
-                required=True,
-            )
-        if chambers:
-            sp.add_argument("--chambers", help="chamber complex JSON file")
-        if opts.get("index_opt"):
-            sp.add_argument("--index", help="comma-separated index function override")
-        if opts.get("order_opt"):
-            sp.add_argument("--order", help="comma-separated chamber order (default: listed)")
-
     for chambers, table in ((False, _DIAGRAM_CMDS), (True, _CHAMBER_CMDS)):
-        for name, (handler, opts) in table.items():
+        for name, (handler, specs) in table.items():
             if only is not None and name != only:
                 continue
             sp = sub.add_parser(name)
-            add_common(sp, opts, chambers)
+            for flag, kwargs in dict(_COMMON + specs).items():
+                sp.add_argument(flag, **kwargs)
             sp.set_defaults(handler=handler, chamber_cmd=chambers, subparser=sp)
     return parser
 
@@ -621,9 +560,6 @@ def main(argv=None) -> int:
     elif args.format == "text":
         print(text)
     else:
-        if dot is None:
-            print("error: dot output is not available for this subcommand", file=sys.stderr)
-            return 2
         print(dot)
     return 0
 

@@ -586,11 +586,19 @@ def garside_normal_form(d: CoxeterDiagram, a, cap: int = DEFAULT_CAP) -> NormalF
     return NormalForm(d, tuple(reversed(blocks)))
 
 
+def _check_length(name: str, n) -> None:
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n < 0:
+        raise ValueError(f"{name} must be >= 0, got {n}")
+
+
 def monoid_elements(
     d: CoxeterDiagram, max_length: int, cap: int = DEFAULT_CAP
 ) -> list[list[MonoidElement]]:
     """All monoid elements grouped by length, lengths 0..max_length, each
     layer in ShortLex order."""
+    _check_length("max_length", max_length)
     st = _begin(d, cap, "monoid_elements")
     layer = [()]
     layers = [[identity(d)]]
@@ -671,6 +679,7 @@ def verify_garside_axioms(
     left-divisors(Delta) = right-divisors(Delta) = section image of W, and
     (v) |divisors(Delta)| = |W|.
     """
+    _check_length("length_cap", length_cap)
     finite = coxeter._engine(d).finite
     elements = [el for layer in monoid_elements(d, length_cap, cap) for el in layer]
 

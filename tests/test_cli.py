@@ -594,3 +594,46 @@ def test_tolerance_must_be_finite_and_positive(capsys, argv, preset):
     code, out, err = run([*argv[:1], "--preset", preset, *argv[1:]], capsys)
     assert (code, out) == (1, "")
     assert err.startswith("error: tolerance must be positive, got ")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["salvetti", "--preset", "Atilde2", "--ball"], "--ball"),
+    (["axioms", "--preset", "A2", "--length-cap"], "--length-cap"),
+    (["lcm", "--preset", "A2", "--left", "s", "--right", "t", "--length-bound"], "--length-bound"),
+])
+def test_negative_lengths_are_usage_errors_that_name_their_flag(capsys, argv, flag):
+    code, out, err = run([*argv, "-1"], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(f": error: argument {flag}: must be non-negative, got -1\n")
+    code, _, err = run([*argv, "0"], capsys)
+    assert (code, err) == (0, "")
+
+
+TRIANGLE = {"vertices": ["a", "b", "c"], "edges": [
+    {"a": "a", "b": "b", "m": "inf"}, {"a": "a", "b": "c", "m": 3}, {"a": "b", "b": "c", "m": 6}]}
+POSET_GUARD = "error: poset size exceeded cap 3000\n"
+
+
+# README's quoted --cap thresholds: on cold engines, each command succeeds, or
+# stops at the poset guard rather than the root cap, at its quoted cap, so a
+# threshold may fall but not rise.  The triangle's Davis ball at 61 is
+# test_complexes.py::test_davis_cells_spend_no_roots_on_descents.
+@pytest.mark.parametrize("argv, cap, err", [
+    (["salvetti", "--file", "TRIANGLE", "--ball", "2"], 551, ""),
+    (["shelling-check", "--preset", "Atilde2", "--ball", "1"], 6, ""),
+    (["davis", "--preset", "E6"], 234, POSET_GUARD),
+    (["davis", "--preset", "H4"], 946, POSET_GUARD),
+    (["davis", "--preset", "Atilde2", "--ball", "60"], 795, POSET_GUARD),
+    (["enumerate", "--preset", "E6"], 252, ""),
+    (["enumerate", "--preset", "H4"], 1004, ""),
+    (["enumerate", "--preset", "Atilde2", "--max-length", "60"], 1065, ""),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "guard" if v == POSET_GUARD else None)
+def test_readme_cap_thresholds_hold(capsys, tmp_path, argv, cap, err):
+    from artin import coxeter
+
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(TRIANGLE))
+    argv = [str(path) if a == "TRIANGLE" else a for a in argv]
+    coxeter._engine.cache_clear()
+    code, _, got = run([*argv, "--cap", str(cap)], capsys)
+    assert (code, got) == (1 if err else 0, err)

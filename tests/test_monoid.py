@@ -299,3 +299,14 @@ def test_monoid_elements_layer_counts():
     d = preset("A2")
     layers = monoid.monoid_elements(d, 4)
     assert [len(l) for l in layers] == [1, 2, 4, 7, 12]
+
+
+@pytest.mark.parametrize("length", [-1, -2, True, 2.0, "3", None])
+def test_monoid_lengths_must_be_natural_numbers(length):
+    # a negative length used to yield the identity layer alone, so the axiom
+    # check passed on the identity without checking anything
+    d = preset("A2")
+    with pytest.raises(ValueError, match="max_length"):
+        monoid.monoid_elements(d, length)
+    with pytest.raises(ValueError, match="length_cap"):
+        monoid.verify_garside_axioms(d, length)

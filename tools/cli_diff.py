@@ -1,0 +1,188 @@
+"""Run one argv corpus through `artin.cli.main` on two checkouts and print
+every argv whose exit code, stdout or stderr differ.
+
+    python3 tools/cli_diff.py --parent ../parent --change .
+
+Each side runs the whole corpus in one subprocess with `src/` of its
+checkout on PYTHONPATH, calling `main` in process and clearing
+`coxeter._engine` before each argv, so every argv starts from cold engines.
+Both sides share one temporary directory of input files, the same
+environment (without ARTIN_CAP, with COLUMNS=80 for help text) and the
+same PYTHONHASHSEED.  The corpus covers every subcommand in json and text,
+and in dot where offered, on six presets, `--help` of the tool and of every
+subcommand, and the usage and domain error paths.  Exit code 1 if any argv
+differs, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+
+_CHILD = """
+import contextlib, io, json, sys, traceback
+from artin import cli, coxeter
+results = []
+for argv in json.load(sys.stdin):
+    coxeter._engine.cache_clear()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception:
+            code = "traceback"
+            traceback.print_exc()
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+PRESETS = {"A1": "s", "A2": "s t", "B3": "s t u", "I2(5)": "s t", "Atilde2": "s t u", "H3": "s t u"}
+SUBCOMMANDS = (
+    "classify", "taxonomy", "sf", "form", "signature", "rep-check", "cox-nf", "enumerate",
+    "longest", "reflections", "tmin", "coxeter-elements", "mon-nf", "mon-equal", "divides",
+    "gcd", "lcm", "delta", "sigma", "garside-nf", "axioms", "grp-nf", "grp-equal", "fraction",
+    "section", "project", "salvetti", "davis", "deligne-fd", "homology", "quotient-cells",
+    "abelianization", "shelling-check", "is-shelling",
+)
+DOT = ("salvetti", "davis", "deligne-fd")
+# a diagram with labels 3, 6 and inf, the triangle the cap thresholds use
+TRIANGLE = {"vertices": ["a", "b", "c"], "edges": [
+    {"a": "a", "b": "b", "m": "inf"}, {"a": "a", "b": "c", "m": 3}, {"a": "b", "b": "c", "m": 6}]}
+CHAMBERS = {"n": 1, "chambers": [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]],
+            "index": [0, 1, 2, 1]}
+
+
+def _args(name: str, letters: list[str], infinite: bool) -> list[list[str]]:
+    """The subcommand-specific arguments to try on a diagram with these
+    letters: one or more argument lists."""
+    s, last = letters[0], letters[-1]
+    word = " ".join(letters + letters[:1])
+    signed = f"{s} {last}^-1 {s}"
+    lr = ["--left", " ".join(letters), "--right", " ".join(reversed(letters))]
+    ball = ["--ball", "2"] if infinite else []
+    return {
+        "signature": [[], ["--tol", "1e-3"]],
+        "rep-check": [[], ["--tol", "1e-3"]],
+        "cox-nf": [["--word", word]],
+        "enumerate": [["--max-length", "3"], ["--max-length", "2", "--words"]]
+        + ([] if infinite else [[]]),
+        "reflections": [ball],
+        "tmin": [["--word", word, "--t", s]],
+        "mon-nf": [["--word", word]],
+        "mon-equal": [lr],
+        "divides": [["--dvr", s, "--word", word], ["--dvr", last, "--word", s, "--side", "right"]],
+        "gcd": [lr, lr + ["--side", "right"]],
+        "lcm": [lr, lr + ["--side", "right", "--length-bound", "3"]],
+        "delta": [[], ["--t", s]],
+        "garside-nf": [["--word", word]],
+        "axioms": [["--length-cap", "2"]],
+        "grp-nf": [["--word", signed]],
+        "grp-equal": [["--left", signed, "--right", f"{s}^-1 {s} {signed}"]],
+        "fraction": [["--word", signed]],
+        "section": [["--word", word]],
+        "project": [["--word", signed]],
+        "salvetti": [ball],
+        "davis": [ball, ["--ball", "1"]],
+        "homology": [["--complex", c] + (ball if c != "deligne-fd" else [])
+                     for c in ("salvetti", "davis", "deligne-fd")],
+        "shelling-check": [["--ball", "1"] if infinite else []],
+        "is-shelling": [["--ball", "1"] if infinite else []],
+    }.get(name, [[]])
+
+
+def _corpus(tmp: str) -> list[list[str]]:
+    """The argv list, reading its input files from `tmp`."""
+    files = {"triangle": TRIANGLE, "chambers": CHAMBERS, "bad": {"vertices": 5}}
+    for stem, obj in files.items():
+        with open(os.path.join(tmp, f"{stem}.json"), "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+    triangle, chambers, bad = (os.path.join(tmp, f"{stem}.json") for stem in files)
+    corpus = [[], ["--help"], ["--version"], ["nosuch"]]
+    for name in SUBCOMMANDS:
+        corpus.append([name, "--help"])
+        formats = ("json", "text", "dot") if name in DOT else ("json", "text")
+        sources = [(["--preset", p], letters.split(), p == "Atilde2") for p, letters in PRESETS.items()]
+        sources.append((["--file", triangle], ["a", "b", "c"], True))
+        for source, letters, infinite in sources:
+            for extra in _args(name, letters, infinite):
+                corpus += [[name, *source, *extra, "--format", f] for f in formats]
+        corpus += [
+            [name], [name, "--preset", "A2", "--file", triangle], [name, "--preset", "Z9"],
+            [name, "--file", bad], [name, "--file", os.path.join(tmp, "missing.json")],
+            [name, "--preset", "A2", "--bogus"], [name, "--preset", "A2", "--format", "xml"],
+            [name, "--preset", "A2", "--cap", "0"], [name, "--preset", "A2", "--cap", "x"],
+            [name, "--preset", "A2", "--cap", "3"],
+        ]
+    for name in ("shelling-check", "is-shelling"):
+        corpus += [[name, "--chambers", chambers, "--format", f] for f in ("json", "text")]
+        corpus += [[name, "--chambers", chambers, "--preset", "A2"],
+                   [name, "--chambers", bad], [name, "--chambers", os.path.join(tmp, "no.json")]]
+    corpus += [
+        ["shelling-check", "--chambers", chambers, "--index", "0,2,1,1"],
+        ["shelling-check", "--preset", "A2", "--index", "0,1"],
+        ["is-shelling", "--chambers", chambers, "--order", "3,2,1,0"],
+        ["is-shelling", "--preset", "A2", "--order", "0,0"],
+    ]
+    for flag, argv in (("--ball", ["salvetti", "--preset", "Atilde2"]),
+                       ("--ball", ["reflections", "--preset", "Atilde2"]),
+                       ("--ball", ["shelling-check", "--preset", "Atilde2"]),
+                       ("--length-cap", ["axioms", "--preset", "A2"]),
+                       ("--length-bound", ["lcm", "--preset", "A2", "--left", "s", "--right", "t"])):
+        corpus += [argv + [flag, v] for v in ("-1", "0", "x")]
+    corpus += [
+        ["enumerate", "--preset", "A2", "--max-length", "-1"],
+        ["enumerate", "--preset", "A2", "--max-length", "x"],
+        ["enumerate", "--preset", "Atilde2"],
+        ["signature", "--preset", "A2", "--tol", "-1"],
+        ["rep-check", "--preset", "A2", "--tol", "nan"],
+        ["cox-nf", "--preset", "A2", "--word", "s x"],
+        ["delta", "--preset", "A2", "--t", "s,x"],
+        ["delta", "--preset", "A2", "--t", ""],
+        ["homology", "--preset", "A2", "--complex", "nosuch"],
+        ["homology", "--preset", "A9", "--complex", "deligne-fd"],
+        ["divides", "--preset", "A2", "--dvr", "s", "--word", "t", "--side", "up"],
+    ]
+    return corpus
+
+
+def _run(root: str, corpus: list[list[str]], cwd: str) -> list[list]:
+    env = {k: v for k, v in os.environ.items() if k != "ARTIN_CAP"}
+    env.update(PYTHONPATH=os.path.join(os.path.abspath(root), "src"), COLUMNS="80",
+               PYTHONHASHSEED="0")
+    proc = subprocess.run([sys.executable, "-c", _CHILD], input=json.dumps(corpus), cwd=cwd,
+                          env=env, capture_output=True, text=True, check=False)
+    if proc.returncode:
+        raise SystemExit(f"{root}: the corpus run failed (exit {proc.returncode}):\n"
+                         f"{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", required=True, help="checkout of the change")
+    args = ap.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = _corpus(tmp)
+        parent = _run(args.parent, corpus, tmp)
+        change = _run(args.change, corpus, tmp)
+    differ = 0
+    for argv_, old, new in zip(corpus, parent, change):
+        if old == new:
+            continue
+        differ += 1
+        print(shlex.join(argv_))
+        for label, a, b in zip(("exit", "stdout", "stderr"), old, new):
+            if a != b:
+                print(f"  {label}: {a!r:.200} -> {b!r:.200}")
+    print(f"{differ} of {len(corpus)} argv differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
