@@ -16,6 +16,7 @@ is built for that subcommand alone.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import json
 import os
@@ -63,6 +64,10 @@ def _natural(text: str) -> int:
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
     return n
+
+
+def _max_length(text: str):
+    return text if text == "all" else _natural(text)
 
 
 def _env_cap(parser) -> int:
@@ -136,21 +141,10 @@ def _cmd_classify(d, args):
 
 def _cmd_taxonomy(d, args):
     rep = classify_taxonomy(d)
-    obj = {
-        "finite_type": rep.finite_type,
-        "fc_type": rep.fc_type,
-        "two_dimensional": rep.two_dimensional,
-        "large_type": rep.large_type,
-        "locally_reducible": rep.locally_reducible,
-        "free_of_infinity": rep.free_of_infinity,
-        "almost_spherical": rep.almost_spherical,
-        "components": [
-            lab.name if lab is not None else "non-spherical component"
-            for lab in rep.components
-        ],
-    }
-    text = "\n".join(f"{k}: {v}" for k, v in obj.items() if k != "components")
-    text += "\ncomponents: " + ", ".join(obj["components"])
+    names = [lab.name if lab is not None else "non-spherical component" for lab in rep.components]
+    obj = dataclasses.asdict(dataclasses.replace(rep, components=names))
+    *flags, _ = obj.items()
+    text = "\n".join(f"{k}: {v}" for k, v in flags) + "\ncomponents: " + ", ".join(names)
     return obj, text, None
 
 
@@ -172,14 +166,7 @@ def _cmd_form(d, args):
 
 def _cmd_signature(d, args):
     sig = tits.signature(tits.bilinear_form(d), args.tol)
-    obj = {
-        "n_pos": sig.n_pos,
-        "n_zero": sig.n_zero,
-        "n_neg": sig.n_neg,
-        "tol": sig.tol,
-        "eigenvalues": list(sig.eigenvalues),
-        "positive_definite": sig.n_zero == 0 and sig.n_neg == 0,
-    }
+    obj = {**dataclasses.asdict(sig), "positive_definite": sig.n_zero == 0 and sig.n_neg == 0}
     text = (
         f"signature (n_pos, n_zero, n_neg) = ({sig.n_pos}, {sig.n_zero}, {sig.n_neg})\n"
         f"positive definite: {obj['positive_definite']}"
@@ -216,10 +203,9 @@ def _cmd_cox_nf(d, args):
 
 
 def _cmd_enumerate(d, args):
-    max_length = args.max_length if args.max_length == "all" else int(args.max_length)
-    layers = coxeter.enumerate_elements(d, max_length, args.cap)
+    layers = coxeter.enumerate_elements(d, args.max_length, args.cap)
     counts = {str(k): len(layer) for k, layer in enumerate(layers)}
-    obj = {"max_length": max_length, "counts": counts, "total": sum(map(len, layers))}
+    obj = {"max_length": args.max_length, "counts": counts, "total": sum(map(len, layers))}
     if args.words:
         obj["words"] = [[list(e.word) for e in layer] for layer in layers]
     text = "\n".join(f"length {k}: {len(layer)}" for k, layer in enumerate(layers))
@@ -455,7 +441,7 @@ _DIAGRAM_CMDS = {
     "rep-check": (_cmd_rep_check, (("--tol", {"type": float, "default": 1e-9}),)),
     "cox-nf": (_cmd_cox_nf, (_WORD,)),
     "enumerate": (_cmd_enumerate, (
-        ("--max-length", {"default": "all"}),
+        ("--max-length", {"type": _max_length, "default": "all"}),
         ("--words", {"action": "store_true", "help": "include full word lists"}),
     )),
     "longest": (_cmd_longest, ()),

@@ -21,7 +21,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import coxeter
 from .coxeter import DEFAULT_CAP
@@ -267,16 +267,12 @@ def invariant_factors(rows: dict[int, dict[int, int]]) -> list[int]:
     diag = _snf_diagonal(rows)
     units = diag.count(1)
     diag = [x for x in diag if x != 1]
-    done = False
-    while not done:
-        done = True
-        for i in range(len(diag)):
-            for j in range(i + 1, len(diag)):
-                if diag[j] % diag[i]:
-                    g = math.gcd(diag[i], diag[j])
-                    diag[i], diag[j] = g, diag[i] * diag[j] // g
-                    done = False
-    return [1] * units + sorted(diag)
+    # (d_i, d_j) := (gcd, lcm) for i < j; after step i, d_i divides all later d_j
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return [1] * units + diag
 
 
 def _abelian_group(rank: int, torsion) -> str:
@@ -307,11 +303,7 @@ class HomologyResult:
         return ", ".join(f"H_{k} = {self.group(k)}" for k in range(len(self.betti)))
 
     def to_json_obj(self) -> dict:
-        return {
-            "betti": list(self.betti),
-            "torsion": [list(t) for t in self.torsion],
-            "pretty": self.pretty(),
-        }
+        return {**asdict(self), "pretty": self.pretty()}
 
 
 def homology(c: SimplicialComplex, face_guard: int = DEFAULT_FACE_GUARD) -> HomologyResult:
@@ -521,7 +513,7 @@ class QuotientCells:
         return sum((-1) ** k * c for k, c in enumerate(self.f_vector))
 
     def to_json_obj(self) -> dict:
-        return {"f_vector": list(self.f_vector), "euler": self.euler_characteristic}
+        return {**asdict(self), "euler": self.euler_characteristic}
 
 
 def salvetti_quotient_cells(d: CoxeterDiagram) -> QuotientCells:
@@ -540,7 +532,7 @@ class Abelianization:
         return _abelian_group(self.rank, self.torsion)
 
     def to_json_obj(self) -> dict:
-        return {"rank": self.rank, "torsion": list(self.torsion), "pretty": self.pretty()}
+        return {**asdict(self), "pretty": self.pretty()}
 
 
 def abelianization(d: CoxeterDiagram) -> Abelianization:

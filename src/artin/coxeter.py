@@ -286,6 +286,7 @@ class _Engine:
     Elements are ids keyed by their signature tuple of root ids; element 0
     is the identity.  ``right[e*n + s]`` and ``left[e*n + s]`` are the ids of
     e*s and s*e (-1 until first needed), and ``nf[e]`` the normal form.
+    ``longest(mask)`` climbs to the longest element of a finite W_T.
     ``monoid`` is the Artin monoid state on this engine, built by ``monoid``
     on first use.
     """
@@ -431,6 +432,15 @@ class _Engine:
             s = key[x]
             f = right[e * n + s]
             e = f if f >= 0 else self.times(e, s)
+        return e
+
+    def longest(self, mask: int) -> int:
+        """w0 of W_T for T given as a mask (W_T must be finite): left-multiply
+        the identity by the lowest non-descent in T until there is none."""
+        e, positive, sig = 0, self.positive, self.sig
+        gens = [s for s in range(self.n) if mask >> s & 1]
+        while (up := next((s for s in gens if positive[sig[e][s]]), None)) is not None:
+            e = self.left_times(up, e)
         return e
 
     def word(self, e: int) -> tuple[str, ...]:
@@ -592,13 +602,7 @@ def longest_element(d: CoxeterDiagram, cap: int = DEFAULT_CAP) -> CoxeterElement
     if not eng.finite:
         raise FiniteTypeRequiredError("longest_element needs a finite-type diagram")
     eng.begin(cap, "longest_element")
-    e = 0
-    while True:
-        sig = eng.sig[e]
-        up = next((s for s in range(eng.n) if eng.positive[sig[s]]), None)
-        if up is None:
-            return eng.element(e)
-        e = eng.left_times(up, e)
+    return eng.element(eng.longest((1 << eng.n) - 1))
 
 
 def reflections(

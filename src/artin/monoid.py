@@ -16,7 +16,8 @@ peels the smallest left-dividing letter, a letter of L(x_1), and repeats.
 Divisibility peels the divisor's letters, gcd peels common head letters,
 lcm reverses words with the complements s\\t = Pi(t, s; m_st - 1)
 (Brieskorn-Saito, Invent. Math. 17, 1972), and the right-handed versions go
-through the reversal anti-automorphism.  Delta_T climbs non-descents in T.
+through the reversal anti-automorphism.  Delta_T is the engine's climb to
+w0 of W_T, and sigma is the complement applied twice.
 
 ``cap`` bounds the work of one call: a normal form of l letters in k
 factors counts l * (k + 1) steps, its ShortLex word l * k, each further
@@ -30,7 +31,7 @@ enumerates a braid-move class; there ``cap`` bounds the class size.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import coxeter
 from .coxeter import DEFAULT_CAP, _check_letters
@@ -56,7 +57,9 @@ class _Greedy:
     word -> normal form (a tuple of element ids) and ``words`` normal form
     -> ShortLex word; every ShortLex word made is also a key of ``nfs``.
     ``quotients`` maps (normal form, word) to the normal form of the left
-    cofactor, or None; gcd records the cofactors it finds.
+    cofactor, or None; gcd records the cofactors it finds.  ``deltas`` maps
+    a mask T to Delta_T, and ``complements`` a simple e to w0 e^-1; the
+    twist sigma(e) = w0 e w0 is read off the complement of the complement.
     """
 
     def __init__(self, eng: coxeter._Engine):
@@ -68,7 +71,6 @@ class _Greedy:
         self.words: dict[tuple, tuple] = {}
         self.quotients: dict[tuple, tuple | None] = {}
         self.deltas: dict[int, int] = {}
-        self.twists: dict[int, int] = {}
         self.complements: dict[int, int] = {}
         m = [[d._nbrs[a].get(b, 2) for b in self.names] for a in self.names]
         # comp[s][t] = s\t, the letters t s t ... with s * (s\t) = lcm(s, t)
@@ -132,32 +134,17 @@ class _Greedy:
         return f
 
     def delta(self, mask: int) -> int:
-        """w0 of W_T for T given as a mask (W_T must be finite): climb
-        non-descents in T from the identity."""
+        """w0 of W_T for T given as a mask (W_T must be finite), from the
+        engine's climb; it is an involution, so it is its own inverse."""
         e = self.deltas.get(mask)
         if e is None:
-            e, info = 0, self.info
-            while mask & ~info[e][0]:
-                e = self.left(_low(mask & ~info[e][0]), e)
-            self.deltas[mask] = e
+            e = self.deltas[mask] = self.eng.longest(mask)
+            if e not in self.info:
+                self._register(e, e, len(self.eng.word(e)))
         return e
 
     def w0(self) -> int:
         return self.delta((1 << self.n) - 1)
-
-    def sigma(self, s: int) -> int:
-        """sigma(s) = w0 s w0: the one generator that is not a left descent of w0 s."""
-        return _low(((1 << self.n) - 1) & ~self.info[self.right(self.w0(), s)][0])
-
-    def twist(self, e: int) -> int:
-        """sigma applied to a simple."""
-        f = self.twists.get(e)
-        if f is None:
-            f = 0
-            for x in self.eng.word(e):
-                f = self.right(f, self.sigma(self.key[x]))
-            self.twists[e] = f
-        return f
 
     def complement(self, e: int) -> int:
         """The simple c with c * e = Delta, that is w0 e^-1."""
@@ -168,6 +155,11 @@ class _Greedy:
                 c = self.right(c, self.key[x])
             self.complements[e] = c
         return c
+
+    def twist(self, e: int) -> int:
+        """sigma(e) = w0 e w0, the complement of the complement:
+        w0 (w0 e^-1)^-1 = w0 e w0."""
+        return self.complement(self.complement(e))
 
     # ------------------------------------------------------------ normal forms
     def pair(self, x: int, y: int) -> tuple[int, int]:
@@ -545,7 +537,7 @@ def garside_permutation(d: CoxeterDiagram, cap: int = DEFAULT_CAP) -> dict[str, 
     st = _begin(d, cap, "garside_permutation")
     if not st.eng.finite:
         raise FiniteTypeRequiredError("sigma requires a finite-type diagram")
-    return {st.names[s]: st.names[st.sigma(s)] for s in range(st.n)}
+    return {st.names[s]: st.eng.word(st.twist(st.right(0, s)))[0] for s in range(st.n)}
 
 
 @dataclass(frozen=True)
@@ -646,20 +638,8 @@ class GarsideAxiomReport:
         return all(checks)
 
     def to_json_obj(self) -> dict:
-        return {
-            "length_cap": self.length_cap,
-            "finite_type": self.finite_type,
-            "cancellative": self.cancellative,
-            "length_additive": self.length_additive,
-            "gcd_ok": self.gcd_ok,
-            "lcm_ok": self.lcm_ok,
-            "lcm_failures": [[list(a), list(b)] for a, b in self.lcm_failures],
-            "divisors_symmetric": self.divisors_symmetric,
-            "divisors_match_section": self.divisors_match_section,
-            "divisor_count": self.divisor_count,
-            "group_order": self.group_order,
-            "passed": self.passed,
-        }
+        # every field after the leading diagram, then the verdict
+        return {**{f.name: getattr(self, f.name) for f in fields(self)[1:]}, "passed": self.passed}
 
 
 def _side_letters(d: CoxeterDiagram, x: MonoidElement, side: str, cap: int) -> set[str]:

@@ -25,7 +25,7 @@ per generator, filled in length order over the enumerated ball.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import coxeter
 from .coxeter import DEFAULT_CAP
@@ -152,12 +152,7 @@ class ClaimCheck:
     witness: str | None = None
 
     def to_json_obj(self) -> dict:
-        return {
-            "level": self.level,
-            "chambers": list(self.chambers),
-            "ok": self.ok,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -173,13 +168,7 @@ class LevelCounts:
     claim_b_passed: int
 
     def to_json_obj(self) -> dict:
-        return {
-            "level": self.level,
-            "chambers": self.chambers,
-            "claim_a_passed": self.claim_a_passed,
-            "pairs": self.pairs,
-            "claim_b_passed": self.claim_b_passed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -283,11 +272,7 @@ class ShellingCheck:
     witness: str | None = None
 
     def to_json_obj(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violation_position": self.violation_position,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 def is_shelling(cc: ChamberComplex, order) -> ShellingCheck:

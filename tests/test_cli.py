@@ -609,6 +609,54 @@ def test_negative_lengths_are_usage_errors_that_name_their_flag(capsys, argv, fl
     assert (code, err) == (0, "")
 
 
+def test_max_length_is_all_or_a_natural_number(capsys):
+    argv = ["enumerate", "--preset", "A2", "--max-length"]
+    for value, message in (("x", "invalid int value: 'x'"), ("-1", "must be non-negative, got -1")):
+        code, out, err = run([*argv, value], capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(f": error: argument --max-length: {message}\n")
+    for value, total in (("all", 6), ("0", 1)):
+        code, out, err = run([*argv, value], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["total"] == total
+
+
+CHAMBER_KEYS = ["level", "chambers", "ok", "witness"]
+
+
+# JSON key order is part of the output: pin it where objects are built from
+# dataclass fields.  The --index makes claims A and B fail, so each has entries.
+@pytest.mark.parametrize("argv, keys, nested", [
+    (["taxonomy", "--preset", "A2"], ["finite_type", "fc_type", "two_dimensional", "large_type",
+     "locally_reducible", "free_of_infinity", "almost_spherical", "components"], {}),
+    (["signature", "--preset", "A2"],
+     ["n_pos", "n_zero", "n_neg", "tol", "eigenvalues", "positive_definite"], {}),
+    (["axioms", "--preset", "A2", "--length-cap", "1"], ["length_cap", "finite_type",
+     "cancellative", "length_additive", "gcd_ok", "lcm_ok", "lcm_failures", "divisors_symmetric",
+     "divisors_match_section", "divisor_count", "group_order", "passed"], {}),
+    (["homology", "--preset", "A2", "--complex", "salvetti"],
+     ["complex", "betti", "torsion", "pretty", "euler"], {}),
+    (["abelianization", "--preset", "A2"], ["rank", "torsion", "pretty"], {}),
+    (["quotient-cells", "--preset", "A2"], ["f_vector", "euler"], {}),
+    (["shelling-check", "--chambers", "CHAMBERS", "--index", "0,2,1,1"],
+     ["n", "claim_a", "claim_b", "levels", "passed", "conclusion"],
+     {"claim_a": CHAMBER_KEYS, "claim_b": CHAMBER_KEYS,
+      "levels": ["level", "chambers", "claim_a_passed", "pairs", "claim_b_passed"]}),
+    (["is-shelling", "--chambers", "CHAMBERS", "--order", "0,2,1,3"],
+     ["ok", "violation_position", "witness"], {}),
+], ids=lambda v: v[0] if isinstance(v, list) and v[0] in SUBCOMMANDS else None)
+def test_json_key_order(capsys, tmp_path, argv, keys, nested):
+    path = tmp_path / "chambers.json"
+    path.write_text(json.dumps({"n": 1, "chambers": [["a", "b"], ["b", "c"], ["c", "d"],
+                                                     ["a", "d"]]}))
+    code, out, err = run([str(path) if a == "CHAMBERS" else a for a in argv], capsys)
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert list(obj) == keys
+    for key, inner in nested.items():
+        assert obj[key] and list(obj[key][0]) == inner
+
+
 TRIANGLE = {"vertices": ["a", "b", "c"], "edges": [
     {"a": "a", "b": "b", "m": "inf"}, {"a": "a", "b": "c", "m": 3}, {"a": "b", "b": "c", "m": 6}]}
 POSET_GUARD = "error: poset size exceeded cap 3000\n"

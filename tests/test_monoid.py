@@ -180,6 +180,17 @@ def test_garside_element_needs_finite_type():
         monoid.garside_element(preset("Atilde2"), ("s", "t", "u"))
 
 
+# On a cold engine, Delta_T of a proper subset costs the climb in W_T and the
+# ShortLex word of its top, and no inverses along the way.
+@pytest.mark.parametrize("name, cap, word", [
+    ("H3", 31, ("s", "t", "s", "t", "s")),
+    ("A3", 7, ("s", "t", "s")),
+])
+def test_garside_element_of_a_pair_fits_a_low_cap_on_a_cold_engine(name, cap, word):
+    coxeter._engine.cache_clear()
+    assert monoid.garside_element(preset(name), ("s", "t"), cap).word == word
+
+
 def test_sigma_examples():
     assert monoid.garside_permutation(preset("A2")) == {"s": "t", "t": "s"}
     assert monoid.garside_permutation(preset("B2")) == {"s": "s", "t": "t"}

@@ -10,8 +10,10 @@ Both sides share one temporary directory of input files, the same
 environment (without ARTIN_CAP, with COLUMNS=80 for help text) and the
 same PYTHONHASHSEED.  The corpus covers every subcommand in json and text,
 and in dot where offered, on six presets, `--help` of the tool and of every
-subcommand, and the usage and domain error paths.  Exit code 1 if any argv
-differs, else 0.
+subcommand, the usage and domain error paths, and a low-cap section: the
+Garside and group subcommands on A3, B3 and H3 at six caps from 5 to 40,
+where a change to the work a call does shows as a cap trip that moves.
+Exit code 1 if any argv differs, else 0.
 """
 
 from __future__ import annotations
@@ -53,6 +55,15 @@ DOT = ("salvetti", "davis", "deligne-fd")
 # a diagram with labels 3, 6 and inf, the triangle the cap thresholds use
 TRIANGLE = {"vertices": ["a", "b", "c"], "edges": [
     {"a": "a", "b": "b", "m": "inf"}, {"a": "a", "b": "c", "m": 3}, {"a": "b", "b": "c", "m": 6}]}
+# the low-cap section: (argv after the source), each run at every cap
+LOW_CAP_PRESETS = ("A3", "B3", "H3")
+LOW_CAP_ARGS = (
+    ["delta"], ["delta", "--t", "s,t"], ["sigma"], ["longest"],
+    ["grp-nf", "--word", "s u^-1 t s"],
+    ["grp-equal", "--left", "s u^-1 t s", "--right", "t^-1 t s u^-1 t s"],
+    ["fraction", "--word", "s u^-1 t s"],
+)
+LOW_CAPS = (5, 8, 10, 20, 32, 40)
 CHAMBERS = {"n": 1, "chambers": [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]],
             "index": [0, 1, 2, 1]}
 
@@ -147,6 +158,8 @@ def _corpus(tmp: str) -> list[list[str]]:
         ["homology", "--preset", "A9", "--complex", "deligne-fd"],
         ["divides", "--preset", "A2", "--dvr", "s", "--word", "t", "--side", "up"],
     ]
+    corpus += [[name, "--preset", p, *extra, "--cap", str(cap)]
+               for p in LOW_CAP_PRESETS for name, *extra in LOW_CAP_ARGS for cap in LOW_CAPS]
     return corpus
 
 
