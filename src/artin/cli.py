@@ -66,7 +66,7 @@ def _natural(text: str) -> int:
     return n
 
 
-def _max_length(text: str):
+def _max_length(text: str) -> int | str:
     return text if text == "all" else _natural(text)
 
 
@@ -143,7 +143,7 @@ def _cmd_taxonomy(d, args):
     rep = classify_taxonomy(d)
     names = [lab.name if lab is not None else "non-spherical component" for lab in rep.components]
     obj = dataclasses.asdict(dataclasses.replace(rep, components=names))
-    *flags, _ = obj.items()
+    *flags, _ = obj.items()  # components is the last field
     text = "\n".join(f"{k}: {v}" for k, v in flags) + "\ncomponents: " + ", ".join(names)
     return obj, text, None
 

@@ -55,7 +55,7 @@ DOT = ("salvetti", "davis", "deligne-fd")
 # a diagram with labels 3, 6 and inf, the triangle the cap thresholds use
 TRIANGLE = {"vertices": ["a", "b", "c"], "edges": [
     {"a": "a", "b": "b", "m": "inf"}, {"a": "a", "b": "c", "m": 3}, {"a": "b", "b": "c", "m": 6}]}
-# the low-cap section: (argv after the source), each run at every cap
+# the low-cap section: each subcommand and its arguments, on every preset at every cap
 LOW_CAP_PRESETS = ("A3", "B3", "H3")
 LOW_CAP_ARGS = (
     ["delta"], ["delta", "--t", "s,t"], ["sigma"], ["longest"],
