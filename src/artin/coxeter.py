@@ -1,29 +1,32 @@
 """Coxeter group word problem from the exact action of W on its roots.
 
-W acts on the real space with basis {alpha_s : s in S} by
-s(v) = v - 2 B(alpha_s, v) alpha_s, where B(alpha_s, alpha_t) = -cos(pi/m_st),
-and -1 when m_st is infinite.  This geometric representation is faithful, so
-an element w is determined by its signature (w^-1(alpha_t))_t, and every
-root is positive or negative: its nonzero coordinates share one sign.  A
-generator s is a left descent of w exactly when w^-1(alpha_s) < 0
-(Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 4).
+W acts on the real space with basis {alpha_s : s in S} by s(alpha_s) =
+-alpha_s and s(alpha_t) = alpha_t + c_st alpha_s, where the Cartan constants
+c_st, c_ts are 0 if m_st = 2 and otherwise positive with c_st c_ts =
+4cos^2(pi/m_st), or 4 if m_st is infinite.  This action is faithful, every
+root is positive or negative (its nonzero coordinates share one sign), and s
+is a left descent of w exactly when w^-1(alpha_s) < 0 (Kac,
+Infinite-dimensional Lie algebras, Prop. 3.13 and Lemma 3.11, for integral
+constants; Vinberg, Discrete linear groups generated by reflections, 1971).
+So an element is determined by its signature (w^-1(alpha_t))_t.
 
-Exact ring.  Every coefficient 2cos(pi/m) lies in Z[zeta], zeta a primitive
-2M-th root of unity, where M is the lcm of the diagram's finite labels >= 4;
-when every label is 2, 3 or infinity the ring is plain Z.  Z[zeta] is the
-tensor product of the cyclotomic rings of the prime powers dividing 2M, and
-a coefficient is the sparse tuple of its nonzero coordinates in the product
-of their power bases.  That representation is canonical, so the zero test
-is exact and roots are interned by their coordinates, and it stays as short
+Exact ring.  Labels 3, 4, 6 and infinity take the integers (c_st, c_ts) =
+(1, 1), (1, 2), (1, 3) and (2, 2), the larger on the later vertex, so every
+Weyl and affine Weyl diagram acts over Z.  Another label m takes c_st = c_ts
+= 2cos(pi/m) in Z[zeta], zeta a primitive 2M-th root of unity, M the lcm of
+those labels.  Z[zeta] is the tensor product of the cyclotomic rings of the
+prime powers dividing 2M, and a coefficient is the sparse tuple of its
+nonzero coordinates in the product of their power bases: canonical, so the
+zero test is exact and roots are interned by their coordinates, and as short
 as the coefficient is, however large the degree of the ring.
 
 Sign rule.  s(r) has the sign of r unless r = +-alpha_s, so applying a
 generator needs no numerics.  Only left multiplication by s forms a root of
-unknown sign, w^-1(alpha_t) + 2cos(pi/m_st) w^-1(alpha_s).  When the two
-summands have one sign, or one of them vanishes at a coordinate where the
-sum does not, the sign is known.  Otherwise one nonzero coordinate is
-evaluated in floating point under a rounding bound and, where the bound does
-not decide, in decimal arithmetic at rising precision until it does.
+unknown sign, w^-1(alpha_t) + c_st w^-1(alpha_s).  When the two summands
+have one sign, or one of them vanishes at a coordinate where the sum does
+not, the sign is known.  Otherwise one nonzero coordinate is decided: over Z
+exactly, over Z[zeta] in floating point under a rounding bound and, where
+the bound does not decide, in decimal arithmetic at rising precision.
 
 Normal forms.  The normal form of an element is its ShortLex-minimal reduced
 word, ShortLex taken in the diagram's declared vertex order, which is
@@ -105,7 +108,7 @@ def _decimal_cos(x):
 
 
 class _Integers:
-    """Z, the coefficient ring when every label is 2, 3 or infinity.
+    """Z, the coefficient ring when every label is 2, 3, 4, 6 or infinity.
 
     The ring interface used by the engine: ``combo(pairs)`` is the sum of
     a * c over (element, constant) pairs, ``size`` counts an element's
@@ -113,10 +116,6 @@ class _Integers:
     """
 
     zero, one, minus_one = 0, 1, -1
-
-    @staticmethod
-    def two_cos(m) -> int:
-        return 2 if m == INF else 1
 
     @staticmethod
     def combo(pairs) -> int:
@@ -190,12 +189,8 @@ class _Cyclotomic:
         self.cos: dict[int, float] = {}
 
     def two_cos(self, m) -> tuple[tuple[int, int], ...]:
-        """2cos(pi/m) = zeta^(M/m) + zeta^(-M/m)."""
-        if m == INF:
-            return ((0, 2),)
-        if m == 3:
-            return ((0, 1),)
-        k = self.M // int(m)
+        """2cos(pi/m) = zeta^(M/m) + zeta^(-M/m), for m dividing M."""
+        k = self.M // m
         return ((k, 1), (self.period - k, 1))
 
     def _reduce(self, k: int) -> tuple:
@@ -276,19 +271,22 @@ class _Cyclotomic:
 
 # ---------------------------------------------------------------- root engine
 
+# integral Cartan constants (c_st, c_ts) of a label, s declared before t
+_CARTAN = {3: (1, 1), 4: (1, 2), 6: (1, 3), INF: (2, 2)}
+
 
 class _Engine:
     """Per-diagram exact root action with interned roots and elements.
 
-    Roots are ids into ``coords`` (coordinate tuples over the ring) and
-    ``positive``; ``act[s][r]`` is the id of s(r), -1 until first needed.
-    Root ids 0..n-1 are the simple roots and n..2n-1 their negatives.
-    Elements are ids keyed by their signature tuple of root ids; element 0
-    is the identity.  ``right[e*n + s]`` and ``left[e*n + s]`` are the ids of
-    e*s and s*e (-1 until first needed), and ``nf[e]`` the normal form.
-    ``longest(mask)`` climbs to the longest element of a finite W_T.
-    ``monoid`` is the Artin monoid state on this engine, built by ``monoid``
-    on first use.
+    ``coupling[s]`` lists (t, c_st) for each t joined to s.  Roots are ids into
+    ``coords`` (coordinates over the ring) and ``positive``; ``act[s][r]`` is
+    the id of s(r), -1 until first needed.  Root ids 0..n-1 are the simple
+    roots and n..2n-1 their negatives.  Elements are ids keyed by their
+    signature tuple of root ids; element 0 is the identity.  ``right[e*n + s]``
+    and ``left[e*n + s]`` are the ids of e*s and s*e (-1 until first needed),
+    and ``nf[e]`` the normal form.  ``longest(mask)`` climbs to the longest
+    element of a finite W_T.  ``monoid`` is the Artin monoid state on this
+    engine, built by ``monoid`` on first use.
     """
 
     def __init__(self, d: CoxeterDiagram):
@@ -297,11 +295,13 @@ class _Engine:
         self.n = n
         self.names = d.vertices
         key = self.key = d._pos
-        M = math.lcm(1, *(m for _, _, m in d.edges if m != INF and m >= 4))
+        M = math.lcm(1, *(m for _, _, m in d.edges if m not in _CARTAN))
         ring = self.ring = _Integers() if M == 1 else _Cyclotomic(M)
-        # coupling[s]: (t, 2cos(pi/m_st)) for every t joined to s
+        lift = (lambda c: c) if M == 1 else (lambda c: ((0, c),))  # an integer constant
         self.coupling: list[list] = [
-            [(key[t], ring.two_cos(m)) for t, m in d._nbrs[s].items()] for s in d.vertices
+            [(key[t], lift(_CARTAN[m][key[s] > key[t]]) if m in _CARTAN else ring.two_cos(m))
+             for t, m in d._nbrs[s].items()]
+            for s in d.vertices
         ]
         self.coords: list[tuple] = []
         self.root_id: dict[tuple, int] = {}
@@ -353,7 +353,7 @@ class _Engine:
         return r
 
     def _apply(self, s: int, r: int) -> int:
-        """Id of s(r): the s-coordinate becomes -r_s + sum_t 2cos(pi/m_st) r_t,
+        """Id of s(r): the s-coordinate becomes -r_s + sum_t c_st r_t,
         and the sign is kept (r = +-alpha_s is filled in at construction)."""
         ring, vec = self.ring, self.coords[r]
         terms = [(vec[s], ring.minus_one)]
@@ -365,7 +365,7 @@ class _Engine:
         return image
 
     def _combine(self, b: int, c, a: int) -> int:
-        """Id of the root coords[b] + c * coords[a], for c = 2cos(pi/m) > 0."""
+        """Id of the root coords[b] + c * coords[a], for a Cartan constant c > 0."""
         ring, one = self.ring, self.ring.one
         va, vb = self.coords[a], self.coords[b]
         vec = tuple(ring.combo(((y, one), (x, c))) if x else y for x, y in zip(va, vb))
@@ -411,7 +411,7 @@ class _Engine:
         return f
 
     def left_times(self, s: int, e: int) -> int:
-        """s * e: (s e)^-1(alpha_t) = e^-1(alpha_t) + 2cos(pi/m_st) e^-1(alpha_s)."""
+        """s * e: (s e)^-1(alpha_t) = e^-1(alpha_t) + c_st e^-1(alpha_s)."""
         f = self.left[e * self.n + s]
         if f < 0:
             sig = self.sig[e]
