@@ -664,10 +664,10 @@ POSET_GUARD = "error: poset size exceeded cap 3000\n"
 
 # README's quoted --cap thresholds: on cold engines, each command succeeds, or
 # stops at the poset guard rather than the root cap, at its quoted cap, so a
-# threshold may fall but not rise.  The triangle's Davis ball at 61 is
+# threshold may fall but not rise.  The triangle's Davis ball at 43 is
 # test_complexes.py::test_davis_cells_spend_no_roots_on_descents.
 @pytest.mark.parametrize("argv, cap, err", [
-    (["salvetti", "--file", "TRIANGLE", "--ball", "2"], 551, ""),
+    (["salvetti", "--file", "TRIANGLE", "--ball", "2"], 237, ""),
     (["shelling-check", "--preset", "Atilde2", "--ball", "1"], 6, ""),
     (["davis", "--preset", "E6"], 234, POSET_GUARD),
     (["davis", "--preset", "H4"], 946, POSET_GUARD),

@@ -229,15 +229,15 @@ def test_cell_posets_stop_enumerating_w_at_the_poset_guard():
 def test_davis_cells_spend_no_roots_on_descents():
     # T-minimality is read off the descents the enumeration set, so the
     # Davis poset makes no element u s outside the ball: at radius 2 this
-    # diagram needs 61 root coefficients, against 128 when each u s was formed.
+    # diagram needs 43 root coefficients, as many as its radius-2 enumeration.
     d = CoxeterDiagram(("a", "b", "c"), (("a", "b", INF), ("a", "c", 3), ("b", "c", 6)))
     coxeter._engine.cache_clear()
     full = davis_poset(d, 2)
     coxeter._engine.cache_clear()
-    assert davis_poset(d, 2, cap=61) == full
+    assert davis_poset(d, 2, cap=43) == full
     coxeter._engine.cache_clear()
     with pytest.raises(CapExceededError):
-        davis_poset(d, 2, cap=60)
+        davis_poset(d, 2, cap=42)
 
 
 # ---------------------------------------------------------------- SNF

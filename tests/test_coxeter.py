@@ -123,6 +123,8 @@ def _rank3(labels):
 
 
 # Labels 3, 4, 5, 6, 7, 8 and infinity, in finite, affine and hyperbolic groups.
+# 4-4-4 gets the Cartan constants c_st c_tu c_us = 1 * 1 * 2 one way round the
+# triangle and 2 * 2 * 1 the other, so its matrix is not symmetrizable.
 DIFFERENTIAL_DIAGRAMS = {
     "B3": preset("B3"),
     "H3": preset("H3"),
@@ -132,6 +134,10 @@ DIFFERENTIAL_DIAGRAMS = {
     "7-8": _rank3((7, 8, 2)),
     "4-4-5": _rank3((4, 4, 5)),
     "3-6-inf": _rank3((3, 6, INF)),
+    "4-4-4": _rank3((4, 4, 4)),
+    "6-6-6": _rank3((6, 6, 6)),
+    "4-6-inf": _rank3((4, 6, INF)),
+    "4-5-6": _rank3((4, 5, 6)),
 }
 
 
@@ -224,6 +230,37 @@ def test_cap_bounds_root_coefficients_on_a_huge_field():
     eng = coxeter._engine(d)
     assert sum(eng.ring.size(x) for root in eng.coords for x in root) <= 20_000 + 2 * d.rank
     assert time.perf_counter() - start < 30
+
+
+@pytest.mark.parametrize("name, M", [
+    ("B3", 1), ("3-6-inf", 1), ("4-6-inf", 1), ("H3", 5), ("4-4-5", 5), ("4-5-6", 5), ("I2(8)", 8),
+])
+def test_ring_is_z_unless_a_label_is_not_3_4_6_or_inf(name, M):
+    # Labels 3, 4, 6 and infinity take integral Cartan constants; any other
+    # label m needs 2cos(pi/m) in Z[zeta_2M], M the lcm of those labels.
+    ring = coxeter._Engine(DIFFERENTIAL_DIAGRAMS[name]).ring
+    assert (ring.M if isinstance(ring, _Cyclotomic) else 1) == M
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["declared", "reversed"])
+@pytest.mark.parametrize("name", ["B3", "B4", "F4", "I2(6)"])
+def test_weyl_groups_act_on_integral_root_systems(name, reverse):
+    # The later vertex of a 4 or 6 edge gets the larger constant, so the two
+    # vertex orders give B_n and C_n.  Either way W has 2N roots, N its number
+    # of reflections, all over Z, and the highest has height h - 1 = 2N/n - 1,
+    # h the Coxeter number (Bourbaki, Lie VI, 1.11, Prop. 31).
+    d = preset(name)
+    if reverse:
+        d = CoxeterDiagram(d.vertices[::-1], d.edges)
+    coxeter._engine.cache_clear()
+    coxeter.enumerate_elements(d, "all")
+    eng = coxeter._engine(d)
+    roots = len(eng.coords)
+    N = len(coxeter.reflections(d))
+    assert roots == 2 * N
+    assert all(type(x) is int for root in eng.coords for x in root)
+    heights = [sum(root) for root, positive in zip(eng.coords, eng.positive) if positive]
+    assert max(heights) == 2 * N // d.rank - 1
 
 
 # ---------------------------------------------------------------- group ops

@@ -191,6 +191,15 @@ def test_garside_element_of_a_pair_fits_a_low_cap_on_a_cold_engine(name, cap, wo
     assert monoid.garside_element(preset(name), ("s", "t"), cap).word == word
 
 
+# Delta of all of S on a cold engine, at README's full-S thresholds (B3's roots
+# are integral).
+@pytest.mark.parametrize("name, cap, length", [("A3", 14, 6), ("B3", 30, 9), ("H3", 124, 15)])
+def test_garside_element_fits_its_full_s_threshold_on_a_cold_engine(name, cap, length):
+    d = preset(name)
+    coxeter._engine.cache_clear()
+    assert monoid.garside_element(d, d.vertices, cap).length == length
+
+
 def test_sigma_examples():
     assert monoid.garside_permutation(preset("A2")) == {"s": "t", "t": "s"}
     assert monoid.garside_permutation(preset("B2")) == {"s": "s", "t": "t"}

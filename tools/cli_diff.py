@@ -11,8 +11,9 @@ environment (without ARTIN_CAP, with COLUMNS=80 for help text) and the
 same PYTHONHASHSEED.  The corpus covers every subcommand in json and text,
 and in dot where offered, on six presets, `--help` of the tool and of every
 subcommand, the usage and domain error paths, and a low-cap section: the
-Garside and group subcommands on A3, B3 and H3 at six caps from 5 to 40,
-where a change to the work a call does shows as a cap trip that moves.
+Garside and group subcommands on A3, B3, H3, F4 and I2(6) at six caps from
+5 to 40, where a change to the work a call does shows as a cap trip that
+moves (the group words name u, so on I2(6) they end in an error).
 Exit code 1 if any argv differs, else 0.
 """
 
@@ -55,8 +56,9 @@ DOT = ("salvetti", "davis", "deligne-fd")
 # a diagram with labels 3, 6 and inf, the triangle the cap thresholds use
 TRIANGLE = {"vertices": ["a", "b", "c"], "edges": [
     {"a": "a", "b": "b", "m": "inf"}, {"a": "a", "b": "c", "m": 3}, {"a": "b", "b": "c", "m": 6}]}
-# the low-cap section: each subcommand and its arguments, on every preset at every cap
-LOW_CAP_PRESETS = ("A3", "B3", "H3")
+# the low-cap section: each subcommand and its arguments, on every preset at every cap;
+# F4 and I2(6) act over Z with unequal Cartan constants, B3 too
+LOW_CAP_PRESETS = ("A3", "B3", "H3", "F4", "I2(6)")
 LOW_CAP_ARGS = (
     ["delta"], ["delta", "--t", "s,t"], ["sigma"], ["longest"],
     ["grp-nf", "--word", "s u^-1 t s"],
