@@ -70,6 +70,11 @@ def _max_length(text: str) -> int | str:
     return text if text == "all" else _natural(text)
 
 
+def _ints(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; empty text gives (), so the default applies."""
+    return tuple(_int(v) for v in text.split(",")) if text else ()
+
+
 def _env_cap(parser) -> int:
     raw = os.environ.get("ARTIN_CAP")
     if raw is None:
@@ -225,8 +230,9 @@ def _cmd_reflections(d, args):
 
 
 def _cmd_tmin(d, args):
+    T = d._subset(_split_subset(args.t))  # checked before any capped work
     w = coxeter.normalize(d, _word(args.word), args.cap)
-    return _element(coxeter.t_minimal_representative(d, w, _split_subset(args.t), args.cap))
+    return _element(coxeter.t_minimal_representative(d, w, T, args.cap))
 
 
 def _cmd_coxeter_elements(d, args):
@@ -301,9 +307,8 @@ def _cmd_grp_nf(d, args):
 
 
 def _cmd_grp_equal(d, args):
-    g = group.from_letters(d, args.left, args.cap)
-    h = group.from_letters(d, args.right, args.cap)
-    eq = group.equal(g, h)
+    left, right = (group._letters(d, w) for w in (args.left, args.right))  # both checked first
+    eq = group.equal(group.from_letters(d, left, args.cap), group.from_letters(d, right, args.cap))
     return eq, "true" if eq else "false", None
 
 
@@ -382,9 +387,7 @@ def _chamber_input(args, parser):
     else:
         d = _resolve_diagram(args, parser)
         cc, idx = shelling.coxeter_chamber_system(d, _ball(args), args.cap)
-    if getattr(args, "index", None):
-        idx = tuple(int(v) for v in args.index.split(","))
-    return cc, idx
+    return cc, getattr(args, "index", None) or idx
 
 
 def _cmd_shelling_check(args, parser):
@@ -403,11 +406,7 @@ def _cmd_shelling_check(args, parser):
 
 def _cmd_is_shelling(args, parser):
     cc, _ = _chamber_input(args, parser)
-    if args.order:
-        order = tuple(int(v) for v in args.order.split(","))
-    else:
-        order = tuple(range(len(cc.chambers)))
-    chk = shelling.is_shelling(cc, order)
+    chk = shelling.is_shelling(cc, args.order or tuple(range(len(cc.chambers))))
     obj = chk.to_json_obj()
     text = "true" if chk.ok else f"false ({chk.witness})"
     return obj, text, None
@@ -415,7 +414,7 @@ def _cmd_is_shelling(args, parser):
 
 # ---------------------------------------------------------------- parser
 # A row is (handler, specs): each spec is (flag, add_argument keywords), added
-# after the common specs; a spec for a common flag replaces it in its place.
+# after the common specs; a spec for a common flag replaces it, None drops it.
 
 _COMMON = (
     ("--preset", {"help": "preset diagram name, e.g. A2, B3, I2(5), Atilde2"}),
@@ -425,6 +424,7 @@ _COMMON = (
                "help": "work bound per call: new root coefficients, monoid and group "
                "normal-form steps (default ARTIN_CAP or 10^6)"}),
 )
+_NO_CAP = ("--cap", None)  # rows whose work --cap does not bound
 _DOT_FORMAT = ("--format", {"choices": ["json", "text", "dot"], "default": "json"})
 _WORD = ("--word", {"required": True, "help": "whitespace-separated letters"})
 _LEFT_RIGHT = (("--left", {"required": True}), ("--right", {"required": True}))
@@ -433,12 +433,12 @@ _BALL = ("--ball", {"type": _natural, "default": None, "help": "radius for infin
 _CHAMBERS = ("--chambers", {"help": "chamber complex JSON file"})
 
 _DIAGRAM_CMDS = {
-    "classify": (_cmd_classify, ()),
-    "taxonomy": (_cmd_taxonomy, ()),
-    "sf": (_cmd_sf, ()),
-    "form": (_cmd_form, ()),
-    "signature": (_cmd_signature, (("--tol", {"type": float, "default": 1e-8}),)),
-    "rep-check": (_cmd_rep_check, (("--tol", {"type": float, "default": 1e-9}),)),
+    "classify": (_cmd_classify, (_NO_CAP,)),
+    "taxonomy": (_cmd_taxonomy, (_NO_CAP,)),
+    "sf": (_cmd_sf, (_NO_CAP,)),
+    "form": (_cmd_form, (_NO_CAP,)),
+    "signature": (_cmd_signature, (_NO_CAP, ("--tol", {"type": float, "default": 1e-8}),)),
+    "rep-check": (_cmd_rep_check, (_NO_CAP, ("--tol", {"type": float, "default": 1e-9}),)),
     "cox-nf": (_cmd_cox_nf, (_WORD,)),
     "enumerate": (_cmd_enumerate, (
         ("--max-length", {"type": _max_length, "default": "all"}),
@@ -470,20 +470,22 @@ _DIAGRAM_CMDS = {
     "project": (_cmd_project, (_WORD,)),
     "salvetti": (_cmd_cell_poset, (_DOT_FORMAT, _BALL)),
     "davis": (_cmd_cell_poset, (_DOT_FORMAT, _BALL)),
-    "deligne-fd": (_cmd_deligne_fd, (_DOT_FORMAT,)),
+    "deligne-fd": (_cmd_deligne_fd, (_DOT_FORMAT, _NO_CAP)),
     "homology": (_cmd_homology, (
         _BALL, ("--complex", {"choices": ["salvetti", "davis", "deligne-fd"], "required": True}),
     )),
-    "quotient-cells": (_cmd_quotient_cells, ()),
-    "abelianization": (_cmd_abelianization, ()),
+    "quotient-cells": (_cmd_quotient_cells, (_NO_CAP,)),
+    "abelianization": (_cmd_abelianization, (_NO_CAP,)),
 }
 
 _CHAMBER_CMDS = {
     "shelling-check": (_cmd_shelling_check, (
-        _BALL, _CHAMBERS, ("--index", {"help": "comma-separated index function override"}),
+        _BALL, _CHAMBERS,
+        ("--index", {"type": _ints, "help": "comma-separated index function override"}),
     )),
     "is-shelling": (_cmd_is_shelling, (
-        _BALL, _CHAMBERS, ("--order", {"help": "comma-separated chamber order (default: listed)"}),
+        _BALL, _CHAMBERS,
+        ("--order", {"type": _ints, "help": "comma-separated chamber order (default: listed)"}),
     )),
 }
 
@@ -513,7 +515,8 @@ def _build_parser(only) -> argparse.ArgumentParser:
                 continue
             sp = sub.add_parser(name)
             for flag, kwargs in dict(_COMMON + specs).items():
-                sp.add_argument(flag, **kwargs)
+                if kwargs is not None:
+                    sp.add_argument(flag, **kwargs)
             sp.set_defaults(handler=handler, chamber_cmd=chambers, subparser=sp)
     return parser
 
@@ -529,7 +532,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.cap is None:
+        if vars(args).get("cap", 0) is None:  # ARTIN_CAP only where --cap is offered
             args.cap = _env_cap(args.subparser)
         if args.chamber_cmd:
             obj, text, dot = args.handler(args, args.subparser)

@@ -649,12 +649,9 @@ def t_minimal_representative(
     """Shortest element of the coset w W_T, by greedy right descent in T."""
     if w.diagram is not d and w.diagram != d:  # dataclass == compares every edge
         raise DiagramError("element belongs to a different diagram")
-    unknown = set(T) - set(d.vertices)
-    if unknown:
-        raise DiagramError(f"unknown generators {sorted(unknown)}")
+    keep = d._subset(T)
     eng = _engine(d)
     eng.begin(cap, "t_minimal_representative")
-    keep = set(T)
     T = [eng.key[t] for t in d.vertices if t in keep]
     e = eng.walk(0, _check_letters(eng.key, w.word))
     length = len(eng.word(e))

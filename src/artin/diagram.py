@@ -121,12 +121,17 @@ class CoxeterDiagram:
         self.index(s)  # DiagramError for an unknown s
         return tuple(self._nbrs[s])
 
-    def subdiagram(self, T) -> "CoxeterDiagram":
-        """Induced subdiagram spanned by T, keeping the declared order."""
+    def _subset(self, T) -> set:
+        """T as a set; DiagramError naming its letters that are not vertices."""
         keep = set(T)
         unknown = keep - set(self.vertices)
         if unknown:
             raise DiagramError(f"unknown generators {sorted(unknown)}")
+        return keep
+
+    def subdiagram(self, T) -> "CoxeterDiagram":
+        """Induced subdiagram spanned by T, keeping the declared order."""
+        keep = self._subset(T)
         verts = tuple(v for v in self.vertices if v in keep)
         edges = tuple(e for e in self.edges if e[0] in keep and e[1] in keep)
         return CoxeterDiagram(verts, edges)
@@ -227,7 +232,7 @@ def _build_family(family: str, n: int, p: int | None = None) -> CoxeterDiagram:
     raise DiagramError(f"unknown family {family!r}")
 
 
-_PRESET_RE = re.compile(r"^([ABD])n?\(?([0-9]+)\)?$")
+_PRESET_RE = re.compile(r"^([ABD])n?([0-9]+|\([0-9]+\))$")
 _I2_RE = re.compile(r"^I2\(([0-9]+)\)$")
 
 
@@ -252,7 +257,7 @@ def preset(name: str) -> CoxeterDiagram:
         return _build_family("I2", 2, point)
     m = _PRESET_RE.match(name)
     if m:
-        family, k = m.group(1), int(m.group(2))
+        family, k = m.group(1), int(m.group(2).strip("()"))
         minimum = {"A": 1, "B": 2, "D": 4}[family]
         if k < minimum:
             raise DiagramError(f"{family}{k}: family {family} needs rank >= {minimum}")

@@ -90,25 +90,32 @@ def parse_signed_word(text: str) -> tuple[tuple[str, int], ...]:
     return tuple(out)
 
 
+def _letters(d: CoxeterDiagram, word) -> tuple:
+    """The (generator, +-1) letters of a signed word, every one checked
+    before any is multiplied, so an error does not depend on the cap."""
+    if isinstance(word, str):
+        word = parse_signed_word(word)
+    key, word = _state(d, DEFAULT_CAP, "from_letters").key, tuple(word)
+    for s, e in word:
+        if s not in key:
+            raise DiagramError(f"unknown generator {s!r}")
+        if e not in (1, -1):
+            raise DiagramError(f"exponent must be +1 or -1, got {e}")
+    return word
+
+
 def from_letters(d: CoxeterDiagram, word, cap: int = DEFAULT_CAP) -> GroupElement:
     """Build a group element from (generator, +-1) letters, left to right.
 
     A positive letter multiplies by (0, s); an inverse letter by (-1, b)
     where Delta = b*s.
     """
-    if isinstance(word, str):
-        word = parse_signed_word(word)
+    word = _letters(d, word)
     st = _state(d, cap, "from_letters")
     k, F = 0, []
     for s, e in word:
-        if s not in st.key:
-            raise DiagramError(f"unknown generator {s!r}")
-        if e == 1:
-            k, F = _times(st, k, F, 0, [st.right(0, st.key[s])])
-        elif e == -1:
-            k, F = _times(st, k, F, -1, [st.right(st.w0(), st.key[s])])
-        else:
-            raise DiagramError(f"exponent must be +1 or -1, got {e}")
+        hk = 0 if e == 1 else -1
+        k, F = _times(st, k, F, hk, [st.right(st.w0() if hk else 0, st.key[s])])
     return _element(st, k, F)
 
 

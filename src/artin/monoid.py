@@ -516,10 +516,7 @@ def garside_element(d: CoxeterDiagram, T, cap: int = DEFAULT_CAP) -> MonoidEleme
 
     The empty subset is allowed and gives the identity (W_{} is trivial).
     """
-    keep = set(T)
-    unknown = keep - set(d.vertices)
-    if unknown:
-        raise DiagramError(f"unknown generators {sorted(unknown)}")
+    keep = d._subset(T)
     T = tuple(t for t in d.vertices if t in keep)
     if not T:
         return identity(d)

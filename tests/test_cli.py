@@ -484,8 +484,9 @@ CAP_TRIPS = [
     ["cox-nf", *W], ["tmin", *W, "--t", "s"],
     ["mon-nf", *W], ["gcd", *LR], ["lcm", *LR], ["delta"], ["sigma"],
     ["garside-nf", *W], ["axioms"],
-    ["grp-nf", "--word", "s t^-1 u"], ["fraction", "--word", "s t^-1 u"],
-    ["project", "--word", "s t^-1 u"],
+    ["mon-equal", *LR], ["divides", "--dvr", "s", *W],
+    ["grp-nf", "--word", "s t^-1 u"], ["grp-equal", *LR], ["fraction", "--word", "s t^-1 u"],
+    ["section", *W], ["project", "--word", "s t^-1 u"],
     ["salvetti"], ["davis"], ["homology", "--complex", "salvetti"],
     ["shelling-check"], ["is-shelling"],
 ]
@@ -503,6 +504,61 @@ def test_cap_trip_is_one_error_line(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.endswith(" exceeded cap 1\n")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+UNCAPPED = ["classify", "taxonomy", "sf", "form", "signature", "rep-check", "deligne-fd",
+            "quotient-cells", "abelianization"]
+
+
+def test_cap_is_offered_by_the_subcommands_that_apply_it():
+    parser = cli.build_parser()
+    capped = {name for name in SUBCOMMANDS
+              if "--cap" in _subparser(parser, name)._option_string_actions}
+    assert capped == set(SUBCOMMANDS) - set(UNCAPPED)
+    assert {argv[0] for argv in CAP_TRIPS} == capped and len(capped) == 25
+
+
+@pytest.mark.parametrize("name", UNCAPPED)
+def test_uncapped_subcommands_take_no_cap(capsys, monkeypatch, name):
+    argv = [name, "--preset", "B3"]
+    code, out, err = run([*argv, "--cap", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(": error: unrecognized arguments: --cap 3\n")
+    code, out, _ = run([name, "--help"], capsys)
+    assert code == 0 and "--cap" not in out and "ARTIN_CAP" not in out
+    expected = run(argv, capsys)
+    assert expected[0] == 0
+    monkeypatch.setenv("ARTIN_CAP", "0")
+    assert run(argv, capsys) == expected
+
+
+# Each input is checked before any capped work, so its error is the same at
+# --cap 1, where the work before the check would trip the cap, and at the
+# default.
+@pytest.mark.parametrize("argv, code, err", [
+    (["grp-nf", "--preset", "I2(6)", "--word", "s u^-1 t s"], 1,
+     "error: unknown generator 'u'\n"),
+    (["grp-equal", "--preset", "B3", "--left", "s t s t s t", "--right", "s zz"], 1,
+     "error: unknown generator 'zz'\n"),
+    (["grp-equal", "--preset", "B3", "--left", "s t s t s t", "--right", "s^2"], 1,
+     "error: bad group-word token 's^2' (use s or s^-1)\n"),
+    (["tmin", "--preset", "B3", "--word", "s t u", "--t", "zz"], 1,
+     "error: unknown generators ['zz']\n"),
+    (["shelling-check", "--preset", "B3", "--index", "x"], 2,
+     ": error: argument --index: invalid int value: 'x'\n"),
+    (["is-shelling", "--preset", "B3", "--order", "0,x"], 2,
+     ": error: argument --order: invalid int value: 'x'\n"),
+], ids=["grp-nf", "grp-equal-letter", "grp-equal-token", "tmin", "shelling-check",
+        "is-shelling"])
+def test_input_errors_do_not_depend_on_the_cap(capsys, argv, code, err):
+    from artin import coxeter
+
+    runs = []
+    for cap in (["--cap", "1"], []):
+        coxeter._engine.cache_clear()
+        runs.append(run([*argv, *cap], capsys))
+    assert runs[0] == runs[1]
+    assert runs[0][:2] == (code, "") and runs[0][2].endswith(err)
 
 
 def test_delta_rejects_unknown_generators(capsys):

@@ -123,6 +123,20 @@ def test_parse_errors():
         preset("B1")
 
 
+@pytest.mark.parametrize("name", ["A(3", "A3)", "An(3", "An3)", "Bn(4", "D(4))", "A()", "A(3)(4)"])
+def test_preset_rejects_unbalanced_parentheses(name):
+    with pytest.raises(DiagramError, match="unknown preset"):
+        preset(name)
+
+
+@pytest.mark.parametrize("name, plain", [
+    ("A(3)", "A3"), ("An(3)", "A3"), ("An3", "A3"), (" A3 ", "A3"), ("B(3)", "B3"),
+    ("Bn4", "B4"), ("Dn(4)", "D4"), ("D(5)", "D5"),
+])
+def test_preset_family_spellings(name, plain):
+    assert preset(name) == preset(plain)
+
+
 def test_rank_one_diagram():
     d = parse_diagram('{"vertices":["s"],"edges":[]}')
     finite, labels = is_finite_type(d)

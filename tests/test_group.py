@@ -1,6 +1,7 @@
 """Artin group Delta-power normal form, fractions, section, projection."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -38,6 +39,19 @@ def test_from_letters_examples():
     assert e.k == 0 and e.a.length == 0
     delta = group.from_letters(d, "s t s")
     assert delta.k == 1 and delta.a.length == 0
+    assert group.from_letters(d, iter([("t", -1)])) == g
+
+
+@pytest.mark.parametrize("bad, message", [
+    (("zz", 1), "unknown generator 'zz'"), (("s", 2), "exponent must be +1 or -1, got 2"),
+])
+def test_from_letters_checks_every_letter_before_multiplying(bad, message):
+    # at cap 1 the letters before the bad one would trip the root cap on a
+    # cold engine, so the error shows the whole word is read first
+    word = [("s", 1), ("t", -1), ("u", 1)] * 3 + [bad]
+    coxeter._engine.cache_clear()
+    with pytest.raises(DiagramError, match=re.escape(message)):
+        group.from_letters(preset("B3"), word, cap=1)
 
 
 def test_normal_form_k_is_maximal():

@@ -13,7 +13,10 @@ and in dot where offered, on six presets, `--help` of the tool and of every
 subcommand, the usage and domain error paths, and a low-cap section: the
 Garside and group subcommands on A3, B3, H3, F4 and I2(6) at six caps from
 5 to 40, where a change to the work a call does shows as a cap trip that
-moves (the group words name u, so on I2(6) they end in an error).
+moves (the group words name u, so on I2(6) they end in an error), plus three
+malformed inputs (an unknown letter in `tmin --t` and in `grp-equal --right`,
+a non-integer `shelling-check --index`) whose error must read the same at
+every cap, so an input checked after capped work shows as a diff.
 Exit code 1 if any argv differs, else 0.
 """
 
@@ -64,6 +67,10 @@ LOW_CAP_ARGS = (
     ["grp-nf", "--word", "s u^-1 t s"],
     ["grp-equal", "--left", "s u^-1 t s", "--right", "t^-1 t s u^-1 t s"],
     ["fraction", "--word", "s u^-1 t s"],
+    # malformed inputs, checked before any capped work
+    ["tmin", "--word", "s t", "--t", "zz"],
+    ["grp-equal", "--left", "s t^-1 s t", "--right", "s zz"],
+    ["shelling-check", "--index", "x"],
 )
 LOW_CAPS = (5, 8, 10, 20, 32, 40)
 CHAMBERS = {"n": 1, "chambers": [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]],
