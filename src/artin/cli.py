@@ -307,7 +307,7 @@ def _cmd_grp_nf(d, args):
 
 
 def _cmd_grp_equal(d, args):
-    left, right = (group._letters(d, w) for w in (args.left, args.right))  # both checked first
+    left, right = (group._letters(d, w)[1] for w in (args.left, args.right))  # both checked first
     eq = group.equal(group.from_letters(d, left, args.cap), group.from_letters(d, right, args.cap))
     return eq, "true" if eq else "false", None
 

@@ -90,18 +90,19 @@ def parse_signed_word(text: str) -> tuple[tuple[str, int], ...]:
     return tuple(out)
 
 
-def _letters(d: CoxeterDiagram, word) -> tuple:
-    """The (generator, +-1) letters of a signed word, every one checked
-    before any is multiplied, so an error does not depend on the cap."""
+def _letters(d: CoxeterDiagram, word, cap: int = DEFAULT_CAP) -> tuple:
+    """The state of a `from_letters` call and the (generator, +-1) letters
+    of its word, every one checked before any is multiplied, so an error
+    does not depend on the cap."""
     if isinstance(word, str):
         word = parse_signed_word(word)
-    key, word = _state(d, DEFAULT_CAP, "from_letters").key, tuple(word)
+    st, word = _state(d, cap, "from_letters"), tuple(word)
     for s, e in word:
-        if s not in key:
+        if s not in st.key:
             raise DiagramError(f"unknown generator {s!r}")
         if e not in (1, -1):
             raise DiagramError(f"exponent must be +1 or -1, got {e}")
-    return word
+    return st, word
 
 
 def from_letters(d: CoxeterDiagram, word, cap: int = DEFAULT_CAP) -> GroupElement:
@@ -110,8 +111,7 @@ def from_letters(d: CoxeterDiagram, word, cap: int = DEFAULT_CAP) -> GroupElemen
     A positive letter multiplies by (0, s); an inverse letter by (-1, b)
     where Delta = b*s.
     """
-    word = _letters(d, word)
-    st = _state(d, cap, "from_letters")
+    st, word = _letters(d, word, cap)
     k, F = 0, []
     for s, e in word:
         hk = 0 if e == 1 else -1
