@@ -386,6 +386,11 @@ def _chamber_input(args, parser):
             raise ArtinError(f"cannot read {args.chambers}: {exc}") from None
     else:
         d = _resolve_diagram(args, parser)
+        # what can be checked without the chambers is checked before the capped work
+        if getattr(args, "index", None):
+            shelling._check_index(None, args.index)
+        if getattr(args, "order", None):
+            shelling._check_order(None, args.order)
         cc, idx = shelling.coxeter_chamber_system(d, _ball(args), args.cap)
     return cc, getattr(args, "index", None) or idx
 
@@ -528,7 +533,10 @@ def main(argv=None) -> int:
     known = argv and (argv[0] in _DIAGRAM_CMDS or argv[0] in _CHAMBER_CMDS)
     parser = _build_parser(argv[0] if known else None)
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # reported with the usage line of the subcommand they follow
+            (args.subparser if known else parser).error(
+                f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -446,8 +446,8 @@ def _cell_poset(d: CoxeterDiagram, ball, cap: int, minimal: bool):
             letters = [eng.key[t] for t in eng.names if t in R]
             walk = coxeter._walk(eng, letters, radius if minimal else 2 * radius, math.inf)
             # per x in W_R: its length, its parent step, and R minus its right descents
-            walks[R] = [(k, step, R.difference(eng.names[t] for t, _ in descents))
-                        for _, k, step, descents in zip(*walk)]
+            walks[R] = [(len(eng.nf[x]), step, R.difference(eng.names[t] for t, _ in descents))
+                        for x, step, descents in zip(*walk)]
         at = []
         for length, (parent, s), free in walks[R]:
             if length > reach:

@@ -32,6 +32,9 @@ Normal forms.  The normal form of an element is its ShortLex-minimal reduced
 word, ShortLex taken in the diagram's declared vertex order, which is
 therefore part of the normal-form contract.  It is read off by taking the
 smallest left descent first (Casselman, Electron. J. Combin. 9, 2002).  One
+engine method, ``descents``, reads the descent set off a signature, for the
+normal forms, the longest elements, the coset representatives and the
+Artin monoid; an element's length is that of its normal form.  One
 engine per diagram interns roots and elements as small integers and fills
 the action tables and Cayley-graph edges lazily, so a repeated normalize is
 one table step per letter plus a memo lookup.  One breadth-first walk lists
@@ -64,6 +67,11 @@ from .errors import (
 )
 
 DEFAULT_SIZE_GUARD = 10**6
+
+
+def _low(mask: int) -> int:
+    """The lowest set bit of a nonzero mask, as an index."""
+    return (mask & -mask).bit_length() - 1
 
 
 def _check_letters(key: dict[str, int], word) -> tuple:
@@ -284,9 +292,10 @@ class _Engine:
     roots and n..2n-1 their negatives.  Elements are ids keyed by their
     signature tuple of root ids; element 0 is the identity.  ``right[e*n + s]``
     and ``left[e*n + s]`` are the ids of e*s and s*e (-1 until first needed),
-    and ``nf[e]`` the normal form.  ``longest(mask)`` climbs to the longest
-    element of a finite W_T.  ``monoid`` is the Artin monoid state on this
-    engine, built by ``monoid`` on first use.
+    and ``nf[e]`` the normal form.  ``descents(e)`` is the mask of e's left
+    descents, the one reading of signs for descents; ``longest(mask)``
+    climbs to the longest element of a finite W_T.  ``monoid`` is the Artin
+    monoid state on this engine, built by ``monoid`` on first use.
     """
 
     def __init__(self, d: CoxeterDiagram):
@@ -434,25 +443,30 @@ class _Engine:
             e = f if f >= 0 else self.times(e, s)
         return e
 
+    def descents(self, e: int) -> int:
+        """Mask of the left descents of e: the s with e^-1(alpha_s) < 0."""
+        positive, mask, bit = self.positive, 0, 1
+        for r in self.sig[e]:
+            if not positive[r]:
+                mask |= bit
+            bit <<= 1
+        return mask
+
     def longest(self, mask: int) -> int:
         """w0 of W_T for T given as a mask (W_T must be finite): left-multiply
         the identity by the lowest non-descent in T until there is none."""
-        e, positive, sig = 0, self.positive, self.sig
-        gens = [s for s in range(self.n) if mask >> s & 1]
-        while (up := next((s for s in gens if positive[sig[e][s]]), None)) is not None:
-            e = self.left_times(up, e)
+        e = 0
+        while up := mask & ~self.descents(e):
+            e = self.left_times(_low(up), e)
         return e
 
     def word(self, e: int) -> tuple[str, ...]:
         """Normal form of e: its smallest left descent, then the normal form of
         the rest; every suffix met on the way is memoized."""
-        nf, positive = self.nf, self.positive
+        nf = self.nf
         chain = []
         while nf[e] is None:
-            sig = self.sig[e]
-            s = 0
-            while positive[sig[s]]:
-                s += 1
+            s = _low(self.descents(e))
             chain.append((e, s))
             e = self.left_times(s, e)
         w = nf[e]
@@ -518,11 +532,12 @@ def invert(a: CoxeterElement, cap: int = DEFAULT_CAP) -> CoxeterElement:
     return normalize(a.diagram, a.word[::-1], cap)
 
 
-def _walk(eng: _Engine, letters, limit, size_guard) -> tuple[list, list, list, list]:
+def _walk(eng: _Engine, letters, limit, size_guard) -> tuple[list, list, list]:
     """W_R up to length `limit` (math.inf for all of it), R the generator
     indices `letters`, in ShortLex order: per element w its engine id, its
-    length, its parent step (i, s) with w = w_i s ((-1, -1) for the identity)
-    and its right descents, (t, j) for each t in R with w t = w_j.  Fills `nf`.
+    parent step (i, s) with w = w_i s ((-1, -1) for the identity) and its
+    right descents, (t, j) for each t in R with w t = w_j.  Fills `nf`, so
+    the length of w is ``len(eng.nf[id])``.
 
     Scanning each layer in order and the letters in vertex order, the first
     path to reach an element is its ShortLex-least word.  w t is one letter
@@ -532,10 +547,11 @@ def _walk(eng: _Engine, letters, limit, size_guard) -> tuple[list, list, list, l
     neighbours when it stepped from them.
     """
     n, names, nf, right = eng.n, eng.names, eng.nf, eng.right
-    ids, lengths, steps, down = [0], [0], [(-1, -1)], []
+    ids, steps, down = [0], [(-1, -1)], []
     at = {0: 0}
     for i, e in enumerate(ids):
-        k, w, descents = lengths[i], nf[e], []
+        w, descents = nf[e], []
+        k = len(w)
         for s in letters:
             f = right[e * n + s]
             if f < 0 and k < limit:
@@ -549,12 +565,11 @@ def _walk(eng: _Engine, letters, limit, size_guard) -> tuple[list, list, list, l
                     raise CapExceededError("element enumeration", size_guard)
                 at[f] = len(ids)
                 ids.append(f)
-                lengths.append(k + 1)
                 steps.append((i, s))
                 if nf[f] is None:
                     nf[f] = w + (names[s],)
         down.append(descents)
-    return ids, lengths, steps, down
+    return ids, steps, down
 
 
 def _ball(
@@ -575,7 +590,7 @@ def _ball(
         raise ValueError(f"max_length must be >= 0, got {max_length}")
     eng.begin(cap, "enumerate_elements")
     limit = math.inf if max_length == "all" else max_length
-    ids, _, _, down = _walk(eng, range(eng.n), limit, size_guard)
+    ids, _, down = _walk(eng, range(eng.n), limit, size_guard)
     return [eng.element(e) for e in ids], ids, down
 
 
@@ -646,24 +661,20 @@ def reflections(
 def t_minimal_representative(
     d: CoxeterDiagram, w: CoxeterElement, T, cap: int = DEFAULT_CAP
 ) -> CoxeterElement:
-    """Shortest element of the coset w W_T, by greedy right descent in T."""
+    """Shortest element of the coset w W_T, by greedy right descent in T: the
+    right descents of e are the left descents of its inverse, so the lowest
+    one in T is peeled off both until none is left."""
     if w.diagram is not d and w.diagram != d:  # dataclass == compares every edge
         raise DiagramError("element belongs to a different diagram")
     keep = d._subset(T)
     eng = _engine(d)
     eng.begin(cap, "t_minimal_representative")
-    T = [eng.key[t] for t in d.vertices if t in keep]
-    e = eng.walk(0, _check_letters(eng.key, w.word))
-    length = len(eng.word(e))
-    improved = True
-    while improved:
-        improved = False
-        for t in T:
-            f = eng.times(e, t)
-            if len(eng.word(f)) < length:
-                e, length = f, length - 1
-                improved = True
-                break
+    mask = sum(1 << eng.key[t] for t in keep)
+    word = _check_letters(eng.key, w.word)
+    e, inverse = eng.walk(0, word), eng.walk(0, reversed(word))
+    while down := eng.descents(inverse) & mask:
+        s = _low(down)
+        e, inverse = eng.times(e, s), eng.left_times(s, inverse)
     return eng.element(e)
 
 

@@ -5,11 +5,12 @@ element has a unique left-greedy normal form x_1 ... x_k over nontrivial
 simples, in which each pair is left-weighted: every left descent of x_{i+1}
 is a right descent of x_i, R(x_i) >= L(x_{i+1}) (Michel, J. Algebra 215,
 1999).  One state per diagram, owned by the diagram's Coxeter root-action
-engine, keeps factors as element ids of that engine, so descent sets are
-bitmasks read off signatures, and restoring left-weightedness moves one
-letter at a time from x_{i+1} into x_i.  A letter appended on the right sweeps leftwards and a
-letter peeled off the left sweeps rightwards; both stop at the first pair
-that needs no move.
+engine, keeps factors as element ids of that engine: their descent sets are
+the bitmasks the engine reads off signatures (``_Engine.descents``), a
+simple's length is that of its engine word, and restoring left-weightedness
+moves one letter at a time from x_{i+1} into x_i.  A letter appended on the
+right sweeps leftwards and a letter peeled off the left sweeps rightwards;
+both stop at the first pair that needs no move.
 
 The ShortLex word of an element (ShortLex in the diagram's vertex order)
 peels the smallest left-dividing letter, a letter of L(x_1), and repeats.
@@ -34,16 +35,12 @@ from collections import deque
 from dataclasses import dataclass, fields
 
 from . import coxeter
-from .coxeter import DEFAULT_CAP, _check_letters
+from .coxeter import DEFAULT_CAP, _check_letters, _low
 from .diagram import INF, CoxeterDiagram, is_finite_type
 from .errors import CapExceededError, DiagramError, FiniteTypeRequiredError, GarsideError
 
 
 # ---------------------------------------------------------------- state
-
-
-def _low(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
 
 
 class _Greedy:
@@ -52,20 +49,22 @@ class _Greedy:
     element is an element of W, named by its engine id, and a normal form is
     a tuple of ids of nontrivial simples in which every pair is left-weighted.
 
-    ``info[e]`` is (L mask, R mask, inverse id, length) of engine element e;
-    ``pairs`` memoizes the left-weighted form of a pair of simples, ``nfs``
-    word -> normal form (a tuple of element ids) and ``words`` normal form
-    -> ShortLex word; every ShortLex word made is also a key of ``nfs``.
-    ``quotients`` maps (normal form, word) to the normal form of the left
-    cofactor, or None; gcd records the cofactors it finds.  ``deltas`` maps
-    a mask T to Delta_T, and ``complements`` a simple e to w0 e^-1; the
-    twist sigma(e) = w0 e w0 is read off the complement of the complement.
+    ``info[e]`` is (L mask, R mask, inverse id) of engine element e, the
+    masks read off the signatures by ``_Engine.descents``; a simple's length
+    is that of its engine word.  ``pairs`` memoizes the left-weighted form of
+    a pair of simples, ``nfs`` word -> normal form (a tuple of element ids)
+    and ``words`` normal form -> ShortLex word; every ShortLex word made is
+    also a key of ``nfs``.  ``quotients`` maps (normal form, word) to the
+    normal form of the left cofactor, or None; gcd records the cofactors it
+    finds.  ``deltas`` maps a mask T to Delta_T, and ``complements`` a
+    simple e to w0 e^-1; the twist sigma(e) = w0 e w0 is read off the
+    complement of the complement.
     """
 
     def __init__(self, eng: coxeter._Engine):
         self.eng, d = eng, eng.diagram
         self.diagram, self.n, self.key, self.names = d, eng.n, eng.key, eng.names
-        self.info = {0: (0, 0, 0, 0)}
+        self.info = {0: (0, 0, 0)}
         self.pairs: dict[tuple, tuple] = {}
         self.nfs: dict[tuple, tuple] = {}
         self.words: dict[tuple, tuple] = {}
@@ -100,13 +99,11 @@ class _Greedy:
             self.charge(total - self.spent)
 
     # ------------------------------------------------------------ simples
-    def _register(self, f: int, i: int, length: int) -> None:
-        """Record f and its inverse i; L(f) is read off f's signature."""
-        pos, sig = self.eng.positive, self.eng.sig
-        lf = sum(1 << t for t, r in enumerate(sig[f]) if not pos[r])
-        li = sum(1 << t for t, r in enumerate(sig[i]) if not pos[r])
-        self.info[f] = (lf, li, i, length)
-        self.info[i] = (li, lf, f, length)
+    def _register(self, f: int, i: int) -> None:
+        """Record f and its inverse i: R(f) = L(i)."""
+        lf, li = self.eng.descents(f), self.eng.descents(i)
+        self.info[f] = (lf, li, i)
+        self.info[i] = (li, lf, f)
 
     def right(self, e: int, s: int) -> int:
         """e * s in W, registered: (e s)^-1 = s e^-1."""
@@ -115,8 +112,7 @@ class _Greedy:
         if f < 0:
             f = eng.times(e, s)
         if f not in self.info:
-            _, rm, i, length = self.info[e]
-            self._register(f, eng.left_times(s, i), length - 1 if rm >> s & 1 else length + 1)
+            self._register(f, eng.left_times(s, self.info[e][2]))
         return f
 
     def left(self, s: int, e: int) -> int:
@@ -126,11 +122,7 @@ class _Greedy:
         if f < 0:
             f = eng.left_times(s, e)
         if f not in self.info:
-            lm, _, i, length = self.info[e]
-            j = eng.right[i * self.n + s]
-            if j < 0:
-                j = eng.times(i, s)
-            self._register(f, j, length - 1 if lm >> s & 1 else length + 1)
+            self._register(f, eng.times(self.info[e][2], s))
         return f
 
     def delta(self, mask: int) -> int:
@@ -140,7 +132,7 @@ class _Greedy:
         if e is None:
             e = self.deltas[mask] = self.eng.longest(mask)
             if e not in self.info:
-                self._register(e, e, len(self.eng.word(e)))
+                self._register(e, e)
         return e
 
     def w0(self) -> int:
@@ -495,7 +487,7 @@ def lcm(
     finite = st.eng.finite
     default_bound = length_bound is None
     if default_bound:
-        scale = st.info[st.w0()][3] if finite else 2
+        scale = len(st.eng.word(st.w0())) if finite else 2
         length_bound = (len(aw) + len(bw)) * scale
     flip = side == "right"
     if flip:

@@ -62,17 +62,29 @@ class ChamberComplex:
         }
 
 
-def _check_index(cc: ChamberComplex, index) -> tuple[int, ...]:
+def _check_index(cc: ChamberComplex | None, index) -> tuple[int, ...]:
+    """The index function as integers: naturals, exactly one of them 0, and
+    one per chamber, which is left unchecked when cc is None."""
     idx = tuple(int(v) for v in index)
-    if len(idx) != len(cc.chambers):
-        raise ValueError(
-            f"index function covers {len(idx)} chambers, complex has {len(cc.chambers)}"
-        )
     if any(v < 0 for v in idx):
         raise ValueError("index values must be naturals")
     if idx.count(0) != 1:
         raise ValueError(f"exactly one chamber must have index 0, found {idx.count(0)}")
+    if cc is not None and len(idx) != len(cc.chambers):
+        raise ValueError(
+            f"index function covers {len(idx)} chambers, complex has {len(cc.chambers)}"
+        )
     return idx
+
+
+def _check_order(cc: ChamberComplex | None, order) -> tuple[int, ...]:
+    """The chamber order as integers, a permutation of the chamber indices;
+    when cc is None, only free of negative and repeated entries."""
+    order = tuple(int(i) for i in order)
+    if (min(order, default=0) < 0 or len(set(order)) < len(order)
+            or cc is not None and sorted(order) != list(range(len(cc.chambers)))):
+        raise ValueError("order must be a permutation of the chamber indices")
+    return order
 
 
 def build_filtration(cc: ChamberComplex, index, k: int) -> ChamberComplex:
@@ -278,9 +290,7 @@ class ShellingCheck:
 def is_shelling(cc: ChamberComplex, order) -> ShellingCheck:
     """Check a total chamber order: every chamber after the first must meet
     the union of its predecessors in a non-empty union of its facets."""
-    order = tuple(int(i) for i in order)
-    if sorted(order) != list(range(len(cc.chambers))):
-        raise ValueError("order must be a permutation of the chamber indices")
+    order = _check_order(cc, order)
     position = [0] * len(order)
     for pos, i in enumerate(order):
         position[i] = pos

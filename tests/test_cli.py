@@ -548,8 +548,13 @@ def test_uncapped_subcommands_take_no_cap(capsys, monkeypatch, name):
      ": error: argument --index: invalid int value: 'x'\n"),
     (["is-shelling", "--preset", "B3", "--order", "0,x"], 2,
      ": error: argument --order: invalid int value: 'x'\n"),
+    # a repeated entry and a second index 0 need no chambers to be seen
+    (["is-shelling", "--preset", "B3", "--order", "0,0"], 1,
+     "error: order must be a permutation of the chamber indices\n"),
+    (["shelling-check", "--preset", "B3", "--index", "1,1"], 1,
+     "error: exactly one chamber must have index 0, found 0\n"),
 ], ids=["grp-nf", "grp-equal-letter", "grp-equal-token", "tmin", "shelling-check",
-        "is-shelling"])
+        "is-shelling", "is-shelling-repeat", "shelling-check-no-zero"])
 def test_input_errors_do_not_depend_on_the_cap(capsys, argv, code, err):
     from artin import coxeter
 
@@ -559,6 +564,18 @@ def test_input_errors_do_not_depend_on_the_cap(capsys, argv, code, err):
         runs.append(run([*argv, *cap], capsys))
     assert runs[0] == runs[1]
     assert runs[0][:2] == (code, "") and runs[0][2].endswith(err)
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_unrecognized_flags_get_the_subcommand_usage(capsys, name):
+    # every required flag is given, so the extra flag is the only usage error
+    sp = _subparser(cli.build_parser(), name)
+    required = [x for a in sp._actions if a.required
+                for x in (a.option_strings[0], a.choices[0] if a.choices else "s")]
+    code, out, err = run([name, "--preset", "B3", *required, "--bogus"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: artin {name} [-h]")
+    assert err.endswith(f"\nartin {name}: error: unrecognized arguments: --bogus\n")
 
 
 def test_delta_rejects_unknown_generators(capsys):

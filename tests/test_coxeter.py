@@ -157,6 +157,21 @@ def test_normalize_matches_braid_move_oracle_on_random_diagrams(rng):
             assert coxeter.normalize(d, w).word == braid_reduce(d, w), (d, w)
 
 
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "Atilde2", "4-4-5"])
+def test_engine_descents_match_normal_form_lengths(name, rng):
+    # s is a left descent of w exactly when l(s w) < l(w); H3 and 4-4-5 act
+    # over the cyclotomic ring, the others over Z
+    d = DIFFERENTIAL_DIAGRAMS.get(name) or preset(name)
+    coxeter._engine.cache_clear()
+    eng = coxeter._engine(d)
+    for _ in range(150):
+        w = tuple(rng.choice(d.vertices) for _ in range(rng.randint(0, 12)))
+        length = coxeter.normalize(d, w).length
+        expected = sum(1 << i for i, s in enumerate(d.vertices)
+                       if coxeter.normalize(d, (s, *w)).length < length)
+        assert eng.descents(eng.walk(0, w)) == expected, w
+
+
 # ---------------------------------------------------------------- exact ring
 
 def test_prime_powers():
@@ -337,14 +352,13 @@ def test_ball_reads_descents_off_the_enumeration(rng):
                 if (ws := coxeter.normalize(d, w.word + (s,))).length < w.length
             ]
         # The walk of each finite parabolic subgroup W_R in W's engine lists
-        # the ball of the subdiagram R: same words, lengths and descents.
+        # the ball of the subdiagram R: same words (so same lengths) and descents.
         for R in filter(None, finite_type_subsets(d)):
             sub = d.subdiagram(R)
             letters = [s for s, x in enumerate(d.vertices) if x in R]
-            ids, lengths, _, down = coxeter._walk(eng, letters, math.inf, 10**6)
+            ids, _, down = coxeter._walk(eng, letters, math.inf, 10**6)
             sub_elements, _, sub_down = coxeter._ball(sub, "all", 10**6)
             assert [eng.element(e).word for e in ids] == [w.word for w in sub_elements]
-            assert lengths == [w.length for w in sub_elements]
             assert [[(d.vertices[t], j) for t, j in D] for D in down] == [
                 [(sub.vertices[t], j) for t, j in D] for D in sub_down
             ]
@@ -440,11 +454,14 @@ def test_reflections_infinite_needs_ball():
 
 # ---------------------------------------------------------------- tmin
 
-@pytest.mark.parametrize("name", ["A2", "B2", "A3"])
+@pytest.mark.parametrize("name", ["A2", "B2", "A3", "H3", "Atilde2"])
 def test_t_minimal_representative_brute_force(name):
+    # T runs over the subsets of size 1 and 2 in Sf, so W_T is finite; the
+    # affine group is tried on its ball of radius 4
     d = preset(name)
-    elements = [e for layer in coxeter.enumerate_elements(d) for e in layer]
-    subsets = [T for k in (1, 2) for T in itertools.combinations(d.vertices, k)]
+    ball = 4 if name == "Atilde2" else "all"
+    elements = [e for layer in coxeter.enumerate_elements(d, ball) for e in layer]
+    subsets = [T for T in finite_type_subsets(d) if len(T) in (1, 2)]
     for T in subsets:
         wt = [e for layer in coxeter.enumerate_elements(d.subdiagram(T))
               for e in layer]

@@ -11,12 +11,13 @@ environment (without ARTIN_CAP, with COLUMNS=80 for help text) and the
 same PYTHONHASHSEED.  The corpus covers every subcommand in json and text,
 and in dot where offered, on six presets, `--help` of the tool and of every
 subcommand, the usage and domain error paths, and a low-cap section: the
-Garside and group subcommands on A3, B3, H3, F4 and I2(6) at six caps from
-5 to 40, where a change to the work a call does shows as a cap trip that
-moves (the group words name u, so on I2(6) they end in an error), plus three
-malformed inputs (an unknown letter in `tmin --t` and in `grp-equal --right`,
-a non-integer `shelling-check --index`) whose error must read the same at
-every cap, so an input checked after capped work shows as a diff.
+Garside and group subcommands and `tmin` on A3, B3, H3, F4 and I2(6) at six
+caps from 5 to 40, where a change to the work a call does shows as a cap
+trip that moves (the group words name u, so on I2(6) they end in an error;
+`tmin` peels right descents off a coset), plus three malformed inputs (an
+unknown letter in `tmin --t` and in `grp-equal --right`, a non-integer
+`shelling-check --index`) whose error must read the same at every cap, so
+an input checked after capped work shows as a diff.
 Exit code 1 if any argv differs, else 0.
 """
 
@@ -67,6 +68,7 @@ LOW_CAP_ARGS = (
     ["grp-nf", "--word", "s u^-1 t s"],
     ["grp-equal", "--left", "s u^-1 t s", "--right", "t^-1 t s u^-1 t s"],
     ["fraction", "--word", "s u^-1 t s"],
+    ["tmin", "--word", "s t s t s", "--t", "t"],
     # malformed inputs, checked before any capped work
     ["tmin", "--word", "s t", "--t", "zz"],
     ["grp-equal", "--left", "s t^-1 s t", "--right", "s zz"],
