@@ -70,7 +70,6 @@ DEFAULT_SIZE_GUARD = 10**6
 
 
 def _low(mask: int) -> int:
-    """The lowest set bit of a nonzero mask, as an index."""
     return (mask & -mask).bit_length() - 1
 
 
@@ -662,8 +661,8 @@ def t_minimal_representative(
     d: CoxeterDiagram, w: CoxeterElement, T, cap: int = DEFAULT_CAP
 ) -> CoxeterElement:
     """Shortest element of the coset w W_T, by greedy right descent in T: the
-    right descents of e are the left descents of its inverse, so the lowest
-    one in T is peeled off both until none is left."""
+    right descents of an element are the left descents of its inverse, so
+    the lowest one in T is peeled off both until none is left."""
     if w.diagram is not d and w.diagram != d:  # dataclass == compares every edge
         raise DiagramError("element belongs to a different diagram")
     keep = d._subset(T)
