@@ -5,12 +5,13 @@ same data for humans, and `dot` emits Hasse diagrams for the poset
 subcommands.  Exit codes: 0 success, 1 domain error (typed library
 errors), 2 usage error.
 
-Each row of the subcommand tables names its handler and declares its own
-arguments, as (flag, add_argument keywords) specs that follow the common
-ones.  The library modules other than `diagram` and `errors` are bound to
-handles that import the module on its first attribute access, so a
-subcommand loads only the library modules its handler calls, and the parser
-is built for that subcommand alone.
+Each row of the one subcommand table names its handler and declares its
+own arguments, as (flag, add_argument keywords) specs that follow the common
+ones.  Every handler takes (diagram, args); `main` resolves the diagram, or
+passes None when --chambers replaces it.  The library modules other than
+`diagram` and `errors` are bound to handles that import the module on its
+first attribute access, so a subcommand loads only the library modules its
+handler calls, and the parser is built for that subcommand alone.
 """
 
 from __future__ import annotations
@@ -180,23 +181,14 @@ def _cmd_signature(d, args):
 
 
 def _cmd_rep_check(d, args):
-    import numpy as np
-
-    tits._check_tol(args.tol)
     pairs = []
-    ok = True
     for s, t, m in d.pairs():
         order = tits.pair_order(d, s, t, tol=args.tol)
-        expected = None if m == INF else int(m)
-        good = order == expected
-        ok = ok and good
-        pairs.append(
-            {"s": s, "t": t, "m": "inf" if m == INF else int(m), "order": order, "ok": good}
-        )
-    dev = max(float(np.max(np.abs(M @ M - np.eye(d.rank))))
-              for M in tits.reflection_matrices(d))
-    involutions_ok = dev <= args.tol
-    obj = {"ok": ok and involutions_ok, "involutions_ok": involutions_ok, "pairs": pairs}
+        pairs.append({"s": s, "t": t, "m": "inf" if m == INF else int(m), "order": order,
+                      "ok": order == (None if m == INF else int(m))})
+    involutions_ok = all(tits.pair_order(d, s, s, tol=args.tol) == 1 for s in d.vertices)
+    ok = all(p["ok"] for p in pairs) and involutions_ok
+    obj = {"ok": ok, "involutions_ok": involutions_ok, "pairs": pairs}
     text = f"representation check: {'pass' if obj['ok'] else 'FAIL'}"
     for p in pairs:
         text += f"\n  ({p['s']},{p['t']}): m = {p['m']}, order = {p['order']}"
@@ -375,17 +367,16 @@ def _cmd_abelianization(d, args):
     return ab.to_json_obj(), ab.pretty(), None
 
 
-def _chamber_input(args, parser):
-    if args.chambers:
+def _chamber_input(d, args):
+    if d is None:  # --chambers
         if args.preset or args.file:
-            parser.error("pass either --chambers or a diagram source, not both")
+            args.subparser.error("pass either --chambers or a diagram source, not both")
         try:
             with open(args.chambers, encoding="utf-8") as fh:
                 cc, idx = shelling.parse_chamber_json(fh.read())
         except OSError as exc:
             raise ArtinError(f"cannot read {args.chambers}: {exc}") from None
     else:
-        d = _resolve_diagram(args, parser)
         # what can be checked without the chambers is checked before the capped work
         if getattr(args, "index", None):
             shelling._check_index(None, args.index)
@@ -395,8 +386,8 @@ def _chamber_input(args, parser):
     return cc, getattr(args, "index", None) or idx
 
 
-def _cmd_shelling_check(args, parser):
-    cc, idx = _chamber_input(args, parser)
+def _cmd_shelling_check(d, args):
+    cc, idx = _chamber_input(d, args)
     if idx is None:
         raise ArtinError("no index function: add \"index\" to the JSON or pass --index")
     rep = shelling.verify_claims(cc, idx)
@@ -409,8 +400,8 @@ def _cmd_shelling_check(args, parser):
     return obj, text, None
 
 
-def _cmd_is_shelling(args, parser):
-    cc, _ = _chamber_input(args, parser)
+def _cmd_is_shelling(d, args):
+    cc, _ = _chamber_input(d, args)
     chk = shelling.is_shelling(cc, args.order or tuple(range(len(cc.chambers))))
     obj = chk.to_json_obj()
     text = "true" if chk.ok else f"false ({chk.witness})"
@@ -437,7 +428,7 @@ _SIDE = ("--side", {"choices": ["left", "right"], "default": "left"})
 _BALL = ("--ball", {"type": _natural, "default": None, "help": "radius for infinite groups"})
 _CHAMBERS = ("--chambers", {"help": "chamber complex JSON file"})
 
-_DIAGRAM_CMDS = {
+_COMMANDS = {
     "classify": (_cmd_classify, (_NO_CAP,)),
     "taxonomy": (_cmd_taxonomy, (_NO_CAP,)),
     "sf": (_cmd_sf, (_NO_CAP,)),
@@ -481,9 +472,6 @@ _DIAGRAM_CMDS = {
     )),
     "quotient-cells": (_cmd_quotient_cells, (_NO_CAP,)),
     "abelianization": (_cmd_abelianization, (_NO_CAP,)),
-}
-
-_CHAMBER_CMDS = {
     "shelling-check": (_cmd_shelling_check, (
         _BALL, _CHAMBERS,
         ("--index", {"type": _ints, "help": "comma-separated index function override"}),
@@ -514,23 +502,26 @@ def _build_parser(only) -> argparse.ArgumentParser:
         version=f"artin {__version__} (format {FORMAT_VERSION})",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
-    for chambers, table in ((False, _DIAGRAM_CMDS), (True, _CHAMBER_CMDS)):
-        for name, (handler, specs) in table.items():
-            if only is not None and name != only:
-                continue
-            sp = sub.add_parser(name)
-            for flag, kwargs in dict(_COMMON + specs).items():
-                if kwargs is not None:
-                    sp.add_argument(flag, **kwargs)
-            sp.set_defaults(handler=handler, chamber_cmd=chambers, subparser=sp)
+    for name, (handler, specs) in _COMMANDS.items():
+        if only is not None and name != only:
+            continue
+        sp = sub.add_parser(name)
+        for flag, kwargs in dict(_COMMON + specs).items():
+            if kwargs is not None:
+                sp.add_argument(flag, **kwargs)
+        sp.set_defaults(handler=handler, subparser=sp)
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a separate "-1,0" as an option: join it to its flag, as "--order=-1,0"
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--index", "--order") and re.match(r"-\d", argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     # A known subcommand needs only its own subparser; anything else (help,
     # --version, a bad name) gets the full parser and its choice list.
-    known = argv and (argv[0] in _DIAGRAM_CMDS or argv[0] in _CHAMBER_CMDS)
+    known = argv and argv[0] in _COMMANDS
     parser = _build_parser(argv[0] if known else None)
     try:
         args, extra = parser.parse_known_args(argv)
@@ -542,11 +533,9 @@ def main(argv=None) -> int:
     try:
         if vars(args).get("cap", 0) is None:  # ARTIN_CAP only where --cap is offered
             args.cap = _env_cap(args.subparser)
-        if args.chamber_cmd:
-            obj, text, dot = args.handler(args, args.subparser)
-        else:
-            d = _resolve_diagram(args, args.subparser)
-            obj, text, dot = args.handler(d, args)
+        # --chambers replaces the diagram: the handler gets d = None
+        d = None if vars(args).get("chambers") else _resolve_diagram(args, args.subparser)
+        obj, text, dot = args.handler(d, args)
     except SystemExit as exc:  # parser.error inside handlers
         return int(exc.code or 0)
     except (ArtinError, ValueError) as exc:

@@ -424,7 +424,7 @@ def _parse(parser, argv):
     return 0, ns
 
 
-@pytest.mark.parametrize("name", [*cli._DIAGRAM_CMDS, *cli._CHAMBER_CMDS])
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
 def test_single_subcommand_parser_matches_full_parser(name):
     full, single = cli.build_parser(), cli._build_parser(name)
     assert _subparser(single, name).format_help() == _subparser(full, name).format_help()
@@ -564,6 +564,20 @@ def test_input_errors_do_not_depend_on_the_cap(capsys, argv, code, err):
         runs.append(run([*argv, *cap], capsys))
     assert runs[0] == runs[1]
     assert runs[0][:2] == (code, "") and runs[0][2].endswith(err)
+
+
+# argparse reads a separate "-1,0" as an option; the CLI reads it as the
+# flag's value, so it reaches the value check as "--order=-1,0" does.
+@pytest.mark.parametrize("argv, err", [
+    (["is-shelling", "--preset", "B3", "--order", "-1,0"],
+     "error: order must be a permutation of the chamber indices\n"),
+    (["shelling-check", "--preset", "B3", "--index", "-1,0"],
+     "error: index values must be naturals\n"),
+], ids=["order", "index"])
+def test_negative_lists_read_the_same_in_both_spellings(capsys, argv, err):
+    *head, flag, value = argv
+    joined = run([*head, f"{flag}={value}"], capsys)
+    assert run(argv, capsys) == joined == (1, "", err)
 
 
 @pytest.mark.parametrize("name", SUBCOMMANDS)

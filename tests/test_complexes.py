@@ -21,7 +21,7 @@ from artin.complexes import (
     salvetti_quotient_cells,
 )
 from artin.diagram import CoxeterDiagram, INF, is_finite_type, preset
-from artin.errors import CapExceededError
+from artin.errors import CapExceededError, FiniteTypeRequiredError
 
 import poset_oracle
 from conftest import random_diagram
@@ -208,6 +208,19 @@ def test_cell_posets_stop_at_the_poset_guard():
         with pytest.raises(CapExceededError, match="poset size exceeded cap 3000"):
             build(preset("E6"))
         assert time.perf_counter() - t0 < 3
+
+
+def test_salvetti_poset_guard_counts_cells_not_elements():
+    # D4's ball has 192 elements, under the guard, but the Salvetti complex
+    # has 3,072 cells, over it; the Davis complex has 865 cells and builds.
+    with pytest.raises(CapExceededError, match="poset size exceeded cap 3000"):
+        salvetti_poset(preset("D4"))
+    assert len(davis_poset(preset("D4"))) == 865
+
+
+def test_whole_davis_poset_needs_finite_type():
+    with pytest.raises(FiniteTypeRequiredError, match="ball='all' needs a finite-type diagram"):
+        davis_poset(preset("Atilde2"), "all")
 
 
 def test_cell_posets_stop_enumerating_w_at_the_poset_guard():

@@ -315,6 +315,9 @@ def test_enumerate_ball_atilde2():
 def test_enumerate_all_requires_finite_type():
     with pytest.raises(FiniteTypeRequiredError):
         coxeter.enumerate_elements(preset("Atilde2"), "all")
+    with pytest.raises(FiniteTypeRequiredError,
+                       match="longest_element needs a finite-type diagram"):
+        coxeter.longest_element(preset("Atilde2"))
 
 
 @pytest.mark.parametrize("radius", [2.7, 2.0, True, "2", None, -1])

@@ -121,6 +121,10 @@ def test_parse_errors():
         preset("I2(2)")
     with pytest.raises(DiagramError):
         preset("B1")
+    with pytest.raises(DiagramError, match="cannot parse diagram from int"):
+        parse_diagram(123)
+    with pytest.raises(DiagramError, match="self-loop at s"):
+        CoxeterDiagram(("s",), (("s", "s", 3),))
 
 
 @pytest.mark.parametrize("name", ["A(3", "A3)", "An(3", "An3)", "Bn(4", "D(4))", "A()", "A(3)(4)"])
@@ -223,6 +227,8 @@ def test_index_and_labels_by_position():
             d.index(bad)
     with pytest.raises(DiagramError, match="unknown generator 'x'"):
         d.m("s", "x")
+    with pytest.raises(DiagramError, match=r"m\(s,s\) is undefined"):
+        preset("A2").m("s", "s")
 
 
 def test_rank_guard():
@@ -230,6 +236,8 @@ def test_rank_guard():
     d = CoxeterDiagram(names, ())
     with pytest.raises(RankGuardError):
         finite_type_subsets(d)
+    with pytest.raises(RankGuardError, match="classify_taxonomy: rank 25 exceeds guard 20"):
+        classify_taxonomy(d)
 
 
 def test_taxonomy_atilde2():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from artin import coxeter, group, monoid
 from artin.diagram import CoxeterDiagram, INF, preset
-from artin.errors import DiagramError, FiniteTypeRequiredError, GarsideError
+from artin.errors import CapExceededError, DiagramError, FiniteTypeRequiredError, GarsideError
 
 
 def inf_pair():
@@ -27,6 +27,12 @@ def test_closure_preserves_length():
         cl = monoid.relation_closure(d, w)
         assert all(len(x) == len(w) for x in cl)
         assert w in cl
+
+
+def test_closure_stops_at_its_cap():
+    # s t s u t s has more than three spellings in the A3 monoid
+    with pytest.raises(CapExceededError, match="relation closure exceeded cap 3"):
+        monoid.relation_closure(preset("A3"), ("s", "t", "s", "u", "t", "s"), cap=3)
 
 
 def test_monoid_does_not_cancel_squares():
@@ -178,6 +184,11 @@ def test_garside_element_rejects_unknown_generators():
 def test_garside_element_needs_finite_type():
     with pytest.raises(FiniteTypeRequiredError):
         monoid.garside_element(preset("Atilde2"), ("s", "t", "u"))
+    with pytest.raises(FiniteTypeRequiredError, match="sigma requires a finite-type diagram"):
+        monoid.garside_permutation(preset("Atilde2"))
+    with pytest.raises(FiniteTypeRequiredError,
+                       match="group elements require a finite-type diagram"):
+        group.identity(preset("Atilde2"))
 
 
 # On a cold engine, Delta_T of a proper subset costs the climb in W_T and the

@@ -230,6 +230,8 @@ def test_build_filtration():
     assert all(
         c in cc.chambers for c in sub.chambers
     )
+    with pytest.raises(ValueError, match=r"C\(-1\) is empty; the base chamber has index 0"):
+        build_filtration(cc, idx, -1)
 
 
 # ---------------------------------------------------------------- shelling

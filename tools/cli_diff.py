@@ -17,7 +17,9 @@ trip that moves (the group words name u, so on I2(6) they end in an error;
 `tmin` peels right descents off a coset), plus three malformed inputs (an
 unknown letter in `tmin --t` and in `grp-equal --right`, a non-integer
 `shelling-check --index`) whose error must read the same at every cap, so
-an input checked after capped work shows as a diff.
+an input checked after capped work shows as a diff.  `shelling-check --index
+-1,0` and `is-shelling --order -1,0` on each preset check that a negative
+list given apart from its flag reaches the value check, as `--order=-1,0` does.
 Exit code 1 if any argv differs, else 0.
 """
 
@@ -150,6 +152,9 @@ def _corpus(tmp: str) -> list[list[str]]:
         ["is-shelling", "--chambers", chambers, "--order", "3,2,1,0"],
         ["is-shelling", "--preset", "A2", "--order", "0,0"],
     ]
+    # a negative first value, spelled apart from its flag
+    corpus += [[name, "--preset", p, flag, "-1,0"] for p in PRESETS
+               for name, flag in (("shelling-check", "--index"), ("is-shelling", "--order"))]
     for flag, argv in (("--ball", ["salvetti", "--preset", "Atilde2"]),
                        ("--ball", ["reflections", "--preset", "Atilde2"]),
                        ("--ball", ["shelling-check", "--preset", "Atilde2"]),
