@@ -181,12 +181,12 @@ def _cmd_signature(d, args):
 
 
 def _cmd_rep_check(d, args):
-    pairs = []
+    sigmas, pairs = tits.reflection_matrices(d), []
     for s, t, m in d.pairs():
-        order = tits.pair_order(d, s, t, tol=args.tol)
+        order = tits._pair_order(d, sigmas, s, t, args.tol)
         pairs.append({"s": s, "t": t, "m": "inf" if m == INF else int(m), "order": order,
                       "ok": order == (None if m == INF else int(m))})
-    involutions_ok = all(tits.pair_order(d, s, s, tol=args.tol) == 1 for s in d.vertices)
+    involutions_ok = all(tits._pair_order(d, sigmas, s, s, args.tol) == 1 for s in d.vertices)
     ok = all(p["ok"] for p in pairs) and involutions_ok
     obj = {"ok": ok, "involutions_ok": involutions_ok, "pairs": pairs}
     text = f"representation check: {'pass' if obj['ok'] else 'FAIL'}"
@@ -342,10 +342,13 @@ def _cmd_homology(d, args):
         p = complexes._deligne_poset(d)
     else:
         p = getattr(complexes, f"{args.complex}_poset")(d, _ball(args), args.cap)
-    # every maximal chain is a facet: count them before order_complex lists them
-    if p._count_maximal_chains() > complexes.DEFAULT_FACE_GUARD:
-        raise CapExceededError("homology face count", complexes.DEFAULT_FACE_GUARD)
-    h = complexes.homology(complexes.order_complex(p))
+    if p._cw:  # a finite Salvetti poset: homology on its own cells, no order complex
+        h = complexes._cell_homology(p)
+    else:
+        # every maximal chain is a facet: count them before order_complex lists them
+        if p._count_maximal_chains() > complexes.DEFAULT_FACE_GUARD:
+            raise CapExceededError("homology face count", complexes.DEFAULT_FACE_GUARD)
+        h = complexes.homology(complexes.order_complex(p))
     obj = {
         "complex": args.complex,
         **h.to_json_obj(),
@@ -513,15 +516,25 @@ def _build_parser(only) -> argparse.ArgumentParser:
     return parser
 
 
+def _takes_value(name: str, token: str) -> bool:
+    """Whether argparse reads `token` as a flag of subcommand `name` that
+    takes a value: the flag itself, or a prefix of that flag alone."""
+    specs = {flag: kw for flag, kw in dict(_COMMON + _COMMANDS[name][1]).items() if kw is not None}
+    specs["--help"] = {"action": "help"}
+    flags = [token] if token in specs else [flag for flag in specs if flag.startswith(token)]
+    return len(flags) == 1 and "action" not in specs[flags[0]]
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse reads a separate "-1,0" as an option: join it to its flag, as "--order=-1,0"
-    for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] in ("--index", "--order") and re.match(r"-\d", argv[i]):
-            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     # A known subcommand needs only its own subparser; anything else (help,
     # --version, a bad name) gets the full parser and its choice list.
     known = argv and argv[0] in _COMMANDS
+    # argparse reads a separate "-1,0" or "-1e-3" as an option: join it to
+    # the flag before it, as "--order=-1,0"
+    for i in range(len(argv) - 1, 1, -1) if known else ():
+        if re.match(r"-[\d.]", argv[i]) and _takes_value(argv[0], argv[i - 1]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     parser = _build_parser(argv[0] if known else None)
     try:
         args, extra = parser.parse_known_args(argv)

@@ -10,10 +10,18 @@ both posets, already in order, without a sort.  A poset keeps one cover
 table, built when it is checked, and its covers, its maximal chains (walked
 on the table in lexicographic order), its dot output and its order complex
 all read that table.  Order complexes realize posets simplicially, with the
-maximal chains as facets.  Homology is computed over Z: a cone answers
-from its facets; otherwise coreduction pairs off cells without changing it
-and a sparse Smith normal form with arbitrary-precision integers runs on the
-critical cells left, so every Betti number and torsion coefficient is exact.
+maximal chains as facets, and keep their poset.
+
+Homology is computed over Z on one sparse chain complex, which has two
+producers.  The simplicial one lists the faces of a complex.  The cellular
+one reads the cells of a finite Salvetti poset, the face poset of a regular
+CW complex whose barycentric subdivision is the poset's order complex, so
+both give the same homology; its incidence signs come from the diamond rule.
+A cone answers from its facets, and an order complex counts its faces from
+its poset's chains before any is listed.  Otherwise coreduction pairs off
+cells without changing the homology, and a sparse Smith normal form with
+arbitrary-precision integers runs on the critical cells left, so every
+Betti number and torsion coefficient is exact.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ class Poset:
     labels: tuple[str, ...]
     less: frozenset
     metadata: tuple = ()
+    _cw = False  # set on the face posets of regular CW complexes: finite Salvetti posets
 
     def __post_init__(self):
         above: dict[int, set[int]] = {i: set() for i in range(len(self.elements))}
@@ -95,6 +104,17 @@ class Poset:
         has_lower = {j for ups in self._up for j in ups}
         return sum(n for i, n in enumerate(paths) if i not in has_lower)
 
+    def _count_chains(self) -> int:
+        """The number of nonempty chains, the faces of the order complex,
+        without listing one: N(y), the chains with top y, is 1 + sum N(x), x < y."""
+        below = [[] for _ in self.elements]
+        for x, y in self.less:
+            below[y].append(x)
+        chains = [0] * len(below)
+        for y in sorted(range(len(below)), key=lambda y: len(below[y])):  # x < y: fewer below x
+            chains[y] = 1 + sum(chains[x] for x in below[y])
+        return sum(chains)
+
     def to_json_obj(self) -> dict:
         return {
             "elements": list(self.labels),
@@ -130,6 +150,7 @@ class SimplicialComplex:
 
     vertices: tuple
     facets: tuple[frozenset, ...]
+    _poset = None  # the poset of an order complex
 
     @staticmethod
     def from_faces(faces) -> "SimplicialComplex":
@@ -198,8 +219,11 @@ class SimplicialComplex:
 
 def order_complex(p: Poset) -> SimplicialComplex:
     """Simplices are the chains of p; facets are its maximal chains, which
-    are pairwise incomparable, so no facet filter is needed."""
-    return SimplicialComplex._from_facets(map(frozenset, p.maximal_chains()))
+    are pairwise incomparable, so no facet filter is needed.  The complex
+    keeps p, outside its fields, for `homology`."""
+    c = SimplicialComplex._from_facets(map(frozenset, p.maximal_chains()))
+    object.__setattr__(c, "_poset", p)
+    return c
 
 
 def _snf_diagonal(rows: dict[int, dict[int, int]]) -> list[int]:
@@ -308,45 +332,137 @@ class HomologyResult:
 
 def homology(c: SimplicialComplex, face_guard: int = DEFAULT_FACE_GUARD) -> HomologyResult:
     """Integer simplicial homology by discrete Morse reduction.  A cone (a
-    vertex in every facet) is contractible.  Otherwise coreduction (Mrozek-
-    Batko, Discrete Comput. Geom. 41, 2009) builds the complex up by pairs
-    that keep its homology, a cell with its one unbuilt face, and when it
-    stalls the lowest unbuilt cell becomes critical.  Critical boundaries flow
-    through the pairs, latest first, to the Morse complex (Harker-Mischaikow-
-    Mrozek-Nanda, Found. Comput. Math. 14, 2014); Smith normal form runs there."""
+    vertex in every facet) is contractible.  An order complex counts its faces
+    from its poset's chains, and a finite Salvetti one runs on the poset's own
+    cells, the cells of the CW complex it subdivides; any other complex lists
+    its faces.  Then `_chain_homology` reduces the chain complex."""
     if len(c.facets) > face_guard:  # every facet is a face
         raise CapExceededError("homology face count", face_guard)
     if not c.facets:
         return HomologyResult((), ())
     if frozenset.intersection(*c.facets):
         return HomologyResult((1,) + (0,) * c.dimension, ((),) * (c.dimension + 1))
+    if (p := c._poset) is not None and p._count_chains() > face_guard:
+        raise CapExceededError("homology face count", face_guard)
+    if p is not None and p._cw:
+        return _cell_homology(p)
     index = {v: i for i, v in enumerate(c.vertices)}
     faces = SimplicialComplex(
         tuple(range(len(index))), tuple(frozenset(map(index.__getitem__, f)) for f in c.facets)
     ).faces_by_dim()
     if sum(len(fs) for fs in faces) > face_guard:
         raise CapExceededError("homology face count", face_guard)
-
-    # Cells are numbered dimension by dimension; every coefficient is +-1.
     offset = list(itertools.accumulate((len(fs) for fs in faces), initial=0))
     position = {f: offset[len(f) - 1] + i for fs in faces for i, f in enumerate(fs)}
-    # combinations drop the last vertex first, so boundary[a][i] drops vertex i
+    # combinations drop the last vertex first, so the i-th face drops vertex i
     boundary = [[] for _ in faces[0]] + [
         list(map(position.__getitem__, itertools.combinations(f, len(f) - 1)))[::-1]
         for fs in faces[1:] for f in fs]
-    coboundary: list[list[int]] = [[] for _ in position]
+    signs = tuple((-1) ** i for i in range(len(faces)))  # its sign is (-1)^i
+    coefficients = []
+    for k, fs in enumerate(faces):
+        coefficients += [signs[: k + 1] if k else ()] * len(fs)
+    return _chain_homology(boundary, coefficients, offset)
+
+
+def _cw_chains(p: Poset) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """The cellular chain complex of a regular CW complex from its face poset
+    p, in `_chain_homology`'s form: p's elements are the cells, by dimension
+    and then in p's order, and a cell's faces are its lower covers.
+
+    In a regular CW complex every interval of length 2 is a diamond, with two
+    middles, and [s:t][t:r] + [s:t'][t':r] = 0 on it (Bjorner, Europ. J.
+    Combin. 5, 1984).  So an edge takes +1 and -1 on its two ends, and in a
+    higher cell s the first facet takes +1 and [s:t'] = -[s:t][t:r][t':r]
+    across each ridge r shared by facets t and t'.  A ValueError is raised
+    unless every cover joins adjacent dimensions, every edge has two ends,
+    every diamond two middles, and each walk is consistent and reaches every
+    facet.  These hold in every regular CW complex but do not make one."""
+    down = [[] for _ in p._up]
+    for i, ups in enumerate(p._up):
+        for j in ups:
+            down[j].append(i)
+    # dimensions from the minimal elements up, each cell after all its facets
+    dim = [0 if not facets else None for facets in down]
+    left = list(map(len, down))
+    stack = [i for i, n in enumerate(left) if not n]
+    while stack:
+        i = stack.pop()
+        for j in p._up[i]:
+            if dim[j] is None:
+                dim[j] = dim[i] + 1
+            elif dim[j] != dim[i] + 1:
+                raise ValueError("a cover joins cells whose dimensions are not adjacent")
+            left[j] -= 1
+            if not left[j]:
+                stack.append(j)
+    cells = sorted(range(len(dim)), key=dim.__getitem__)
+    position = {x: a for a, x in enumerate(cells)}
+    counts = collections.Counter(dim)  # a k-cell has a (k-1)-cell below, so k runs from 0
+    offset = list(itertools.accumulate((counts[k] for k in range(len(counts))), initial=0))
+
+    incidence = [{} for _ in dim]  # incidence[s][t] = [s:t] for each facet t of s
+    for s in cells:
+        facets, sign = down[s], incidence[s]
+        if dim[s] == 1:
+            if len(facets) != 2:
+                raise ValueError("an edge without two ends")
+            sign.update(zip(facets, (1, -1)))
+        elif facets:
+            over = collections.defaultdict(list)  # ridge -> the facets of s above it
+            for t in facets:
+                for r in down[t]:
+                    over[r].append(t)
+            if any(len(ts) != 2 for ts in over.values()):
+                raise ValueError("a diamond without two middles")
+            sign[facets[0]] = 1
+            todo = [facets[0]]
+            while todo:
+                t = todo.pop()
+                for r in down[t]:
+                    u = over[r][over[r][0] == t]  # the other middle of the diamond [r, s]
+                    x = -sign[t] * incidence[t][r] * incidence[u][r]
+                    if u not in sign:
+                        sign[u] = x
+                        todo.append(u)
+                    elif sign[u] != x:
+                        raise ValueError("the diamond signs of a cell are inconsistent")
+            if len(sign) != len(facets):
+                raise ValueError("the sign walk of a cell misses a facet")
+    boundary = [[position[t] for t in down[s]] for s in cells]
+    return boundary, [[incidence[s][t] for t in down[s]] for s in cells], offset
+
+
+def _chain_homology(boundary: list[list[int]], coefficients: list, offset: list[int]
+                    ) -> HomologyResult:
+    """Homology of a sparse chain complex over Z.  Cells are numbered
+    dimension by dimension, the k-cells from offset[k] to offset[k + 1];
+    boundary[a] lists the faces of cell a, each once, and coefficients[a]
+    their coefficients, in the same order.
+
+    Coreduction (Mrozek-Batko, Discrete Comput. Geom. 41, 2009) builds the
+    complex up by pairs that keep its homology, a cell with its one unbuilt
+    face across a unit coefficient, and when it stalls the lowest unbuilt
+    cell becomes critical.  Critical boundaries flow through the pairs,
+    latest first, to the Morse complex (Harker-Mischaikow-Mrozek-Nanda,
+    Found. Comput. Math. 14, 2014); Smith normal form runs there."""
+    n = offset[-1]
+    coboundary: list[list[int]] = [[] for _ in range(n)]
     for a, bd in enumerate(boundary):
         for b in bd:
             coboundary[b].append(a)
 
-    partner = [None] * len(position)  # the other cell of its pair, itself if critical
+    partner = [None] * n  # the other cell of its pair, itself if critical
     left = list(map(len, boundary))  # faces not yet built; 0 once built
     order, queue, low = [], collections.deque(), 0  # queue: cells with one face left
-    while low < len(position):
+    while low < n:
         if queue:
             if left[a := queue.popleft()] != 1:
                 continue
-            b = next(b for b in boundary[a] if partner[b] is None)
+            bd = boundary[a]
+            b = next(b for b in bd if partner[b] is None)
+            if coefficients[a][bd.index(b)] not in (1, -1):  # the flow divides by [a:b]
+                continue
             partner[a], partner[b] = b, a
         elif partner[low] is not None:
             low += 1
@@ -360,32 +476,38 @@ def homology(c: SimplicialComplex, face_guard: int = DEFAULT_FACE_GUARD) -> Homo
                 if left[y] == 1:
                     queue.append(y)
 
-    # Undoing the pair (b, p) sends p to 0 and b to b - [dp : b] dp, whose
+    # Undoing the pair (b, p) sends p to 0 and b to b - [p:b] dp, whose
     # other cells were built before b.  rows[b][a]: b's coefficient in a's chain.
     critical = [a for a in order if partner[a] == a]
     rows = collections.defaultdict(dict)
     for a in critical:
-        for i, b in enumerate(boundary[a]):
-            rows[b][a] = (-1) ** i
+        for b, x in zip(boundary[a], coefficients[a]):
+            rows[b][a] = x
     for b in reversed(order):
         if partner[b] > b and (row := rows.get(b)):  # b is its pair's lower cell
-            j = (bd := boundary[partner[b]]).index(b)
-            for i, y in enumerate(bd):
-                if i != j:
-                    s, target = (-1) ** (i + j + 1), rows[y]
-                    for a, x in row.items():
-                        if v := target.get(a, 0) + s * x:
+            bd, xs = boundary[partner[b]], coefficients[partner[b]]
+            xb = xs[bd.index(b)]
+            for y, x in zip(bd, xs):
+                if y != b:
+                    s, target = -x * xb, rows[y]
+                    for a, z in row.items():
+                        if v := target.get(a, 0) + s * z:
                             target[a] = v
                         else:
                             del target[a]
     # factors[k]: invariant factors of the Morse boundary_(k+1)
     factors = [invariant_factors({b: rows[b] for b in critical
                                   if offset[k] <= b < offset[k + 1] and rows.get(b)})
-               for k in range(len(faces) - 1)]
+               for k in range(len(offset) - 2)]
     ranks = [0, *map(len, factors), 0]
     betti = tuple(sum(offset[k] <= a < offset[k + 1] for a in critical) - ranks[k] - ranks[k + 1]
-                  for k in range(len(faces)))
+                  for k in range(len(offset) - 1))
     return HomologyResult(betti, tuple(tuple(t for t in f if t > 1) for f in factors) + ((),))
+
+
+def _cell_homology(p: Poset) -> HomologyResult:
+    """Homology of the regular CW complex with face poset p, on its cells."""
+    return _chain_homology(*_cw_chains(p))
 
 
 def _sf_sorted(d: CoxeterDiagram):
@@ -463,8 +585,11 @@ def _cell_poset(d: CoxeterDiagram, ball, cap: int, minimal: bool):
                         yield u, T
 
     meta = (("complex", kind), ("ball", ball))
-    return _poset(cells, lambda c: label.format("".join(c[0].word) or "e", _set_label(d, c[1])),
-                  below, meta)
+    p = _poset(cells, lambda c: label.format("".join(c[0].word) or "e", _set_label(d, c[1])),
+               below, meta)
+    if ball == "all" and not minimal:  # the face poset of Salvetti's regular CW complex
+        object.__setattr__(p, "_cw", True)
+    return p
 
 
 def salvetti_poset(d: CoxeterDiagram, ball="all", cap: int = DEFAULT_CAP) -> Poset:

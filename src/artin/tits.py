@@ -89,10 +89,17 @@ def pair_order(
     The default cap is 4 * max(m_st) over the finite labels of the diagram,
     so an infinite pair reports None rather than looping.
     """
+    return _pair_order(d, reflection_matrices(d), s, t, tol, cap)
+
+
+def _pair_order(d: CoxeterDiagram, sigmas: list[np.ndarray], s: str, t: str, tol: float,
+                cap: int | None = None) -> int | None:
+    """`pair_order` on the reflection matrices `sigmas` of d, which a caller
+    that asks about many pairs builds once."""
     _check_tol(tol)
     if cap is None:
         cap = 4 * max((m for _, _, m in d.edges if m != INF), default=2)
-    M = word_to_matrix(d, (s, t))
+    M = np.eye(d.rank) @ sigmas[d.index(s)] @ sigmas[d.index(t)]  # as word_to_matrix does
     P = M.copy()
     eye = np.eye(d.rank)
     for k in range(1, cap + 1):

@@ -566,18 +566,38 @@ def test_input_errors_do_not_depend_on_the_cap(capsys, argv, code, err):
     assert runs[0][:2] == (code, "") and runs[0][2].endswith(err)
 
 
-# argparse reads a separate "-1,0" as an option; the CLI reads it as the
-# flag's value, so it reaches the value check as "--order=-1,0" does.
+# argparse reads a separate "-1,0" or "-1e-3" as an option; the CLI reads it
+# as the value of the flag before it, abbreviated or not, so it reaches the
+# value check as "--order=-1,0" does.
 @pytest.mark.parametrize("argv, err", [
     (["is-shelling", "--preset", "B3", "--order", "-1,0"],
      "error: order must be a permutation of the chamber indices\n"),
     (["shelling-check", "--preset", "B3", "--index", "-1,0"],
      "error: index values must be naturals\n"),
-], ids=["order", "index"])
+    (["signature", "--preset", "A2", "--tol", "-1e-3"],
+     "error: tolerance must be positive, got -0.001\n"),
+    (["is-shelling", "--preset", "B3", "--ord", "-1,0"],
+     "error: order must be a permutation of the chamber indices\n"),
+], ids=["order", "index", "tol", "ord"])
 def test_negative_lists_read_the_same_in_both_spellings(capsys, argv, err):
     *head, flag, value = argv
     joined = run([*head, f"{flag}={value}"], capsys)
     assert run(argv, capsys) == joined == (1, "", err)
+
+
+@pytest.mark.parametrize("argv, err", [
+    # argparse already reads "-5" as a value
+    (["enumerate", "--preset", "A2", "--cap", "-5"],
+     "artin enumerate: error: argument --cap: cap must be positive, got -5\n"),
+    # "--w" names the flag --words, which takes no value
+    (["enumerate", "--preset", "A2", "--w", "-1"],
+     "artin enumerate: error: unrecognized arguments: -1\n"),
+    (["signature", "--preset", "A2", "--", "-1e-3"],
+     "artin signature: error: unrecognized arguments: -- -1e-3\n"),
+], ids=["cap", "no-value", "end-of-flags"])
+def test_negative_values_join_only_flags_that_take_one(capsys, argv, err):
+    code, out, stderr = run(argv, capsys)
+    assert (code, out) == (2, "") and stderr.endswith(err)
 
 
 @pytest.mark.parametrize("name", SUBCOMMANDS)

@@ -1,13 +1,15 @@
 """Posets, order complexes, Smith normal form homology, quotient cells."""
 
+import collections
 import itertools
+import json
 import math
 import time
 
 import numpy as np
 import pytest
 
-from artin import complexes, coxeter
+from artin import cli, complexes, coxeter
 from artin.complexes import (
     Poset,
     SimplicialComplex,
@@ -642,6 +644,161 @@ def test_face_guard_counts_facets_before_listing_faces(monkeypatch):
     monkeypatch.setattr(SimplicialComplex, "faces_by_dim", unlisted)
     with pytest.raises(CapExceededError, match="homology face count"):
         homology(c, face_guard=len(c.facets) - 1)
+
+
+def test_face_guard_counts_the_chains_of_a_ball_before_listing_faces(monkeypatch):
+    c = order_complex(salvetti_poset(preset("Atilde2"), 2))
+    count = sum(c.f_vector())
+    assert c._poset._count_chains() == count > len(c.facets)
+
+    def unlisted(self):
+        raise AssertionError("faces listed past the face guard")
+
+    monkeypatch.setattr(SimplicialComplex, "faces_by_dim", unlisted)
+    with pytest.raises(CapExceededError, match="homology face count"):
+        homology(c, face_guard=count - 1)
+
+
+def test_chains_are_counted_without_listing_them(rng):
+    for p in _chain_cases(rng):
+        assert p._count_chains() == sum(order_complex(p).f_vector())
+
+
+# ---------------------------------------------------------------- cellular homology
+
+def _both_orientations(d):
+    return (d, CoxeterDiagram(d.vertices[::-1], d.edges))
+
+
+def _cw_cases():
+    """Finite Salvetti posets: the rank-2 and rank-3 presets, and the
+    products of the homology benchmark, each in both vertex orders."""
+    ds = [preset(name) for name in ("A1", "A2", "B2", "A3", "B3")]
+    ds += [preset(f"I2({m})") for m in range(3, 9)]
+    ds += [CoxeterDiagram(("a", "b", "c"), ()), CoxeterDiagram(("a", "b", "c"), (("b", "c", 3),))]
+    return [salvetti_poset(e) for d in ds for e in _both_orientations(d)]
+
+
+def test_cell_homology_equals_the_order_complex_homology():
+    for p in _cw_cases():
+        c = order_complex(p)
+        simplicial = SimplicialComplex(c.vertices, c.facets)  # no poset: lists its faces
+        assert simplicial._poset is None and c._poset is p and p._cw
+        assert homology(c) == complexes._cell_homology(p) == homology(simplicial), p.labels[-1]
+
+
+def test_cell_boundaries_square_to_zero():
+    for p in _cw_cases():
+        boundary, coefficients, offset = complexes._cw_chains(p)
+        assert offset[-1] == len(p) == len(boundary) == len(coefficients)
+        for a in range(len(p)):
+            assert all(x in (1, -1) for x in coefficients[a])
+            square = collections.Counter()
+            for b, x in zip(boundary[a], coefficients[a]):
+                for y, z in zip(boundary[b], coefficients[b]):
+                    square[y] += x * z
+            assert not any(square.values()), (p.labels[-1], a)
+
+
+def _orlik_solomon(degrees):
+    poly = [1]
+    for deg in degrees:
+        poly = [a + (deg - 1) * b for a, b in zip(poly + [0], [0] + poly)]
+    return poly
+
+
+@pytest.mark.parametrize("name, degrees", [("H3", (2, 6, 10)), ("A4", (2, 3, 4, 5))])
+def test_cli_salvetti_homology_runs_on_the_cells(capsys, monkeypatch, name, degrees):
+    # the order complex would list 270,720 (H3) and more (A4) faces, past the guard
+    def unused(*args):
+        raise AssertionError("the CLI built an order complex")
+
+    monkeypatch.setattr(complexes, "order_complex", unused)
+    assert cli.main(["homology", "--preset", name, "--complex", "salvetti"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["betti"] == _orlik_solomon(degrees)
+    assert not any(obj["torsion"]) and obj["euler"] == 0
+
+
+@pytest.mark.parametrize("ball", [1, 2, 3])
+@pytest.mark.parametrize("build", [salvetti_poset, davis_poset])
+def test_the_sign_walk_rejects_balls(build, ball):
+    p = build(preset("Atilde2"), ball)
+    assert not p._cw
+    with pytest.raises(ValueError, match="an edge without two ends"):
+        complexes._cw_chains(p)
+
+
+def _subset_poset(faces, top=False):
+    """The nonempty subsets of the given faces under inclusion, with a top
+    element over all of them if `top`."""
+    cells = sorted({frozenset(c) for f in faces for k in range(1, len(f) + 1)
+                    for c in itertools.combinations(f, k)}, key=lambda c: (len(c), sorted(c)))
+    if top:
+        cells.append(frozenset().union(*cells) | {"top"})
+    less = frozenset((i, j) for i, a in enumerate(cells) for j, b in enumerate(cells) if a < b)
+    return Poset(tuple(cells), tuple(map(str, range(len(cells)))), less)
+
+
+@pytest.mark.parametrize("faces, top, message", [
+    ([(0, 1)], False, None),  # a simplex is a regular CW complex
+    ([(0, 1, 2, 3)], False, None),
+    ([(0, 1), (1, 2), (2, 0)], True, None),  # a disc
+    ([(0, 1), (1, 2)], True, "a diamond without two middles"),  # a 2-cell on a path
+    ([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], True,
+     "the sign walk of a cell misses a facet"),  # a 2-cell on two circles
+    ([(0, 1), (0, 2), (0, 3)], True, "a diamond without two middles"),
+    (_RP2, True, "the diamond signs of a cell are inconsistent"),  # a 3-cell on RP^2
+], ids=["edge", "simplex", "disc", "path", "two-circles", "tripod", "rp2"])
+def test_the_sign_walk_checks_what_it_relies_on(faces, top, message):
+    p = _subset_poset(faces, top)
+    if message is None:
+        assert complexes._cell_homology(p) == homology(order_complex(p))
+    else:
+        with pytest.raises(ValueError, match=message):
+            complexes._cw_chains(p)
+
+
+def test_the_sign_walk_needs_adjacent_dimensions():
+    # 0 < 1 < 2 and 3 < 2: the cover (3, 2) skips a dimension
+    p = Poset((0, 1, 2, 3), ("a", "b", "c", "d"), frozenset({(0, 1), (1, 2), (0, 2), (3, 2)}))
+    with pytest.raises(ValueError, match="dimensions are not adjacent"):
+        complexes._cw_chains(p)
+    edge = Poset((0, 1), ("a", "b"), frozenset({(0, 1)}))
+    with pytest.raises(ValueError, match="an edge without two ends"):
+        complexes._cw_chains(edge)
+
+
+def test_salvetti_order_complex_homology_lists_no_faces(monkeypatch):
+    c = order_complex(salvetti_poset(preset("A3")))
+
+    def unlisted(self):
+        raise AssertionError("a Salvetti complex listed its faces")
+
+    monkeypatch.setattr(SimplicialComplex, "faces_by_dim", unlisted)
+    assert homology(c).betti == (1, 6, 11, 6)
+
+
+def test_an_equal_hand_built_poset_takes_the_simplicial_path(monkeypatch):
+    p = salvetti_poset(preset("A2"))
+    q = Poset(p.elements, p.labels, p.less, p.metadata)
+    assert q == p and p._cw and not q._cw
+    want = homology(order_complex(p))
+
+    def cellular(p):
+        raise AssertionError("a hand-built poset ran on its cells")
+
+    monkeypatch.setattr(complexes, "_cw_chains", cellular)
+    assert homology(order_complex(q)) == want
+
+
+def test_coreduction_pairs_only_across_a_unit():
+    # one vertex, two loops a and b, and a 2-cell with boundary 2a + 2b:
+    # H_1 = Z + Z/2.  Once a is critical, the 2-cell has b left, across a 2.
+    boundary = [[], [], [], [1, 2]]
+    coefficients = [(), (), (), (2, 2)]
+    h = complexes._chain_homology(boundary, coefficients, [0, 1, 3, 4])
+    assert h.pretty() == "H_0 = Z, H_1 = Z + Z/2, H_2 = 0"
 
 
 def test_salvetti_h1_rank_equals_reflection_count():

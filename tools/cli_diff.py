@@ -18,8 +18,10 @@ trip that moves (the group words name u, so on I2(6) they end in an error;
 unknown letter in `tmin --t` and in `grp-equal --right`, a non-integer
 `shelling-check --index`) whose error must read the same at every cap, so
 an input checked after capped work shows as a diff.  `shelling-check --index
--1,0` and `is-shelling --order -1,0` on each preset check that a negative
-list given apart from its flag reaches the value check, as `--order=-1,0` does.
+-1,0` and `is-shelling --order -1,0` on each preset, `signature --tol -1e-3`
+and the abbreviation `is-shelling --ord -1,0` check that a negative value
+given apart from its flag reaches the value check, as `--order=-1,0` does,
+and `enumerate --cap -5` that a value argparse already reads stays as it was.
 Exit code 1 if any argv differs, else 0.
 """
 
@@ -155,6 +157,9 @@ def _corpus(tmp: str) -> list[list[str]]:
     # a negative first value, spelled apart from its flag
     corpus += [[name, "--preset", p, flag, "-1,0"] for p in PRESETS
                for name, flag in (("shelling-check", "--index"), ("is-shelling", "--order"))]
+    corpus += [["signature", "--preset", "A2", "--tol", "-1e-3"],
+               ["is-shelling", "--preset", "B3", "--ord", "-1,0"],
+               ["enumerate", "--preset", "A2", "--cap", "-5"]]
     for flag, argv in (("--ball", ["salvetti", "--preset", "Atilde2"]),
                        ("--ball", ["reflections", "--preset", "Atilde2"]),
                        ("--ball", ["shelling-check", "--preset", "Atilde2"]),
