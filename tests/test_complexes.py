@@ -659,7 +659,7 @@ def test_face_guard_counts_the_chains_of_a_ball_before_listing_faces(monkeypatch
         homology(c, face_guard=count - 1)
 
 
-def test_chains_are_counted_without_listing_them(rng):
+def test_chain_count_equals_the_order_complex_face_count(rng):
     for p in _chain_cases(rng):
         assert p._count_chains() == sum(order_complex(p).f_vector())
 
@@ -782,8 +782,11 @@ def test_salvetti_order_complex_homology_lists_no_faces(monkeypatch):
 def test_an_equal_hand_built_poset_takes_the_simplicial_path(monkeypatch):
     p = salvetti_poset(preset("A2"))
     q = Poset(p.elements, p.labels, p.less, p.metadata)
-    assert q == p and p._cw and not q._cw
-    want = homology(order_complex(p))
+    assert q == p and repr(q) == repr(p) and p._cw and not q._cw
+    c, want = order_complex(p), homology(order_complex(p))
+    # the poset an order complex keeps is outside its fields
+    assert order_complex(q) == c and repr(order_complex(q)) == repr(c)
+    assert c.to_json_obj() == SimplicialComplex(c.vertices, c.facets).to_json_obj()
 
     def cellular(p):
         raise AssertionError("a hand-built poset ran on its cells")
