@@ -26,7 +26,7 @@ import sys
 
 from . import diagram
 from .diagram import INF, classify_taxonomy, is_finite_type, preset
-from .errors import DEFAULT_CAP, ArtinError, CapExceededError
+from .errors import DEFAULT_CAP, ArtinError
 
 FORMAT_VERSION = 1
 
@@ -155,7 +155,7 @@ def _cmd_taxonomy(d, args):
 
 
 def _cmd_sf(d, args):
-    subsets = [_subset_list(d, T) for T in complexes._sf_sorted(d)]
+    subsets = [_subset_list(d, T) for T in diagram._sf_sorted(d)]
     obj = {"count": len(subsets), "subsets": subsets}
     text = f"{len(subsets)} finite-type subsets\n" + "\n".join(
         "{" + ",".join(T) + "}" for T in subsets
@@ -342,13 +342,7 @@ def _cmd_homology(d, args):
         p = complexes._deligne_poset(d)
     else:
         p = getattr(complexes, f"{args.complex}_poset")(d, _ball(args), args.cap)
-    if p._cw:  # a finite Salvetti poset: homology on its own cells, no order complex
-        h = complexes._cell_homology(p)
-    else:
-        # every maximal chain is a facet: count them before order_complex lists them
-        if p._count_maximal_chains() > complexes.DEFAULT_FACE_GUARD:
-            raise CapExceededError("homology face count", complexes.DEFAULT_FACE_GUARD)
-        h = complexes.homology(complexes.order_complex(p))
+    h = complexes._poset_homology(p)
     obj = {
         "complex": args.complex,
         **h.to_json_obj(),
@@ -359,14 +353,14 @@ def _cmd_homology(d, args):
 
 
 def _cmd_quotient_cells(d, args):
-    q = complexes.salvetti_quotient_cells(d)
+    q = diagram.salvetti_quotient_cells(d)
     obj = q.to_json_obj()
     text = f"f-vector {list(q.f_vector)}, euler {q.euler_characteristic}"
     return obj, text, None
 
 
 def _cmd_abelianization(d, args):
-    ab = complexes.abelianization(d)
+    ab = diagram.abelianization(d)
     return ab.to_json_obj(), ab.pretty(), None
 
 

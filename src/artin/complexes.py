@@ -17,11 +17,13 @@ producers.  The simplicial one lists the faces of a complex.  The cellular
 one reads the cells of a finite Salvetti poset, the face poset of a regular
 CW complex whose barycentric subdivision is the poset's order complex, so
 both give the same homology; its incidence signs come from the diamond rule.
-A cone answers from its facets, and an order complex counts its faces from
-its poset's chains before any is listed.  Otherwise coreduction pairs off
-cells without changing the homology, and a sparse Smith normal form with
+A cone answers from its facets, a finite Salvetti order complex from its
+poset's cells, and any other order complex counts its faces by dimension
+from its poset's chains before any is listed.  Otherwise coreduction pairs
+off cells without changing the homology, and a sparse Smith normal form with
 arbitrary-precision integers runs on the critical cells left, so every
-Betti number and torsion coefficient is exact.
+Betti number and torsion coefficient is exact.  The invariants that read Sf
+alone live in `diagram`; this module imports them back.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from dataclasses import asdict, dataclass
 
 from . import coxeter
 from .coxeter import DEFAULT_CAP
-from .diagram import CoxeterDiagram, finite_type_subsets
+from .diagram import (Abelianization, CoxeterDiagram, QuotientCells, _abelian_group,
+                      _sf_sorted, abelianization, salvetti_quotient_cells)
 from .errors import CapExceededError, FiniteTypeRequiredError
 
 DEFAULT_POSET_GUARD = 3000
@@ -104,16 +107,27 @@ class Poset:
         has_lower = {j for ups in self._up for j in ups}
         return sum(n for i, n in enumerate(paths) if i not in has_lower)
 
-    def _count_chains(self) -> int:
-        """The number of nonempty chains, the faces of the order complex,
-        without listing one: N(y), the chains with top y, is 1 + sum N(x), x < y."""
+    def _chain_counts(self) -> tuple[int, ...]:
+        """The f-vector of the order complex without listing a face: entry k
+        counts the chains of k + 1 elements.  N_k(y), those with top y, is
+        sum N_{k-1}(x) over x < y, and N_0(y) = 1.  Each N(y) is packed into
+        one integer, digit k in base 2^b, where 2^b exceeds the number of
+        all chains, which a first pass counts as 1 + sum N(x)."""
         below = [[] for _ in self.elements]
         for x, y in self.less:
             below[y].append(x)
+        order = sorted(range(len(below)), key=lambda y: len(below[y]))  # x < y: fewer below x
         chains = [0] * len(below)
-        for y in sorted(range(len(below)), key=lambda y: len(below[y])):  # x < y: fewer below x
+        for y in order:
             chains[y] = 1 + sum(chains[x] for x in below[y])
-        return sum(chains)
+        b = sum(chains).bit_length()
+        for y in order:
+            chains[y] = 1 + (sum(chains[x] for x in below[y]) << b)
+        packed, mask, counts = sum(chains), (1 << b) - 1, []
+        while packed:
+            counts.append(packed & mask)
+            packed >>= b
+        return tuple(counts)
 
     def to_json_obj(self) -> dict:
         return {
@@ -200,7 +214,10 @@ class SimplicialComplex:
         return out
 
     def f_vector(self) -> tuple[int, ...]:
-        """The number of faces of each dimension, counted without sorting them."""
+        """The number of faces of each dimension, counted without sorting
+        them; an order complex counts its poset's chains and lists none."""
+        if self._poset is not None:
+            return self._poset._chain_counts()
         counts = collections.Counter(map(len, self._faces()))
         return tuple(counts[k] for k in range(1, self.dimension + 2))
 
@@ -299,17 +316,6 @@ def invariant_factors(rows: dict[int, dict[int, int]]) -> list[int]:
     return [1] * units + diag
 
 
-def _abelian_group(rank: int, torsion) -> str:
-    """Z^rank + Z/t + ... for a finitely generated abelian group, 0 if trivial."""
-    parts = []
-    if rank == 1:
-        parts.append("Z")
-    elif rank > 1:
-        parts.append(f"Z^{rank}")
-    parts.extend(f"Z/{t}" for t in torsion)
-    return " + ".join(parts) if parts else "0"
-
-
 @dataclass(frozen=True)
 class HomologyResult:
     """Unreduced integer homology: per dimension a Betti number and the
@@ -332,20 +338,21 @@ class HomologyResult:
 
 def homology(c: SimplicialComplex, face_guard: int = DEFAULT_FACE_GUARD) -> HomologyResult:
     """Integer simplicial homology by discrete Morse reduction.  A cone (a
-    vertex in every facet) is contractible.  An order complex counts its faces
-    from its poset's chains, and a finite Salvetti one runs on the poset's own
-    cells, the cells of the CW complex it subdivides; any other complex lists
-    its faces.  Then `_chain_homology` reduces the chain complex."""
+    vertex in every facet) is contractible.  A finite Salvetti order complex
+    runs on its poset's own cells, the cells of the CW complex it subdivides;
+    any other order complex counts its faces from its poset's chains before
+    it lists them, as every other complex does.  Then `_chain_homology`
+    reduces the chain complex."""
     if len(c.facets) > face_guard:  # every facet is a face
         raise CapExceededError("homology face count", face_guard)
     if not c.facets:
         return HomologyResult((), ())
     if frozenset.intersection(*c.facets):
         return HomologyResult((1,) + (0,) * c.dimension, ((),) * (c.dimension + 1))
-    if (p := c._poset) is not None and p._count_chains() > face_guard:
-        raise CapExceededError("homology face count", face_guard)
-    if p is not None and p._cw:
+    if (p := c._poset) is not None and p._cw:
         return _cell_homology(p)
+    if p is not None and sum(p._chain_counts()) > face_guard:
+        raise CapExceededError("homology face count", face_guard)
     index = {v: i for i, v in enumerate(c.vertices)}
     faces = SimplicialComplex(
         tuple(range(len(index))), tuple(frozenset(map(index.__getitem__, f)) for f in c.facets)
@@ -510,10 +517,14 @@ def _cell_homology(p: Poset) -> HomologyResult:
     return _chain_homology(*_cw_chains(p))
 
 
-def _sf_sorted(d: CoxeterDiagram):
-    return sorted(
-        finite_type_subsets(d), key=lambda T: (len(T), sorted(d.index(v) for v in T))
-    )
+def _poset_homology(p: Poset) -> HomologyResult:
+    """Homology of p's order complex: on p's cells if it is a finite Salvetti
+    poset, else after its maximal chains, the facets, are counted."""
+    if p._cw:
+        return _cell_homology(p)
+    if p._count_maximal_chains() > DEFAULT_FACE_GUARD:
+        raise CapExceededError("homology face count", DEFAULT_FACE_GUARD)
+    return homology(order_complex(p))
 
 
 def _set_label(d: CoxeterDiagram, T) -> str:
@@ -624,51 +635,3 @@ def deligne_fundamental_domain(d: CoxeterDiagram) -> tuple[Poset, SimplicialComp
     of Sf ordered by subset), with its order complex."""
     p = _deligne_poset(d)
     return p, order_complex(p)
-
-
-@dataclass(frozen=True)
-class QuotientCells:
-    """Cell counts of the quotient Salvetti complex: one k-cell per T in Sf
-    with |T| = k, up to the dimension actually attained."""
-
-    f_vector: tuple[int, ...]
-
-    @property
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * c for k, c in enumerate(self.f_vector))
-
-    def to_json_obj(self) -> dict:
-        return {**asdict(self), "euler": self.euler_characteristic}
-
-
-def salvetti_quotient_cells(d: CoxeterDiagram) -> QuotientCells:
-    sizes = collections.Counter(map(len, finite_type_subsets(d)))
-    return QuotientCells(tuple(sizes[k] for k in range(max(sizes) + 1)))
-
-
-@dataclass(frozen=True)
-class Abelianization:
-    """H_1 of the group presentation: free rank plus invariant factors."""
-
-    rank: int
-    torsion: tuple[int, ...]
-
-    def pretty(self) -> str:
-        return _abelian_group(self.rank, self.torsion)
-
-    def to_json_obj(self) -> dict:
-        return {**asdict(self), "pretty": self.pretty()}
-
-
-def abelianization(d: CoxeterDiagram) -> Abelianization:
-    """Smith normal form of the abelianized braid-relation matrix.
-
-    A relation of odd length m identifies its two generators; even or
-    infinite labels abelianize to nothing.
-    """
-    odd = [(s, t) for s, t, m in d.edges if m != float("inf") and m % 2]
-    rows = {i: {d.index(s): 1, d.index(t): -1} for i, (s, t) in enumerate(odd)}
-    factors = invariant_factors(rows)
-    return Abelianization(
-        rank=d.rank - len(factors), torsion=tuple(t for t in factors if t > 1)
-    )

@@ -17,14 +17,20 @@ One level-by-level search finds Sf and, as the candidates it rejects, the
 minimal subsets outside Sf; the taxonomy reads its flags off the two.  FC
 type means Sf is a flag complex: every minimal non-member is a pair, which
 then carries an infinite label.
+
+The invariants read off the diagram alone live here too: Sf in its listing
+order, the cell counts of the quotient Salvetti complex (one k-cell per T in
+Sf with |T| = k), and H_1 of the Artin group, free on the components of the
+graph of odd finite labels.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import DiagramError, RankGuardError
 
@@ -475,6 +481,70 @@ def finite_type_subsets(
     if d.rank > rank_guard:
         raise RankGuardError("finite_type_subsets", d.rank, rank_guard)
     return _sf_search(d)[0]
+
+
+def _sf_sorted(d: CoxeterDiagram) -> list[frozenset]:
+    return sorted(
+        finite_type_subsets(d), key=lambda T: (len(T), sorted(d.index(v) for v in T))
+    )
+
+
+@dataclass(frozen=True)
+class QuotientCells:
+    """Cell counts of the quotient Salvetti complex: one k-cell per T in Sf
+    with |T| = k, up to the dimension actually attained."""
+
+    f_vector: tuple[int, ...]
+
+    @property
+    def euler_characteristic(self) -> int:
+        return sum((-1) ** k * c for k, c in enumerate(self.f_vector))
+
+    def to_json_obj(self) -> dict:
+        return {**asdict(self), "euler": self.euler_characteristic}
+
+
+def salvetti_quotient_cells(d: CoxeterDiagram) -> QuotientCells:
+    sizes = collections.Counter(map(len, finite_type_subsets(d)))
+    return QuotientCells(tuple(sizes[k] for k in range(max(sizes) + 1)))
+
+
+def _abelian_group(rank: int, torsion) -> str:
+    """Z^rank + Z/t + ... for a finitely generated abelian group, 0 if trivial."""
+    parts = []
+    if rank == 1:
+        parts.append("Z")
+    elif rank > 1:
+        parts.append(f"Z^{rank}")
+    parts.extend(f"Z/{t}" for t in torsion)
+    return " + ".join(parts) if parts else "0"
+
+
+@dataclass(frozen=True)
+class Abelianization:
+    """H_1 of the group presentation: free rank plus invariant factors."""
+
+    rank: int
+    torsion: tuple[int, ...]
+
+    def pretty(self) -> str:
+        return _abelian_group(self.rank, self.torsion)
+
+    def to_json_obj(self) -> dict:
+        return {**asdict(self), "pretty": self.pretty()}
+
+
+def abelianization(d: CoxeterDiagram) -> Abelianization:
+    """H_1 of the Artin group, free on the components of the graph of odd
+    finite labels.
+
+    A relation of odd length m identifies its two generators; even or
+    infinite labels abelianize to nothing.  The relation matrix is the
+    oriented incidence matrix of that graph, which is totally unimodular, so
+    every invariant factor is 1 and there is no torsion.
+    """
+    odd = {v: [u for u, m in nbrs.items() if m != INF and m % 2] for v, nbrs in d._nbrs.items()}
+    return Abelianization(rank=len(_components(odd)), torsion=())
 
 
 def classify_taxonomy(

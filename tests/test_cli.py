@@ -58,8 +58,8 @@ OPERATION_MAP = {
     "complexes.davis_poset": "davis",
     "complexes.deligne_fundamental_domain": "deligne-fd",
     "complexes.homology": "homology",
-    "complexes.salvetti_quotient_cells": "quotient-cells",
-    "complexes.abelianization": "abelianization",
+    "diagram.salvetti_quotient_cells": "quotient-cells",
+    "diagram.abelianization": "abelianization",
     "shelling.verify_claims": "shelling-check",
     "shelling.is_shelling": "is-shelling",
 }
@@ -348,14 +348,14 @@ MODULE_SETS = {
     "import": ([], [], BASE_MODULES, False),
     "classify": (
         [["classify", "--preset", "B3"], ["taxonomy", "--preset", "B3"],
-         ["classify", "--preset", "NoSuch"], ["classify"], ["nosuch"], ["--version"]],
-        [0, 0, 1, 2, 2, 0], BASE_MODULES, False),
+         ["classify", "--preset", "NoSuch"], ["classify"], ["nosuch"], ["--version"],
+         ["sf", "--preset", "B3"], ["quotient-cells", "--preset", "B3"],
+         ["abelianization", "--preset", "B3"]],
+        [0, 0, 1, 2, 2, 0, 0, 0, 0], BASE_MODULES, False),
     "complexes": (
-        [["sf", "--preset", "B3"], ["quotient-cells", "--preset", "B3"],
-         ["abelianization", "--preset", "B3"], ["salvetti", "--preset", "A2"],
-         ["davis", "--preset", "A2"], ["deligne-fd", "--preset", "A2"],
-         ["homology", "--preset", "A2", "--complex", "salvetti"]],
-        [0] * 7, COXETER | {"artin.complexes"}, False),
+        [["salvetti", "--preset", "A2"], ["davis", "--preset", "A2"],
+         ["deligne-fd", "--preset", "A2"], ["homology", "--preset", "A2", "--complex", "salvetti"]],
+        [0] * 4, COXETER | {"artin.complexes"}, False),
     "coxeter": (
         [["cox-nf", "--preset", "B3", *W], ["enumerate", "--preset", "B3"],
          ["longest", "--preset", "B3"], ["reflections", "--preset", "B3"],
