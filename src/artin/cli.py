@@ -339,10 +339,11 @@ def _cmd_deligne_fd(d, args):
 
 def _cmd_homology(d, args):
     if args.complex == "deligne-fd":
-        p = complexes._deligne_poset(d)
+        c = complexes.deligne_fundamental_domain(d)[1]
     else:
         p = getattr(complexes, f"{args.complex}_poset")(d, _ball(args), args.cap)
-    h = complexes._poset_homology(p)
+        c = complexes.order_complex(p)
+    h = complexes.homology(c)
     obj = {
         "complex": args.complex,
         **h.to_json_obj(),

@@ -9,18 +9,18 @@ the square of the size.  The Davis cells w W_T are the Salvetti cells
 both posets, already in order, without a sort.  A poset keeps one cover
 table, built when it is checked, and its covers, its maximal chains (walked
 on the table in lexicographic order), its dot output and its order complex
-all read that table.  Order complexes realize posets simplicially, with the
-maximal chains as facets, and keep their poset.
+all read that table.  An order complex is a view of its poset, whose
+maximal chains are its facets, listed only when they are read.
 
 Homology is computed over Z on one sparse chain complex, which has two
 producers.  The simplicial one lists the faces of a complex.  The cellular
 one reads the cells of a finite Salvetti poset, the face poset of a regular
 CW complex whose barycentric subdivision is the poset's order complex, so
 both give the same homology; its incidence signs come from the diamond rule.
-A cone answers from its facets, a finite Salvetti order complex from its
-poset's cells, and any other order complex counts its faces by dimension
-from its poset's chains before any is listed.  Otherwise coreduction pairs
-off cells without changing the homology, and a sparse Smith normal form with
+`homology(order_complex(p))` runs a finite Salvetti poset on its cells and
+reads any other poset's facet count, cone point and f-vector off its
+chains before it lists one.  Otherwise coreduction pairs off cells without
+changing the homology, and a sparse Smith normal form with
 arbitrary-precision integers runs on the critical cells left, so every
 Betti number and torsion coefficient is exact.  The invariants that read Sf
 alone live in `diagram`; this module imports them back.
@@ -129,6 +129,11 @@ class Poset:
             packed >>= b
         return tuple(counts)
 
+    def _has_cone_point(self) -> bool:
+        """Whether an element is comparable with all others (`less` is transitive)."""
+        comparable = collections.Counter(itertools.chain.from_iterable(self.less))
+        return len(self) == 1 or len(self) - 1 in comparable.values()
+
     def to_json_obj(self) -> dict:
         return {
             "elements": list(self.labels),
@@ -166,6 +171,13 @@ class SimplicialComplex:
     facets: tuple[frozenset, ...]
     _poset = None  # the poset of an order complex
 
+    def __getattr__(self, name):  # reached while an order complex's facets are unread
+        if name != "facets" or self._poset is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        facets = self._from_facets(map(frozenset, self._poset.maximal_chains())).facets
+        object.__setattr__(self, "facets", facets)
+        return facets
+
     @staticmethod
     def from_faces(faces) -> "SimplicialComplex":
         faces = {frozenset(f) for f in faces if f}
@@ -192,6 +204,8 @@ class SimplicialComplex:
 
     @property
     def dimension(self) -> int:
+        if self._poset is not None:
+            return len(self._poset._chain_counts()) - 1
         return max((len(f) - 1 for f in self.facets), default=-1)
 
     def _faces(self) -> set[tuple[int, ...]]:
@@ -237,8 +251,10 @@ class SimplicialComplex:
 def order_complex(p: Poset) -> SimplicialComplex:
     """Simplices are the chains of p; facets are its maximal chains, which
     are pairwise incomparable, so no facet filter is needed.  The complex
-    keeps p, outside its fields, for `homology`."""
-    c = SimplicialComplex._from_facets(map(frozenset, p.maximal_chains()))
+    keeps p outside its fields and lists its facets when they are first
+    read; every element lies in one, so the vertices are p's indices."""
+    c = object.__new__(SimplicialComplex)
+    object.__setattr__(c, "vertices", tuple(sorted(range(len(p)), key=repr)))
     object.__setattr__(c, "_poset", p)
     return c
 
@@ -337,20 +353,20 @@ class HomologyResult:
 
 
 def homology(c: SimplicialComplex, face_guard: int = DEFAULT_FACE_GUARD) -> HomologyResult:
-    """Integer simplicial homology by discrete Morse reduction.  A cone (a
-    vertex in every facet) is contractible.  A finite Salvetti order complex
-    runs on its poset's own cells, the cells of the CW complex it subdivides;
-    any other order complex counts its faces from its poset's chains before
-    it lists them, as every other complex does.  Then `_chain_homology`
-    reduces the chain complex."""
-    if len(c.facets) > face_guard:  # every facet is a face
-        raise CapExceededError("homology face count", face_guard)
-    if not c.facets:
-        return HomologyResult((), ())
-    if frozenset.intersection(*c.facets):
-        return HomologyResult((1,) + (0,) * c.dimension, ((),) * (c.dimension + 1))
+    """Integer simplicial homology by discrete Morse reduction.  A finite
+    Salvetti order complex runs on its poset's cells, which it subdivides,
+    under the poset guard alone.  Otherwise more facets than `face_guard`
+    stop it, a cone (a vertex in every facet) is contractible, and the faces
+    are counted before they are listed; an order complex reads all three off
+    its poset's chains.  Then `_chain_homology` reduces the chain complex."""
     if (p := c._poset) is not None and p._cw:
         return _cell_homology(p)
+    if (len(c.facets) if p is None else p._count_maximal_chains()) > face_guard:
+        raise CapExceededError("homology face count", face_guard)
+    if not (c.facets if p is None else len(p)):
+        return HomologyResult((), ())
+    if frozenset.intersection(*c.facets) if p is None else p._has_cone_point():
+        return HomologyResult((1,) + (0,) * (k := c.dimension), ((),) * (k + 1))
     if p is not None and sum(p._chain_counts()) > face_guard:
         raise CapExceededError("homology face count", face_guard)
     index = {v: i for i, v in enumerate(c.vertices)}
@@ -517,18 +533,8 @@ def _cell_homology(p: Poset) -> HomologyResult:
     return _chain_homology(*_cw_chains(p))
 
 
-def _poset_homology(p: Poset) -> HomologyResult:
-    """Homology of p's order complex: on p's cells if it is a finite Salvetti
-    poset, else after its maximal chains, the facets, are counted."""
-    if p._cw:
-        return _cell_homology(p)
-    if p._count_maximal_chains() > DEFAULT_FACE_GUARD:
-        raise CapExceededError("homology face count", DEFAULT_FACE_GUARD)
-    return homology(order_complex(p))
-
-
 def _set_label(d: CoxeterDiagram, T) -> str:
-    return "{" + ",".join(sorted(T, key=d.index)) + "}"
+    return "{" + ",".join(sorted(T, key=d._pos.__getitem__)) + "}"
 
 
 def _w_elements(d: CoxeterDiagram, ball, cap: int):
@@ -621,17 +627,10 @@ def davis_poset(d: CoxeterDiagram, ball="all", cap: int = DEFAULT_CAP) -> Poset:
     return _cell_poset(d, ball, cap, minimal=True)
 
 
-def _deligne_poset(d: CoxeterDiagram) -> Poset:
-    """The fundamental-domain poset {A_T : T in Sf} under inclusion (a copy
-    of Sf ordered by subset)."""
-    sf = _sf_sorted(d)
-    # Sf is closed under subsets, so every proper subset of R is in it.
-    return _poset(sf, lambda T: f"A{_set_label(d, T)}", lambda R: _subsets(R)[:-1],
-                  (("complex", "deligne-fd"),))
-
-
 def deligne_fundamental_domain(d: CoxeterDiagram) -> tuple[Poset, SimplicialComplex]:
     """The fundamental-domain poset {A_T : T in Sf} under inclusion (a copy
     of Sf ordered by subset), with its order complex."""
-    p = _deligne_poset(d)
+    # Sf is closed under subsets, so every proper subset of R is in it.
+    p = _poset(_sf_sorted(d), lambda T: f"A{_set_label(d, T)}", lambda R: _subsets(R)[:-1],
+               (("complex", "deligne-fd"),))
     return p, order_complex(p)

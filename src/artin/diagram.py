@@ -485,7 +485,7 @@ def finite_type_subsets(
 
 def _sf_sorted(d: CoxeterDiagram) -> list[frozenset]:
     return sorted(
-        finite_type_subsets(d), key=lambda T: (len(T), sorted(d.index(v) for v in T))
+        finite_type_subsets(d), key=lambda T: (len(T), sorted(map(d._pos.__getitem__, T)))
     )
 
 

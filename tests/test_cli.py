@@ -642,9 +642,9 @@ def test_homology_counts_maximal_chains_before_listing_them(kind, capsys, monkey
     from artin import complexes
 
     def listing(p):
-        raise AssertionError("order_complex listed the maximal chains")
+        raise AssertionError("the maximal chains were listed")
 
-    monkeypatch.setattr(complexes, "order_complex", listing)
+    monkeypatch.setattr(complexes.Poset, "maximal_chains", listing)
     code, out, err = run(["homology", "--preset", "E8", "--ball", "1", "--complex", kind], capsys)
     assert (code, out, err) == (1, "", "error: homology face count exceeded cap 200000\n")
 
@@ -654,9 +654,9 @@ def test_deligne_homology_counts_maximal_chains_before_listing_them(capsys, monk
     from artin import complexes
 
     def listing(p):
-        raise AssertionError("order_complex listed the maximal chains")
+        raise AssertionError("the maximal chains were listed")
 
-    monkeypatch.setattr(complexes, "order_complex", listing)
+    monkeypatch.setattr(complexes.Poset, "maximal_chains", listing)
     code, out, err = run(["homology", "--preset", "A9", "--complex", "deligne-fd"], capsys)
     assert (code, out, err) == (1, "", "error: homology face count exceeded cap 200000\n")
 

@@ -1,9 +1,11 @@
 """Posets, order complexes, Smith normal form homology, quotient cells."""
 
 import collections
+import copy
 import itertools
 import json
 import math
+import pickle
 import time
 
 import numpy as np
@@ -118,11 +120,37 @@ def test_maximal_chains_are_counted_without_listing_them(rng):
 
 
 def test_order_complex_is_the_complex_of_maximal_chains(rng):
-    posets = [_random_poset(rng, rng.randint(0, 14)) for _ in range(200)]
-    posets += [salvetti_poset(preset("A2")), davis_poset(preset("B2")),
-               deligne_fundamental_domain(preset("A3"))[0]]
+    posets = _chain_cases(rng) + [salvetti_poset(preset("A2")), davis_poset(preset("B2")),
+                                  deligne_fundamental_domain(preset("A3"))[0]]
     for p in posets:
-        assert order_complex(p) == SimplicialComplex.from_faces(p.maximal_chains())
+        # copies of a complex whose facets are unread
+        c, copied, unpickled = order_complex(p), copy.copy(order_complex(p)), pickle.loads(
+            pickle.dumps(order_complex(p)))
+        assert "facets" not in vars(copied) and "facets" not in vars(unpickled)
+        want = SimplicialComplex.from_faces(p.maximal_chains())
+        assert c == want and repr(c) == repr(want) and hash(c) == hash(want)
+        assert c.to_json_obj() == want.to_json_obj()
+        assert copied == c == unpickled and unpickled._poset == p
+
+
+def _bowtie():
+    """0, 1 < 2 < 3, 4: a cone on its middle element 2 alone."""
+    less = frozenset({(0, 2), (1, 2), (2, 3), (2, 4), (0, 3), (0, 4), (1, 3), (1, 4)})
+    return Poset((0, 1, 2, 3, 4), tuple("abcde"), less)
+
+
+def test_order_complex_reads_its_cone_point_and_homology_off_its_poset(rng):
+    posets = _chain_cases(rng) + [_bowtie()]
+    assert order_complex(_bowtie()).facets == tuple(map(frozenset, _bowtie().maximal_chains()))
+    cones = 0
+    for p in posets:
+        c = order_complex(p)
+        plain = SimplicialComplex(c.vertices, c.facets)
+        assert p._has_cone_point() == bool(c.facets and frozenset.intersection(*c.facets)), p
+        assert c.dimension == plain.dimension
+        assert homology(c) == plain_homology(plain), p.labels
+        cones += p._has_cone_point()
+    assert 0 < cones < len(posets)
 
 
 def _rank_three_ball(rng):
@@ -488,13 +516,16 @@ def test_deligne_f_vector_counts_the_chains_of_a_boolean_lattice(n, monkeypatch)
     # exclusion there are sum_i (-1)^i C(j - 1, i) (j + 1 - i)^n of them.
     want = tuple(sum((-1) ** i * math.comb(j - 1, i) * (j + 1 - i) ** n for i in range(j))
                  for j in range(1, n + 2))
-    c = deligne_fundamental_domain(preset(f"A{n}"))[1]
 
     def listing(self):
-        raise AssertionError("an order complex listed its faces")
+        raise AssertionError("an order complex listed its faces or chains")
 
     monkeypatch.setattr(SimplicialComplex, "_faces", listing)  # A8 would list 2,183,339
-    assert c.f_vector() == want
+    monkeypatch.setattr(Poset, "maximal_chains", listing)  # and its 40,320 facets
+    c = deligne_fundamental_domain(preset(f"A{n}"))[1]
+    assert c.f_vector() == want and c.dimension == n
+    monkeypatch.undo()  # reading the facets lists the chains
+    assert "facets" not in vars(c) and len(c.facets) == math.factorial(n)
     assert want[:2] == (2 ** n, 3 ** n - 2 ** n) and want[-1] == math.factorial(n)
 
 
@@ -632,31 +663,37 @@ def test_salvetti_rank_three_homology_is_orlik_solomon():
     assert time.perf_counter() - t0 < 10
 
 
-def test_salvetti_h3_order_complex_answers_on_the_cells(monkeypatch):
-    # 86,400 maximal chains, under the face guard, would list 270,720 faces,
-    # past it; the poset's 960 cells answer instead, with no face listed.
-    t0 = time.perf_counter()
-    c = order_complex(salvetti_poset(preset("H3")))
-
+@pytest.mark.parametrize("name, betti", [("H3", (1, 15, 59, 45)), ("A4", (1, 10, 35, 50, 24))],
+                         ids=["H3", "A4"])
+def test_salvetti_order_complex_answers_on_the_cells(monkeypatch, name, betti):
+    # H3's 86,400 maximal chains, under the face guard, would list 270,720
+    # faces, past it, and A4 has 345,600 chains, past the facet guard; the
+    # poset's 960 and 1,920 cells answer instead, with no chain listed.
     def unlisted(self):
-        raise AssertionError("a Salvetti complex listed its faces")
+        raise AssertionError("a Salvetti complex listed its chains or faces")
 
     monkeypatch.setattr(SimplicialComplex, "faces_by_dim", unlisted)
-    h = homology(c)
-    assert h.betti == (1, 15, 59, 45) and not any(h.torsion)
+    monkeypatch.setattr(Poset, "maximal_chains", unlisted)
+    t0 = time.perf_counter()
+    h = homology(order_complex(salvetti_poset(preset(name))))
+    assert h.betti == betti and not any(h.torsion)
     assert time.perf_counter() - t0 < 6
 
 
-
 def test_face_guard_counts_facets_before_listing_faces(monkeypatch):
-    c = order_complex(salvetti_poset(preset("A2")))
+    # a hand-built copy of Salvetti A2's poset, so not run on its cells
+    p = salvetti_poset(preset("A2"))
+    c = order_complex(Poset(p.elements, p.labels, p.less, p.metadata))
+    count = len(p.maximal_chains())
 
     def unlisted(self):
         raise AssertionError("faces listed past the face guard")
 
     monkeypatch.setattr(SimplicialComplex, "faces_by_dim", unlisted)
+    monkeypatch.setattr(Poset, "maximal_chains", unlisted)
     with pytest.raises(CapExceededError, match="homology face count"):
-        homology(c, face_guard=len(c.facets) - 1)
+        homology(c, face_guard=count - 1)
+    assert homology(order_complex(p), face_guard=count - 1).betti == (1, 3, 2)  # on its cells
 
 
 def test_face_guard_counts_the_chains_of_a_ball_before_listing_faces(monkeypatch):
@@ -725,10 +762,10 @@ def _orlik_solomon(degrees):
 @pytest.mark.parametrize("name, degrees", [("H3", (2, 6, 10)), ("A4", (2, 3, 4, 5))])
 def test_cli_salvetti_homology_runs_on_the_cells(capsys, monkeypatch, name, degrees):
     # the order complex would list 270,720 (H3) and more (A4) faces, past the guard
-    def unused(*args):
-        raise AssertionError("the CLI built an order complex")
+    def unused(self):
+        raise AssertionError("the CLI listed maximal chains")
 
-    monkeypatch.setattr(complexes, "order_complex", unused)
+    monkeypatch.setattr(Poset, "maximal_chains", unused)
     assert cli.main(["homology", "--preset", name, "--complex", "salvetti"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["betti"] == _orlik_solomon(degrees)

@@ -22,10 +22,12 @@ an input checked after capped work shows as a diff.  `shelling-check --index
 and the abbreviation `is-shelling --ord -1,0` check that a negative value
 given apart from its flag reaches the value check, as `--order=-1,0` does,
 and `enumerate --cap -5` that a value argparse already reads stays as it was.
-Two heavier argv, in json and text, cover the routes that list no face:
+Heavier argv cover the routes that list no face.  In json and text,
 `homology --preset A4 --complex salvetti` runs on the poset's 1,920 cells,
 and `deligne-fd --preset A8` counts the f-vector of 2,183,339 faces from the
-poset's chains.
+poset's chains.  `homology --preset E8 --ball 1` with `--complex davis` and
+`--complex salvetti` stop at the facet guard inside `homology`, which counts
+the 362,880 and 2,419,200 maximal chains without listing one.
 Exit code 1 if any argv differs, else 0.
 """
 
@@ -185,6 +187,8 @@ def _corpus(tmp: str) -> list[list[str]]:
         ["homology", "--preset", "A4", "--complex", "salvetti", "--format", "text"],
         ["deligne-fd", "--preset", "A8", "--format", "json"],
         ["deligne-fd", "--preset", "A8", "--format", "text"],
+        ["homology", "--preset", "E8", "--ball", "1", "--complex", "davis"],
+        ["homology", "--preset", "E8", "--ball", "1", "--complex", "salvetti"],
         ["divides", "--preset", "A2", "--dvr", "s", "--word", "t", "--side", "up"],
     ]
     corpus += [[name, "--preset", p, *extra, "--cap", str(cap)]
