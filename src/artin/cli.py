@@ -326,15 +326,21 @@ def _cmd_project(d, args):
 
 def _cmd_cell_poset(d, args):
     p = getattr(complexes, f"{args.command}_poset")(d, _ball(args), args.cap)
-    text = f"{len(p)} elements, {len(p.covers())} cover relations"
-    return p.to_json_obj(), text, p.to_dot()
+    return _asked(args, p.to_json_obj,
+                  lambda: f"{len(p)} elements, {len(p.covers())} cover relations", p.to_dot)
 
 
 def _cmd_deligne_fd(d, args):
     p, c = complexes.deligne_fundamental_domain(d)
-    obj = {"poset": p.to_json_obj(), "complex": c.to_json_obj()}
-    text = f"{len(p)} elements, order complex f-vector {obj['complex']['f_vector']}"
-    return obj, text, p.to_dot("deligne_fd")
+    return _asked(args, lambda: {"poset": p.to_json_obj(), "complex": c.to_json_obj()},
+                  lambda: f"{len(p)} elements, order complex f-vector {list(c.f_vector())}",
+                  lambda: p.to_dot("deligne_fd"))
+
+
+def _asked(args, *builds):
+    """(json_obj, text, dot) with only the payload for `args.format` built."""
+    return tuple(build() if f == args.format else None
+                 for f, build in zip(("json", "text", "dot"), builds))
 
 
 def _cmd_homology(d, args):

@@ -14,9 +14,9 @@ maximal chains are its facets, listed only when they are read.
 
 Homology is computed over Z on one sparse chain complex, which has two
 producers.  The simplicial one lists the faces of a complex.  The cellular
-one reads the cells of a finite Salvetti poset, the face poset of a regular
-CW complex whose barycentric subdivision is the poset's order complex, so
-both give the same homology; its incidence signs come from the diamond rule.
+one reads the cells (w, T) of a finite Salvetti poset, the face poset of
+Salvetti's complex, whose barycentric subdivision is the poset's order
+complex, so both give the same homology; its boundary is Salvetti's formula.
 `homology(order_complex(p))` runs a finite Salvetti poset on its cells and
 reads any other poset's facet count, cone point and f-vector off its
 chains before it lists one.  Otherwise coreduction pairs off cells without
@@ -52,7 +52,7 @@ class Poset:
     labels: tuple[str, ...]
     less: frozenset
     metadata: tuple = ()
-    _cw = False  # set on the face posets of regular CW complexes: finite Salvetti posets
+    _finite_salvetti = False  # set on salvetti_poset(d, "all"): homology runs on its cells
 
     def __post_init__(self):
         above: dict[int, set[int]] = {i: set() for i in range(len(self.elements))}
@@ -355,12 +355,13 @@ class HomologyResult:
 def homology(c: SimplicialComplex, face_guard: int = DEFAULT_FACE_GUARD) -> HomologyResult:
     """Integer simplicial homology by discrete Morse reduction.  A finite
     Salvetti order complex runs on its poset's cells, which it subdivides,
-    under the poset guard alone.  Otherwise more facets than `face_guard`
-    stop it, a cone (a vertex in every facet) is contractible, and the faces
-    are counted before they are listed; an order complex reads all three off
-    its poset's chains.  Then `_chain_homology` reduces the chain complex."""
-    if (p := c._poset) is not None and p._cw:
-        return _cell_homology(p)
+    with Salvetti's boundary, under the poset guard alone.  Otherwise more
+    facets than `face_guard` stop it, a cone (a vertex in every facet) is
+    contractible, and the faces are counted before they are listed; an order
+    complex reads all three off its poset's chains.  Then `_chain_homology`
+    reduces the chain complex."""
+    if (p := c._poset) is not None and p._finite_salvetti:
+        return _chain_homology(*_salvetti_chains(p))
     if (len(c.facets) if p is None else p._count_maximal_chains()) > face_guard:
         raise CapExceededError("homology face count", face_guard)
     if not (c.facets if p is None else len(p)):
@@ -388,72 +389,40 @@ def homology(c: SimplicialComplex, face_guard: int = DEFAULT_FACE_GUARD) -> Homo
     return _chain_homology(boundary, coefficients, offset)
 
 
-def _cw_chains(p: Poset) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """The cellular chain complex of a regular CW complex from its face poset
-    p, in `_chain_homology`'s form: p's elements are the cells, by dimension
-    and then in p's order, and a cell's faces are its lower covers.
+def _salvetti_chains(p: Poset) -> tuple[list[list[int]], list[tuple[int, ...]], list[int]]:
+    """The cellular chain complex of a finite Salvetti poset p, in
+    `_chain_homology`'s form: the cells (w, T) in p's order, which is by
+    dimension |T|, with Salvetti's boundary (Math. Res. Lett. 1, 1994)
 
-    In a regular CW complex every interval of length 2 is a diamond, with two
-    middles, and [s:t][t:r] + [s:t'][t':r] = 0 on it (Bjorner, Europ. J.
-    Combin. 5, 1984).  So an edge takes +1 and -1 on its two ends, and in a
-    higher cell s the first facet takes +1 and [s:t'] = -[s:t][t:r][t':r]
-    across each ridge r shared by facets t and t'.  A ValueError is raised
-    unless every cover joins adjacent dimensions, every edge has two ends,
-    every diamond two middles, and each walk is consistent and reaches every
-    facet.  These hold in every regular CW complex but do not make one."""
-    down = [[] for _ in p._up]
-    for i, ups in enumerate(p._up):
-        for j in ups:
-            down[j].append(i)
-    # dimensions from the minimal elements up, each cell after all its facets
-    dim = [0 if not facets else None for facets in down]
-    left = list(map(len, down))
-    stack = [i for i, n in enumerate(left) if not n]
-    while stack:
-        i = stack.pop()
-        for j in p._up[i]:
-            if dim[j] is None:
-                dim[j] = dim[i] + 1
-            elif dim[j] != dim[i] + 1:
-                raise ValueError("a cover joins cells whose dimensions are not adjacent")
-            left[j] -= 1
-            if not left[j]:
-                stack.append(j)
-    cells = sorted(range(len(dim)), key=dim.__getitem__)
-    position = {x: a for a, x in enumerate(cells)}
-    counts = collections.Counter(dim)  # a k-cell has a (k-1)-cell below, so k runs from 0
+        d(w, T) = sum over s in T of (-1)^#{t in T : t < s}
+                  sum over b in W_T^(T-s) of (-1)^l(b) (w b, T - s),
+
+    t < s in vertex order and W_T^(T-s) the b in W_T with no right descent
+    in T - s.  Dropping (-1)^l(b) would only reorient each (w, T) by
+    (-1)^l(w), but summed over w these signs are the quotient's
+    coefficients.  The w b are read off a walk of w W_T along the walk of
+    W_T, and on p's engine every step is a Cayley edge that p's walk of W
+    set."""
+    eng = coxeter._engine(p.elements[0][0].diagram)
+    ids = {u: eng.walk(0, u.word) for u, T in p.elements if not T}  # all of W
+    position = {(ids[u], T): a for a, (u, T) in enumerate(p.elements)}
+    steps, faces = {}, {}  # per T: the W_T walk's steps; (b, T - s, sign) per face
+    for T in dict.fromkeys(T for _, T in p.elements):
+        letters = [eng.key[t] for t in eng.names if t in T]
+        walk, steps[T], down = coxeter._walk(eng, letters, math.inf, math.inf)
+        faces[T] = [(j, T - {eng.names[s]}, (-1) ** (i + len(eng.nf[walk[j]])))
+                    for i, s in enumerate(letters) for j, descents in enumerate(down)
+                    if all(t == s for t, _ in descents)]
+    boundary = []
+    for u, T in p.elements:
+        at = [ids[u]]
+        for parent, s in steps[T][1:]:
+            at.append(eng.times(at[parent], s))
+        boundary.append([position[at[j], R] for j, R, _ in faces[T]])
+    signs = {T: tuple(x for *_, x in fs) for T, fs in faces.items()}
+    counts = collections.Counter(len(T) for _, T in p.elements)
     offset = list(itertools.accumulate((counts[k] for k in range(len(counts))), initial=0))
-
-    incidence = [{} for _ in dim]  # incidence[s][t] = [s:t] for each facet t of s
-    for s in cells:
-        facets, sign = down[s], incidence[s]
-        if dim[s] == 1:
-            if len(facets) != 2:
-                raise ValueError("an edge without two ends")
-            sign.update(zip(facets, (1, -1)))
-        elif facets:
-            over = collections.defaultdict(list)  # ridge -> the facets of s above it
-            for t in facets:
-                for r in down[t]:
-                    over[r].append(t)
-            if any(len(ts) != 2 for ts in over.values()):
-                raise ValueError("a diamond without two middles")
-            sign[facets[0]] = 1
-            todo = [facets[0]]
-            while todo:
-                t = todo.pop()
-                for r in down[t]:
-                    u = over[r][over[r][0] == t]  # the other middle of the diamond [r, s]
-                    x = -sign[t] * incidence[t][r] * incidence[u][r]
-                    if u not in sign:
-                        sign[u] = x
-                        todo.append(u)
-                    elif sign[u] != x:
-                        raise ValueError("the diamond signs of a cell are inconsistent")
-            if len(sign) != len(facets):
-                raise ValueError("the sign walk of a cell misses a facet")
-    boundary = [[position[t] for t in down[s]] for s in cells]
-    return boundary, [[incidence[s][t] for t in down[s]] for s in cells], offset
+    return boundary, [signs[T] for _, T in p.elements], offset
 
 
 def _chain_homology(boundary: list[list[int]], coefficients: list, offset: list[int]
@@ -528,11 +497,6 @@ def _chain_homology(boundary: list[list[int]], coefficients: list, offset: list[
     return HomologyResult(betti, tuple(tuple(t for t in f if t > 1) for f in factors) + ((),))
 
 
-def _cell_homology(p: Poset) -> HomologyResult:
-    """Homology of the regular CW complex with face poset p, on its cells."""
-    return _chain_homology(*_cw_chains(p))
-
-
 def _set_label(d: CoxeterDiagram, T) -> str:
     return "{" + ",".join(sorted(T, key=d._pos.__getitem__)) + "}"
 
@@ -604,8 +568,8 @@ def _cell_poset(d: CoxeterDiagram, ball, cap: int, minimal: bool):
     meta = (("complex", kind), ("ball", ball))
     p = _poset(cells, lambda c: label.format("".join(c[0].word) or "e", _set_label(d, c[1])),
                below, meta)
-    if ball == "all" and not minimal:  # the face poset of Salvetti's regular CW complex
-        object.__setattr__(p, "_cw", True)
+    if ball == "all" and not minimal:  # the cells of Salvetti's complex, whole
+        object.__setattr__(p, "_finite_salvetti", True)
     return p
 
 

@@ -29,6 +29,7 @@ from artin.errors import CapExceededError, FiniteTypeRequiredError
 
 import poset_oracle
 from conftest import random_diagram
+from cw_oracle import cw_chains
 from homology_oracle import plain_homology
 
 
@@ -731,17 +732,25 @@ def _cw_cases():
     return [salvetti_poset(e) for d in ds for e in _both_orientations(d)]
 
 
+def _salvetti_cases():
+    """`_cw_cases()` and the two largest finite Salvetti posets within the guard."""
+    return _cw_cases() + [salvetti_poset(preset(name)) for name in ("H3", "A4")]
+
+
 def test_cell_homology_equals_the_order_complex_homology():
     for p in _cw_cases():
         c = order_complex(p)
         simplicial = SimplicialComplex(c.vertices, c.facets)  # no poset: lists its faces
-        assert simplicial._poset is None and c._poset is p and p._cw
-        assert homology(c) == complexes._cell_homology(p) == homology(simplicial), p.labels[-1]
+        assert simplicial._poset is None and c._poset is p and p._finite_salvetti
+        cells = complexes._chain_homology(*complexes._salvetti_chains(p))
+        assert cells == complexes._chain_homology(*cw_chains(p)), p.labels[-1]
+        assert homology(c) == cells == homology(simplicial), p.labels[-1]
 
 
 def test_cell_boundaries_square_to_zero():
-    for p in _cw_cases():
-        boundary, coefficients, offset = complexes._cw_chains(p)
+    cases = [(complexes._salvetti_chains, p) for p in _salvetti_cases()]
+    for chains, p in cases + [(cw_chains, p) for p in _cw_cases()]:
+        boundary, coefficients, offset = chains(p)
         assert offset[-1] == len(p) == len(boundary) == len(coefficients)
         for a in range(len(p)):
             assert all(x in (1, -1) for x in coefficients[a])
@@ -750,6 +759,115 @@ def test_cell_boundaries_square_to_zero():
                 for y, z in zip(boundary[b], coefficients[b]):
                     square[y] += x * z
             assert not any(square.values()), (p.labels[-1], a)
+
+
+def test_formula_signs_are_the_diamond_signs_up_to_orientation():
+    # one sign per cell, e[a], with [a:b] = e[a] e[b] [a:b]_diamond on every
+    # face: spread e from one cell over the connected face graph, then check
+    for p in _salvetti_cases():
+        boundary, coefficients, offset = complexes._salvetti_chains(p)
+        old_boundary, old_coefficients, old_offset = cw_chains(p)
+        assert offset == old_offset, p.labels[-1]
+        ratio, linked = {}, collections.defaultdict(list)
+        for a in range(len(p)):
+            new = dict(zip(boundary[a], coefficients[a]))
+            old = dict(zip(old_boundary[a], old_coefficients[a]))
+            assert new.keys() == old.keys(), (p.labels[-1], a)
+            for b in new:
+                ratio[a, b] = new[b] * old[b]
+                linked[a].append(b)
+                linked[b].append(a)
+        orientation, todo = {0: 1}, [0]
+        while todo:
+            a = todo.pop()
+            for b in linked[a]:
+                if b not in orientation:
+                    orientation[b] = orientation[a] * ratio.get((a, b), ratio.get((b, a)))
+                    todo.append(b)
+        assert len(orientation) == len(p), p.labels[-1]
+        for (a, b), x in ratio.items():
+            assert x == orientation[a] * orientation[b], (p.labels[-1], p.labels[a], p.labels[b])
+
+
+def _poset_guarded_presets():
+    """Every finite preset whose Salvetti poset, |W| 2^rank cells, is within
+    the poset guard, with its degrees: all of A, B, D, E, F and H, and the
+    dihedral I2(p) for p up to 12 and p = 60 (I2(375) is the largest)."""
+    degrees = {f"A{n}": range(2, n + 2) for n in range(1, 9)}
+    degrees |= {f"B{n}": range(2, 2 * n + 1, 2) for n in range(2, 9)}
+    degrees |= {f"D{n}": [*range(2, 2 * n - 1, 2), n] for n in range(4, 9)}
+    degrees |= {"E6": (2, 5, 6, 8, 9, 12), "E7": (2, 6, 8, 10, 12, 14, 18),
+                "E8": (2, 8, 12, 14, 18, 20, 24, 30), "F4": (2, 6, 8, 12),
+                "H3": (2, 6, 10), "H4": (2, 12, 20, 30)}
+    degrees |= {f"I2({m})": (2, m) for m in [*range(3, 13), 60]}
+    return [(name, tuple(ds)) for name, ds in degrees.items()
+            if math.prod(ds) << len(ds) <= complexes.DEFAULT_POSET_GUARD]
+
+
+def test_poset_guarded_presets_are_listed_to_the_guard():
+    listed = _poset_guarded_presets()
+    assert [name for name, _ in listed[:7]] == ["A1", "A2", "A3", "A4", "B2", "B3", "H3"]
+    assert [name for name, _ in listed[7:]] == [f"I2({m})" for m in [*range(3, 13), 60]]
+    for name, degrees in listed[:4]:
+        assert len(salvetti_poset(preset(name))) == math.prod(degrees) << len(degrees)
+    with pytest.raises(CapExceededError, match="poset size"):  # 3,072 cells, the next
+        salvetti_poset(preset("D4"))
+
+
+@pytest.mark.parametrize("name, degrees", _poset_guarded_presets(),
+                         ids=[name for name, _ in _poset_guarded_presets()])
+def test_finite_salvetti_homology_is_orlik_solomon(name, degrees):
+    for d in _both_orientations(preset(name)):
+        h = homology(order_complex(salvetti_poset(d)))
+        assert list(h.betti) == _orlik_solomon(degrees) and not any(h.torsion), d.vertices
+
+
+def _poincare(d, T):
+    """W_T(q) as its coefficient list, from the layer counts of all of W_T."""
+    return [len(layer) for layer in coxeter.enumerate_elements(d.subdiagram(T))] if T else [1]
+
+
+def _divide(num, den):
+    """num / den in Z[q], coefficient lists from q^0, exactly."""
+    num, quotient = list(num), []
+    for k in range(len(num) - len(den), -1, -1):
+        c, rem = divmod(num[k + len(den) - 1], den[-1])
+        assert rem == 0
+        quotient.insert(0, c)
+        for i, x in enumerate(den):
+            num[k + i] -= c * x
+    assert not any(num)
+    return quotient
+
+
+def test_face_signs_count_the_cosets_at_minus_one():
+    # Summed over the faces (w b, T - s) of one cell, the signs (-1)^(i + l(b))
+    # give (-1)^i [W_T(q) / W_(T-s)(q)] at q = -1.  This is the one check
+    # that sees (-1)^l(b): on the cover it only reorients cells.
+    for p in _salvetti_cases():
+        d = p.elements[0][0].diagram
+        boundary, coefficients, _ = complexes._salvetti_chains(p)
+        want = {}  # T -> the signed count per face T - s
+        for T in {T for _, T in p.elements}:
+            want[T] = {}
+            for i, s in enumerate(t for t in d.vertices if t in T):
+                quotient = _divide(_poincare(d, T), _poincare(d, T - {s}))
+                want[T][T - {s}] = (-1) ** i * sum((-1) ** k * c for k, c in enumerate(quotient))
+        for a, (u, T) in enumerate(p.elements):
+            counts = dict.fromkeys(want[T], 0)
+            for b, x in zip(boundary[a], coefficients[a]):
+                counts[p.elements[b][1]] += x
+            assert counts == want[T], p.labels[a]
+
+
+@pytest.mark.parametrize("name", ["I2(5)", "A3", "B3", "H3", "A4"])
+def test_finite_salvetti_homology_creates_nothing_on_a_warm_engine(name):
+    d = preset(name)
+    p = salvetti_poset(d)
+    eng = coxeter._engine(d)
+    elements, roots = len(eng.sig), len(eng.coords)
+    homology(order_complex(p))
+    assert (len(eng.sig), len(eng.coords)) == (elements, roots)
 
 
 def _orlik_solomon(degrees):
@@ -776,9 +894,9 @@ def test_cli_salvetti_homology_runs_on_the_cells(capsys, monkeypatch, name, degr
 @pytest.mark.parametrize("build", [salvetti_poset, davis_poset])
 def test_the_sign_walk_rejects_balls(build, ball):
     p = build(preset("Atilde2"), ball)
-    assert not p._cw
+    assert not p._finite_salvetti
     with pytest.raises(ValueError, match="an edge without two ends"):
-        complexes._cw_chains(p)
+        cw_chains(p)
 
 
 def _subset_poset(faces, top=False):
@@ -805,20 +923,20 @@ def _subset_poset(faces, top=False):
 def test_the_sign_walk_checks_what_it_relies_on(faces, top, message):
     p = _subset_poset(faces, top)
     if message is None:
-        assert complexes._cell_homology(p) == homology(order_complex(p))
+        assert complexes._chain_homology(*cw_chains(p)) == homology(order_complex(p))
     else:
         with pytest.raises(ValueError, match=message):
-            complexes._cw_chains(p)
+            cw_chains(p)
 
 
 def test_the_sign_walk_needs_adjacent_dimensions():
     # 0 < 1 < 2 and 3 < 2: the cover (3, 2) skips a dimension
     p = Poset((0, 1, 2, 3), ("a", "b", "c", "d"), frozenset({(0, 1), (1, 2), (0, 2), (3, 2)}))
     with pytest.raises(ValueError, match="dimensions are not adjacent"):
-        complexes._cw_chains(p)
+        cw_chains(p)
     edge = Poset((0, 1), ("a", "b"), frozenset({(0, 1)}))
     with pytest.raises(ValueError, match="an edge without two ends"):
-        complexes._cw_chains(edge)
+        cw_chains(edge)
 
 
 def test_salvetti_order_complex_homology_lists_no_faces(monkeypatch):
@@ -834,7 +952,7 @@ def test_salvetti_order_complex_homology_lists_no_faces(monkeypatch):
 def test_an_equal_hand_built_poset_takes_the_simplicial_path(monkeypatch):
     p = salvetti_poset(preset("A2"))
     q = Poset(p.elements, p.labels, p.less, p.metadata)
-    assert q == p and repr(q) == repr(p) and p._cw and not q._cw
+    assert q == p and repr(q) == repr(p) and p._finite_salvetti and not q._finite_salvetti
     c, want = order_complex(p), homology(order_complex(p))
     # the poset an order complex keeps is outside its fields
     assert order_complex(q) == c and repr(order_complex(q)) == repr(c)
@@ -843,7 +961,7 @@ def test_an_equal_hand_built_poset_takes_the_simplicial_path(monkeypatch):
     def cellular(p):
         raise AssertionError("a hand-built poset ran on its cells")
 
-    monkeypatch.setattr(complexes, "_cw_chains", cellular)
+    monkeypatch.setattr(complexes, "_salvetti_chains", cellular)
     assert homology(order_complex(q)) == want
 
 

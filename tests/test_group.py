@@ -1,5 +1,6 @@
 """Artin group Delta-power normal form, fractions, section, projection."""
 
+import collections
 import random
 import re
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from artin import coxeter, group, monoid
 from artin.diagram import INF, preset
 from artin.errors import DiagramError
+
+import free_group_oracle
 
 SIGNED = ["s", "t", "s^-1", "t^-1"]
 
@@ -249,3 +252,117 @@ def test_abelianization_cross_check_on_equality():
         a, b = group.fraction_decomposition(g)
         total = sum(sign for _, sign in group.parse_signed_word(text))
         assert b.length - a.length == total
+
+
+# ---------------------------------------------------------------- free group oracle
+
+FREE_GROUP_PRESETS = ["A2", "A3", "A4", "A5", "B2", "B3", "B4"]
+
+
+def _signed(d, rng, length, signs=(1, -1)):
+    return [(rng.choice(d.vertices), rng.choice(signs)) for _ in range(length)]
+
+
+def _text(word):
+    return " ".join(s if e == 1 else f"{s}^-1" for s, e in word)
+
+
+def _alternating(d, a, b):
+    """a b a ..., m(a, b) positive letters."""
+    return [(a if k % 2 == 0 else b, 1) for k in range(int(d.m(a, b)))]
+
+
+def _relator(d, a, b):
+    """a b a ... times the inverse of b a b ..., m letters each: trivial in A(d)."""
+    return _alternating(d, a, b) + [(s, -1) for s, _ in _alternating(d, b, a)[::-1]]
+
+
+def _square_commutator(a, b):
+    """[a^2, b^2]: exponent sums 0 and image 1 in W.  The squares of the
+    generators span the right-angled Artin group of the commutation graph
+    (Crisp-Paris, Invent. Math. 145, 2001), so it is 1 exactly when m = 2."""
+    return [(a, 1)] * 2 + [(b, 1)] * 2 + [(a, -1)] * 2 + [(b, -1)] * 2
+
+
+@pytest.mark.parametrize("name", FREE_GROUP_PRESETS)
+def test_group_equal_agrees_with_the_free_group_action(name):
+    # three kinds of pair: independent words; a relator and a cancelling
+    # pair inserted (equal); a commutator of squares inserted, which keeps
+    # both the abelianization and the image in W.  Words stay at 40 letters
+    # or fewer, since the free images grow exponentially.
+    d = preset(name)
+    rng = random.Random(f"free-group {name}")
+    verdicts = collections.Counter()
+    for trial in range(150):
+        u = _signed(d, rng, rng.randrange(24 if name[0] == "A" else 16))
+        a, b = rng.sample(d.vertices, 2)
+        k = rng.randrange(len(u) + 1)
+        kind = trial % 3
+        if kind == 0:
+            v = _signed(d, rng, rng.randrange(24 if name[0] == "A" else 16))
+        elif kind == 1:
+            s = rng.choice(d.vertices)
+            v = u[:k] + _relator(d, a, b) + [(s, -1), (s, 1)] + u[k:]
+        else:
+            v = u[:k] + _square_commutator(a, b) + u[k:]
+        assert max(len(u), len(v)) <= 40
+        want = free_group_oracle.equal(d, u, v)
+        got = group.equal(group.from_letters(d, u), group.from_letters(d, v))
+        assert got == want, (_text(u), _text(v))
+        if kind == 1:
+            assert want, (_text(u), _text(v))
+        if kind == 2:
+            assert want == (d.m(a, b) == 2), (a, b)
+        verdicts[kind, want] += 1
+    assert verdicts[2, False] and verdicts[0, False], verdicts
+
+
+@pytest.mark.parametrize("name", FREE_GROUP_PRESETS)
+def test_monoid_equal_agrees_with_the_free_group_action(name):
+    # positive words: one braid move applied (equal), the same letters
+    # shuffled (same length and abelianization) and independent words
+    d = preset(name)
+    rng = random.Random(f"free-group monoid {name}")
+    verdicts = collections.Counter()
+    for trial in range(90):
+        u = _signed(d, rng, rng.randrange(12), signs=(1,))
+        kind = trial % 3
+        if kind == 0:
+            a, b = rng.sample(d.vertices, 2)
+            k = rng.randrange(len(u) + 1)
+            u, v = u[:k] + _alternating(d, a, b) + u[k:], u[:k] + _alternating(d, b, a) + u[k:]
+        elif kind == 1:
+            v = rng.sample(u, len(u))
+        else:
+            v = _signed(d, rng, len(u), signs=(1,))
+        want = free_group_oracle.equal(d, u, v)
+        assert monoid.monoid_equal(d, _text(u), _text(v)) == want, (_text(u), _text(v))
+        if kind == 0:
+            assert want, (_text(u), _text(v))
+        verdicts[want] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "A5"])
+def test_project_is_the_strand_permutation(name):
+    d = preset(name)
+    rng = random.Random(f"strands {name}")
+    for _ in range(30):
+        word = _signed(d, rng, rng.randrange(30))
+        w = group.project(group.from_letters(d, word))
+        strands = free_group_oracle.strand_permutation(d, word)
+        assert free_group_oracle.strand_permutation(d, [(s, 1) for s in w.word]) == strands
+        # the free group action sends x_i to a conjugate of x_strands[i]
+        for i, image in enumerate(free_group_oracle.action(d, word)):
+            sums = [sum((x == j + 1) - (x == -j - 1) for x in image) for j in range(len(strands))]
+            assert sums == [int(j == strands[i]) for j in range(len(strands))]
+
+
+def test_the_free_group_oracle_reads_types_a_and_b_only():
+    assert free_group_oracle.braid_letters(preset("B3"), [("s", 1), ("t", -1), ("u", 1)]) == [
+        1, 1, -2, 3]
+    for name in ("D4", "H3", "F4", "I2(5)"):
+        with pytest.raises(ValueError, match="types A and B"):
+            free_group_oracle.braid_letters(preset(name), [])
+    with pytest.raises(ValueError, match="type A"):
+        free_group_oracle.strand_permutation(preset("B2"), [])

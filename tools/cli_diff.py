@@ -25,7 +25,11 @@ and `enumerate --cap -5` that a value argparse already reads stays as it was.
 Heavier argv cover the routes that list no face.  In json and text,
 `homology --preset A4 --complex salvetti` runs on the poset's 1,920 cells,
 and `deligne-fd --preset A8` counts the f-vector of 2,183,339 faces from the
-poset's chains.  `homology --preset E8 --ball 1` with `--complex davis` and
+poset's chains; in text and dot, `deligne-fd --preset A8` and `salvetti
+--preset A4` build only the payload asked for.  `homology --complex
+salvetti`, in json and text, runs Salvetti's boundary on the cells of B2,
+I2(8), A3, A1 x A1 x A1 and A1 x A2, each from a diagram file in its
+vertex order and in the reverse one, since the order moves the signs.  `homology --preset E8 --ball 1` with `--complex davis` and
 `--complex salvetti` stop at the facet guard inside `homology`, which counts
 the 362,880 and 2,419,200 maximal chains without listing one.
 Exit code 1 if any argv differs, else 0.
@@ -87,6 +91,16 @@ LOW_CAP_ARGS = (
 LOW_CAPS = (5, 8, 10, 20, 32, 40)
 CHAMBERS = {"n": 1, "chambers": [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]],
             "index": [0, 1, 2, 1]}
+# finite Salvetti cells from diagram files, each also written in the reverse vertex order;
+# the two products are the homology benchmark's
+SALVETTI_FILES = {
+    "b2": {"vertices": ["s", "t"], "edges": [{"a": "s", "b": "t", "m": 4}]},
+    "i2_8": {"vertices": ["s", "t"], "edges": [{"a": "s", "b": "t", "m": 8}]},
+    "a3": {"vertices": ["s", "t", "u"], "edges": [
+        {"a": "s", "b": "t", "m": 3}, {"a": "t", "b": "u", "m": 3}]},
+    "a1a1a1": {"vertices": ["a", "b", "c"], "edges": []},
+    "a1a2": {"vertices": ["a", "b", "c"], "edges": [{"a": "b", "b": "c", "m": 3}]},
+}
 
 
 def _args(name: str, letters: list[str], infinite: bool) -> list[list[str]]:
@@ -130,10 +144,13 @@ def _args(name: str, letters: list[str], infinite: bool) -> list[list[str]]:
 def _corpus(tmp: str) -> list[list[str]]:
     """The argv list, reading its input files from `tmp`."""
     files = {"triangle": TRIANGLE, "chambers": CHAMBERS, "bad": {"vertices": 5}}
+    triangle, chambers, bad = (os.path.join(tmp, f"{stem}.json") for stem in files)
+    for stem, obj in SALVETTI_FILES.items():
+        files[stem] = obj
+        files[f"{stem}_reversed"] = {**obj, "vertices": obj["vertices"][::-1]}
     for stem, obj in files.items():
         with open(os.path.join(tmp, f"{stem}.json"), "w", encoding="utf-8") as fh:
             json.dump(obj, fh)
-    triangle, chambers, bad = (os.path.join(tmp, f"{stem}.json") for stem in files)
     corpus = [[], ["--help"], ["--version"], ["nosuch"]]
     for name in SUBCOMMANDS:
         corpus.append([name, "--help"])
@@ -187,10 +204,16 @@ def _corpus(tmp: str) -> list[list[str]]:
         ["homology", "--preset", "A4", "--complex", "salvetti", "--format", "text"],
         ["deligne-fd", "--preset", "A8", "--format", "json"],
         ["deligne-fd", "--preset", "A8", "--format", "text"],
+        ["deligne-fd", "--preset", "A8", "--format", "dot"],
+        ["salvetti", "--preset", "A4", "--format", "text"],
+        ["salvetti", "--preset", "A4", "--format", "dot"],
         ["homology", "--preset", "E8", "--ball", "1", "--complex", "davis"],
         ["homology", "--preset", "E8", "--ball", "1", "--complex", "salvetti"],
         ["divides", "--preset", "A2", "--dvr", "s", "--word", "t", "--side", "up"],
     ]
+    corpus += [["homology", "--file", os.path.join(tmp, f"{stem}{order}.json"), "--complex",
+                "salvetti", "--format", f]
+               for stem in SALVETTI_FILES for order in ("", "_reversed") for f in ("json", "text")]
     corpus += [[name, "--preset", p, *extra, "--cap", str(cap)]
                for p in LOW_CAP_PRESETS for name, *extra in LOW_CAP_ARGS for cap in LOW_CAPS]
     return corpus
