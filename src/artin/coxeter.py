@@ -531,12 +531,13 @@ def invert(a: CoxeterElement, cap: int = DEFAULT_CAP) -> CoxeterElement:
     return normalize(a.diagram, a.word[::-1], cap)
 
 
-def _walk(eng: _Engine, letters, limit, size_guard) -> tuple[list, list, list]:
+def _walk(eng: _Engine, letters, limit, size_guard, *, ids_only=False) -> tuple[list, list, list]:
     """W_R up to length `limit` (math.inf for all of it), R the generator
     indices `letters`, in ShortLex order: per element w its engine id, its
     parent step (i, s) with w = w_i s ((-1, -1) for the identity) and its
-    right descents, (t, j) for each t in R with w t = w_j.  Fills `nf`, so
-    the length of w is ``len(eng.nf[id])``.
+    right descents, (t, j) for each t in R with w t = w_j; with `ids_only`,
+    the ids alone, the other two lists None.  Fills `nf`, so the length of
+    w is ``len(eng.nf[id])``.
 
     Scanning each layer in order and the letters in vertex order, the first
     path to reach an element is its ShortLex-least word.  w t is one letter
@@ -546,37 +547,44 @@ def _walk(eng: _Engine, letters, limit, size_guard) -> tuple[list, list, list]:
     neighbours when it stepped from them.
     """
     n, names, nf, right = eng.n, eng.names, eng.nf, eng.right
-    ids, steps, down = [0], [(-1, -1)], []
-    at = {0: 0}
+    ids, at = [0], {0: 0}
+    steps, down = (None, None) if ids_only else ([(-1, -1)], [])
     for i, e in enumerate(ids):
-        w, descents = nf[e], []
-        k = len(w)
+        w, row = nf[e], e * n
+        grow = len(w) < limit
+        if down is not None:
+            down.append([])
         for s in letters:
-            f = right[e * n + s]
-            if f < 0 and k < limit:
+            f = right[row + s]
+            if f < 0:
+                if not grow:
+                    continue
                 f = eng.times(e, s)
             j = at.get(f)
-            if j is not None:
-                if j < i:
-                    descents.append((s, j))
-            elif k < limit:
+            if j is None:
+                if not grow:
+                    continue
                 if len(ids) >= size_guard:
                     raise CapExceededError("element enumeration", size_guard)
                 at[f] = len(ids)
                 ids.append(f)
-                steps.append((i, s))
+                if steps is not None:
+                    steps.append((i, s))
                 if nf[f] is None:
                     nf[f] = w + (names[s],)
-        down.append(descents)
+            elif j < i and down is not None:
+                down[i].append((s, j))
     return ids, steps, down
 
 
 def _ball(
-    d: CoxeterDiagram, max_length, cap: int, size_guard: int = DEFAULT_SIZE_GUARD
-) -> tuple[list[CoxeterElement], list[int], list[list[tuple[int, int]]]]:
+    d: CoxeterDiagram, max_length, cap: int, size_guard: int = DEFAULT_SIZE_GUARD,
+    *, descents=True,
+) -> tuple[list[CoxeterElement], list[int], list[list[tuple[int, int]]] | None]:
     """The ball of W up to `max_length` ("all" for all of finite W): the
     elements of `_walk` in its order, their engine ids and their right
-    descents, down[i] holding (t, j) for each t with w_i t = w_j shorter."""
+    descents, down[i] holding (t, j) for each t with w_i t = w_j shorter;
+    None in place of the descents for callers that unset `descents`."""
     eng = _engine(d)
     if max_length == "all":
         if not eng.finite:
@@ -589,7 +597,7 @@ def _ball(
         raise ValueError(f"max_length must be >= 0, got {max_length}")
     eng.begin(cap, "enumerate_elements")
     limit = math.inf if max_length == "all" else max_length
-    ids, _, down = _walk(eng, range(eng.n), limit, size_guard)
+    ids, _, down = _walk(eng, range(eng.n), limit, size_guard, ids_only=not descents)
     return [eng.element(e) for e in ids], ids, down
 
 
@@ -605,8 +613,11 @@ def enumerate_elements(
     max_length is "all", which walks the whole group and requires finite
     type, or an integer >= 0.
     """
-    elements = _ball(d, max_length, cap, size_guard)[0]
-    return [list(layer) for _, layer in itertools.groupby(elements, key=lambda w: w.length)]
+    elements = _ball(d, max_length, cap, size_guard, descents=False)[0]
+    layers = [[] for _ in range(elements[-1].length + 1)]
+    for w in elements:
+        layers[len(w.word)].append(w)
+    return layers
 
 
 def longest_element(d: CoxeterDiagram, cap: int = DEFAULT_CAP) -> CoxeterElement:
@@ -648,7 +659,7 @@ def reflections(
         raise FiniteTypeRequiredError(
             "reflections on a non-finite-type diagram needs a ball bound"
         )
-    elements, ids, _ = _ball(d, ball, cap)
+    elements, ids, _ = _ball(d, ball, cap, descents=False)
     eng.begin(cap, "reflections")
     out = set()
     for el, e in zip(elements, ids):

@@ -8,22 +8,26 @@ chambers meet each other inside the previous level (Claim B).  When both
 hold the complex is contractible, unless some chamber glues along its
 entire boundary, in which case only (n-1)-connectivity is certified.
 
-Claim A, and the shelling check, are decided per chamber from the facets
-it shares with earlier chambers, found in a facet index, and the chambers
-at one of its vertices; only a chamber that fails is intersected with every
-earlier one, to name a witness.  Claim B is decided only for the
-same-level pairs that share a vertex, since the rest meet in the empty
+Chambers are ranked by level, then index; each vertex gets a small integer
+id and an int bitset of the ranks of its chambers.  A facet index keyed by
+vertex masks finds the facets a chamber shares with earlier chambers, and
+Claim A, the shelling check and Claim B are then a few ANDs of bitsets.
+Only a chamber that fails Claim A is intersected with others, to name a
+witness, and only with the earlier chambers at its vertices; Claim B looks
+only at same-level pairs that share a vertex: the rest meet in the empty
 face.  A report lists the failing checks and counts, per level, the
 chambers, the pairs and how many of each pass, so its size grows with the
 number of levels and failures, not of pairs.  A witness face is the first
 by size, then by sorted vertex reprs, so reports do not depend on hashing.
 
-The Coxeter chamber system reads every coset representative off one table
-per generator, filled in length order over the enumerated ball.
+The Coxeter chamber system makes each coset vertex once and, in length
+order over the enumerated ball, gives every element the vertices of w t,
+for t its first right descent, but one.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass
 
@@ -105,8 +109,9 @@ def _meets_in_facet_union(chamber: frozenset, others, n: int):
     Maximal shared vertex sets must all have size n.  An empty intersection
     or a maximal shared face of another dimension is a violation; the
     witness names the one that comes first by size, then by sorted reprs.
-    This walks every chamber in `others`, so it is used only for a chamber
-    that `_glued_vertices` does not certify.
+    It walks every chamber in `others`, so it is used only for a chamber
+    that `_glued_vertices` does not certify, and handed only the earlier
+    chambers that share a vertex with it.
     """
     shared = {chamber & o for o in others}
     shared.discard(frozenset())
@@ -123,37 +128,61 @@ def _meets_in_facet_union(chamber: frozenset, others, n: int):
     return None, maximal
 
 
-def _glued_vertices(cc: ChamberComplex, level) -> list[frozenset | None]:
-    """Per chamber c, the vertices x whose facet c - x lies in an earlier
-    chamber (one of lower level), when c meets the earlier chambers in a
-    non-empty union of its facets; None when it does not.
-
-    Let X be that vertex set.  A face c & o lies in a shared facet c - x
-    exactly when x is in X and not in o, so c glues along facets exactly
-    when X is non-empty and no earlier chamber contains all of X.  A facet
-    index finds X, and the chambers at one vertex of X decide the rest.
-    Facets of a 0-simplex are empty, and an empty union fails, so for
-    n = 0 every chamber gets None.
-    """
-    chambers = cc.chambers
-    if cc.n == 0:
-        return [None] * len(chambers)
-    holders: dict = {}  # vertex -> chambers containing it
-    facets: dict[frozenset, list[int]] = {}  # facet -> chambers containing it
-    for i, c in enumerate(chambers):
-        for x in c:
-            holders.setdefault(x, []).append(i)
-            facets.setdefault(c - {x}, []).append(i)
-    out = []
-    for i, c in enumerate(chambers):
-        lv = level[i]
-        glued = frozenset(x for x in c if any(level[j] < lv for j in facets[c - {x}]))
-        if glued:
-            x = min(glued, key=lambda v: len(holders[v]))
-            if any(level[j] < lv and glued <= chambers[j] for j in holders[x]):
-                glued = None
-        out.append(glued or None)
+def _bits(mask: int) -> list[int]:
+    """The places of the set bits of `mask`, lowest first."""
+    digits = bin(mask)[:1:-1]
+    out, i = [], digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
     return out
+
+
+def _glued_vertices(cc: ChamberComplex, level, order):
+    """Per chamber c in `order` (sorted by `level`; its place there is its
+    rank), (g, bits): g = |X| and bits the ranks of the chambers that hold
+    all of X, when c meets the earlier chambers (those of lower level) in a
+    non-empty union of its facets; else g = 0 and bits the ranks of the
+    chambers that share a vertex with c.
+
+    X is the set of vertices x whose facet c - x lies in an earlier chamber.
+    A face c & o lies in a shared facet c - x exactly when x is in X and not
+    in o, so c glues along facets exactly when X is non-empty and no earlier
+    chamber holds all of X.  A facet index keyed by vertex masks finds X,
+    and each vertex's int bitset of chamber ranks makes the rest |X| ANDs.
+    Facets of a 0-simplex are empty, so for n = 0 every chamber gets g = 0.
+    Chambers are yielded lazily, so a caller may stop at the first failure.
+    """
+    n, chambers = cc.n, cc.chambers
+    ids: dict = {}  # vertex -> id
+    holders: list[int] = []  # id -> bitset of the ranks of the chambers holding it
+    facets: dict[int, int] = {}  # vertex mask of a facet -> the lowest rank holding it
+    first = 0
+    for _, group in itertools.groupby(order, key=level.__getitem__):
+        earlier = (1 << first) - 1
+        rows = []  # per chamber of the level: its vertex ids, then the glued ones
+        for r, i in enumerate(group, first):
+            vs = [ids.setdefault(x, len(ids)) for x in chambers[i]]
+            holders += [0] * (len(ids) - len(holders))
+            bit, mask = 1 << r, 0
+            for v in vs:
+                holders[v] |= bit
+                mask |= 1 << v
+            rows.append((vs, [v for v in vs if facets.setdefault(mask ^ (1 << v), r) < first]
+                         if n else ()))
+        first += len(rows)
+        for vs, glued in rows:
+            if glued:
+                bits = holders[glued[0]]
+                for v in glued[1:]:
+                    bits &= holders[v]
+                if not bits & earlier:
+                    yield len(glued), bits
+                    continue
+            bits = 0
+            for v in vs:
+                bits |= holders[v]
+            yield 0, bits
 
 
 @dataclass(frozen=True)
@@ -219,54 +248,55 @@ def verify_claims(cc: ChamberComplex, index) -> ClaimsReport:
     otherwise.
 
     Claim A is read off the facets each chamber shares with lower levels
-    (`_glued_vertices`); only a chamber that fails it is intersected with
-    all of C(k), for its witness and for its Claim B pairs.  Claim B looks
-    only for failures, among the later chambers of the level that share a
-    vertex with chamber a, found in a (vertex, level) index: a pair that
-    shares no vertex meets in the empty face.
+    (`_glued_vertices`).  A chamber a that passes glues along the facets
+    a - x, x in X, and b of its level fails Claim B with it exactly when b
+    holds all of X: the later such b are an AND of the bitsets of X, cut to
+    the level's ranks.  A chamber that fails Claim A is intersected with
+    the chambers of C(k) at its vertices, for its witness, and with the
+    later chambers of its level at its vertices, for its Claim B pairs: a
+    pair that shares no vertex meets in the empty face.
     """
     idx = _check_index(cc, index)
     chambers = cc.chambers
-    by_level: dict[int, list[int]] = {}
-    at: dict = {}  # (vertex, level) -> the chambers of that level at that vertex
-    for i, (c, lv) in enumerate(zip(chambers, idx)):
-        by_level.setdefault(lv, []).append(i)
-        for x in c:
-            at.setdefault((x, lv), []).append(i)
-    glued = _glued_vertices(cc, idx)
+    order = sorted(range(len(chambers)), key=idx.__getitem__)
+    glued = _glued_vertices(cc, idx, order)
 
     claim_a, claim_b, levels = [], [], []
     full_boundary_glue = False
-    for lv in sorted(by_level):
-        if lv == 0:
+    first = 0
+    for lv, group in itertools.groupby(idx[i] for i in order):
+        end = first + sum(1 for _ in group)
+        if not lv:  # the base chamber
+            next(glued)
+            first = end
             continue
+        earlier = (1 << first) - 1
+        here = ((1 << end) - 1) ^ earlier  # the ranks of level lv
         earlier_a, earlier_b = len(claim_a), len(claim_b)  # failures below lv
-        previous = None
-        for a in by_level[lv]:
-            ca, ga = chambers[a], glued[a]
-            if ga is not None:
+        for r, (g, bits) in zip(range(first, end), glued):
+            a, ca = order[r], chambers[order[r]]
+            later = [order[r + 1 + b] for b in _bits((bits & here) >> (r + 1))]
+            if g:
                 # ca & cb lies in C(lv - 1) iff it lies in a facet a - x with
-                # x glued and not in b: b fails iff it holds all of ga.
-                full_boundary_glue |= len(ga) == cc.n + 1
-                x = min(ga, key=lambda v: len(at[v, lv]))
-                bad = [b for b in at[x, lv] if b > a and ga <= chambers[b]]
+                # x glued and not in b: b fails iff it holds every glued x.
+                full_boundary_glue |= g == cc.n + 1
+                bad = later
             else:
-                if previous is None:
-                    previous = [c for c, v in zip(chambers, idx) if v < lv]
+                previous = [chambers[order[b]] for b in _bits(bits & earlier)]
                 witness, maximal = _meets_in_facet_union(ca, previous, cc.n)
                 claim_a.append(ClaimCheck(lv, (a,), False, witness))
-                near = sorted({b for x in ca for b in at[x, lv] if b > a})
-                bad = [b for b in near if not any(ca & chambers[b] <= f for f in maximal)]
+                bad = [b for b in later if not any(ca & chambers[b] <= f for f in maximal)]
             claim_b.extend(
                 ClaimCheck(lv, (a, b), False,
                            f"chambers {a} and {b} share {sorted(ca & chambers[b], key=repr)}, "
                            f"which is not a face of C({lv - 1})")
                 for b in bad
             )
-        m = len(by_level[lv])
+        m = end - first
         pairs = m * (m - 1) // 2
         levels.append(LevelCounts(lv, m, m - len(claim_a) + earlier_a,
                                   pairs, pairs - len(claim_b) + earlier_b))
+        first = end
 
     conclusion = None
     if not claim_a and not claim_b:
@@ -294,10 +324,9 @@ def is_shelling(cc: ChamberComplex, order) -> ShellingCheck:
     position = [0] * len(order)
     for pos, i in enumerate(order):
         position[i] = pos
-    glued = _glued_vertices(cc, position)
-    for pos in range(1, len(order)):
-        if glued[order[pos]] is None:
-            previous = [cc.chambers[j] for j in order[:pos]]
+    for pos, (g, bits) in enumerate(_glued_vertices(cc, position, order)):
+        if pos and not g:
+            previous = [cc.chambers[order[b]] for b in _bits(bits & ((1 << pos) - 1))]
             witness, _ = _meets_in_facet_union(cc.chambers[order[pos]], previous, cc.n)
             return ShellingCheck(False, pos, f"chamber {order[pos]}: {witness}")
     return ShellingCheck(True)
@@ -316,29 +345,28 @@ def coxeter_chamber_system(
     a, b and ab), and then as its word tuple.  The index function is Coxeter
     length, so the unique index-0 chamber is the identity.
 
-    Representatives come from one table per generator s, filled in length
-    order: w is its own representative unless it has a right descent t != s,
-    and then it shares the representative of w t.  The descents are read off
-    the enumeration (`coxeter._ball`), so the table creates no element and
-    spends no root budget.
+    Vertices are filled in length order, each made once: w shares every
+    coset vertex of w t, for t its first right descent, but the one for t,
+    which it shares with w t' for a second right descent t'; with no second
+    one, w is its own representative for t.  The descents are read off the
+    enumeration (`coxeter._ball`), so this creates no element and spends no
+    root budget.
     """
     if d.rank < 2:
         raise DiagramError("chamber system needs rank >= 2 (chambers must be simplices)")
     elements, _, down = coxeter._ball(d, ball, cap)
-    n = d.rank
-    rep = [list(range(len(elements))) for _ in range(n)]  # rep[s][i]: w_i W_(S-s)
-    for i, descents in enumerate(down):
-        for s in range(n):
-            rep[s][i] = rep[s][next((j for t, j in descents if t != s), i)]
     names = ["".join(w.word) or "e" for w in elements]
-    cosets = {(s, j) for k, s in enumerate(d.vertices) for j in rep[k]}
-    joined = len({(s, names[i]) for s, i in cosets}) == len(cosets)
-    if not joined:
+    # w is its own representative for s exactly when no right descent of w but s
+    cosets = [(s, 0) for s in range(d.rank)] + [(t, i) for i, ((t, _), *more) in
+                                               enumerate(down[1:], 1) if not more]
+    if len({(s, names[i]) for s, i in cosets}) < len(cosets):
         names = [w.word for w in elements]
-    chambers = tuple(
-        frozenset((s, names[rep[k][i]]) for k, s in enumerate(d.vertices))
-        for i in range(len(elements))
-    )
+    rows = [[(s, names[0]) for s in d.vertices]]  # per element, its coset vertices
+    for i, ((t, j), *more) in enumerate(down[1:], 1):
+        row = rows[j].copy()
+        row[t] = rows[more[0][1]][t] if more else (d.vertices[t], names[i])
+        rows.append(row)
+    chambers = tuple(map(frozenset, rows))
     return ChamberComplex(d.rank - 1, chambers), tuple(w.length for w in elements)
 
 

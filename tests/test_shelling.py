@@ -3,6 +3,9 @@
 import collections
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -394,6 +397,95 @@ def test_claims_and_shellings_match_oracle_on_random_complexes():
     assert {(n, ok) for n, _, ok in outcomes} >= both
 
 
+def _relabel(v):
+    """Integer vertex v as an int, a string or a tuple, so one complex mixes
+    vertex types (and hash orders)."""
+    return (v, f"v{v}", ("t", v))[v % 3]
+
+
+def _large_indexed_complex(rng, size, n, shelled):
+    """`_random_indexed_complex` grown to `size` chambers with about 20 per
+    level, plus planted failures at chamber indices past 64 and past 1,000
+    (where the complex reaches them), all at one new top level: a Claim A
+    failure (a chamber meeting the rest in one vertex, or in nothing), a
+    Claim B pair (two facets of earlier chambers coned to one new vertex)
+    and a duplicated chamber.  If `shelled`, every other chamber cones a
+    facet of an earlier one to a new vertex, so the index order shells up
+    to the planted chambers."""
+    chambers = [frozenset(range(n + 1))]
+    top = n + 1
+    while len(chambers) < size:
+        if n and (shelled or rng.random() < 0.9):
+            base = sorted(rng.choice(chambers))
+            facet = set(base) - {rng.choice(base)}
+            x = top if shelled or rng.random() < 0.7 else rng.randrange(top)
+            chamber = frozenset(facet | {top if x in facet else x})
+        else:
+            chamber = frozenset(rng.sample(range(top + 2), n + 1))
+        top = max(top, max(chamber) + 1)
+        chambers.append(chamber)
+    index = [0] + sorted(rng.randint(1, max(1, size // 20)) for _ in chambers[1:])
+    planted = []
+    if n:
+        f, g = (sorted(rng.choice(chambers))[1:] for _ in range(2))
+        planted += [frozenset(f) | {top}, frozenset(g) | {top}]  # Claim B, unless f == g
+        planted.append(frozenset([rng.choice(f)] + list(range(top + 1, top + n + 1))))
+    planted += [frozenset(range(top + n + 1, top + 2 * n + 2)), rng.choice(chambers)]
+    level = max(index) + 1
+    for at in (65, 1001):
+        if at < len(chambers):
+            for k, chamber in enumerate(planted):
+                chambers.insert(at + 3 * k, chamber)
+                index.insert(at + 3 * k, level)
+    relabelled = tuple(frozenset(map(_relabel, c)) for c in chambers)
+    return ChamberComplex(n, relabelled), tuple(index)
+
+
+@pytest.mark.parametrize("size, n, shelled", [
+    (100, 0, False), (150, 1, False), (400, 2, True), (1100, 3, False), (1100, 2, True),
+    (2000, 2, False),
+])
+def test_bitsets_over_many_words_match_the_oracle(size, n, shelled):
+    rng = random.Random(size + n)
+    cc, index = _large_indexed_complex(rng, size, n, shelled)
+    rep = verify_claims(cc, index)
+    assert rep == shelling_oracle.verify_claims(cc, index)
+    # the planted failures are reported past the first machine word
+    assert any(c.chambers[0] > 64 for c in rep.claim_a)
+    if len(cc.chambers) > 1000:
+        assert any(c.chambers[0] > 1000 for c in rep.claim_a)
+    if n:
+        assert any(c.chambers[0] > 64 for c in rep.claim_b)
+    orders = [sorted(range(len(index)), key=index.__getitem__), list(range(len(index)))]
+    rng.shuffle(orders[1])
+    for order in orders:
+        chk = is_shelling(cc, order)
+        assert chk == shelling_oracle.is_shelling(cc, order)
+    if shelled:  # the index order fails first at a planted chamber, past the first word
+        assert is_shelling(cc, orders[0]).violation_position > 64
+
+
+def test_f4_report_does_not_depend_on_the_hash_seed():
+    # vertex ids follow frozenset iteration order, which the hash seed moves
+    script = (
+        "import json, random; from artin.diagram import preset; from artin import shelling\n"
+        "cc, idx = shelling.coxeter_chamber_system(preset('F4'))\n"
+        "idx = list(idx); random.Random(4).shuffle(idx)\n"
+        "print(json.dumps(shelling.verify_claims(cc, idx).to_json_obj()))\n"
+        "print(json.dumps(shelling.is_shelling(cc, random.Random(5).sample(range(len(idx)), len(idx))).to_json_obj()))"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outs = set()
+    for seed in ("1", "2", "5"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        outs.add(proc.stdout)
+    assert len(outs) == 1
+    report = json.loads(outs.pop().splitlines()[0])
+    assert report["claim_a"] and report["claim_b"]
+
+
 # ---------------------------------------------------------------- gates
 
 def test_chamber_system_calls_no_coset_representative(monkeypatch):
@@ -407,17 +499,53 @@ def test_chamber_system_calls_no_coset_representative(monkeypatch):
     assert len(cc.chambers) == 384 and max(idx) == 16
 
 
-def test_claims_on_b4_intersect_no_chamber_with_all_earlier_ones(monkeypatch):
-    cc, idx = coxeter_chamber_system(preset("B4"))
+def _passes_without_the_fallback(name, monkeypatch, conclusion):
+    cc, idx = coxeter_chamber_system(preset(name))
 
     def boom(*args, **kwargs):
         raise AssertionError("all-chambers fallback called")
 
     monkeypatch.setattr(shelling, "_meets_in_facet_union", boom)
     rep = verify_claims(cc, idx)
-    assert rep.passed and rep.conclusion == "2-connected"
+    assert rep.passed and rep.conclusion == conclusion
     order = sorted(range(len(idx)), key=lambda i: idx[i])
     assert is_shelling(cc, order).ok
+
+
+def test_claims_on_b4_intersect_no_chamber_with_all_earlier_ones(monkeypatch):
+    _passes_without_the_fallback("B4", monkeypatch, "2-connected")
+
+
+@pytest.mark.parametrize("name", ["F4", "H4"])
+def test_claims_on_f4_and_h4_intersect_no_chamber_with_all_earlier_ones(name, monkeypatch):
+    _passes_without_the_fallback(name, monkeypatch, "2-connected")
+
+
+@pytest.mark.parametrize("name", ["F4", "H4"])
+def test_failing_chambers_meet_only_their_neighbours(name, monkeypatch):
+    # with a shuffled length index most chambers fail Claim A; each is handed
+    # only the earlier chambers that share one of its vertices
+    cc, idx = coxeter_chamber_system(preset(name))
+    idx = list(idx)
+    random.Random(name).shuffle(idx)
+    handed = []
+    meets = shelling._meets_in_facet_union
+
+    def checked(chamber, others, n):
+        assert all(chamber & o for o in others)
+        handed.append(chamber)
+        return meets(chamber, others, n)
+
+    monkeypatch.setattr(shelling, "_meets_in_facet_union", checked)
+    rep = verify_claims(cc, idx)
+    assert len(handed) == len(rep.claim_a) > len(cc.chambers) // 3
+    order = random.Random(1).sample(range(len(idx)), len(idx))
+    chk = is_shelling(cc, order)
+    assert not chk.ok and len(handed) == len(rep.claim_a) + 1
+    if name == "F4":
+        monkeypatch.undo()
+        assert rep == shelling_oracle.verify_claims(cc, idx)
+        assert chk == shelling_oracle.is_shelling(cc, order)
 
 
 def test_witness_names_the_first_face_by_size_then_reprs():

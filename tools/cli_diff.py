@@ -29,7 +29,12 @@ poset's chains; in text and dot, `deligne-fd --preset A8` and `salvetti
 --preset A4` build only the payload asked for.  `homology --complex
 salvetti`, in json and text, runs Salvetti's boundary on the cells of B2,
 I2(8), A3, A1 x A1 x A1 and A1 x A2, each from a diagram file in its
-vertex order and in the reverse one, since the order moves the signs.  `homology --preset E8 --ball 1` with `--complex davis` and
+vertex order and in the reverse one, since the order moves the signs.
+`shelling-check --index` and `is-shelling --order` run the chamber systems
+of F4 (json and text) and H4 (json) under a fixed shuffle of the length
+index or of the chambers, where most chambers fail, and both read
+`--chambers` files of points (n = 0), with a repeated chamber, and with a
+Claim B failure.  `homology --preset E8 --ball 1` with `--complex davis` and
 `--complex salvetti` stop at the facet guard inside `homology`, which counts
 the 362,880 and 2,419,200 maximal chains without listing one.
 Exit code 1 if any argv differs, else 0.
@@ -40,6 +45,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -91,6 +97,17 @@ LOW_CAP_ARGS = (
 LOW_CAPS = (5, 8, 10, 20, 32, 40)
 CHAMBERS = {"n": 1, "chambers": [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]],
             "index": [0, 1, 2, 1]}
+# chamber files the verifier handles apart: points, a repeated chamber, two
+# triangles at one level glued to the first along its edges but sharing the edge ax
+CHAMBER_FILES = {
+    "points": {"n": 0, "chambers": [["a"], ["b"], ["a"], ["c"]], "index": [0, 1, 1, 2]},
+    "repeated": {"n": 1, "chambers": [["a", "b"], ["b", "c"], ["a", "b"], ["c", "d"]],
+                 "index": [0, 1, 1, 2]},
+    "claim_b": {"n": 2, "chambers": [["a", "b", "c"], ["a", "b", "x"], ["a", "c", "x"]],
+                "index": [0, 1, 1]},
+}
+# degrees of the finite groups whose chamber systems get a shuffled index
+DEGREES = {"F4": (2, 6, 8, 12), "H4": (2, 12, 20, 30)}
 # finite Salvetti cells from diagram files, each also written in the reverse vertex order;
 # the two products are the homology benchmark's
 SALVETTI_FILES = {
@@ -141,10 +158,26 @@ def _args(name: str, letters: list[str], infinite: bool) -> list[list[str]]:
     }.get(name, [[]])
 
 
+def _shuffled_lengths(degrees, seed: int) -> str:
+    """A fixed shuffle of the element lengths of a finite Coxeter group,
+    counted by its Poincare polynomial, the product of [d]_q over its degrees."""
+    counts = [1]
+    for d in degrees:
+        counts = [sum(counts[max(0, k - d + 1):k + 1]) for k in range(len(counts) + d - 1)]
+    index = [k for k, c in enumerate(counts) for _ in range(c)]
+    random.Random(seed).shuffle(index)
+    return ",".join(map(str, index))
+
+
+def _shuffled_order(size: int, seed: int) -> str:
+    return ",".join(map(str, random.Random(seed).sample(range(size), size)))
+
+
 def _corpus(tmp: str) -> list[list[str]]:
     """The argv list, reading its input files from `tmp`."""
     files = {"triangle": TRIANGLE, "chambers": CHAMBERS, "bad": {"vertices": 5}}
     triangle, chambers, bad = (os.path.join(tmp, f"{stem}.json") for stem in files)
+    files.update(CHAMBER_FILES)
     for stem, obj in SALVETTI_FILES.items():
         files[stem] = obj
         files[f"{stem}_reversed"] = {**obj, "vertices": obj["vertices"][::-1]}
@@ -171,6 +204,17 @@ def _corpus(tmp: str) -> list[list[str]]:
         corpus += [[name, "--chambers", chambers, "--format", f] for f in ("json", "text")]
         corpus += [[name, "--chambers", chambers, "--preset", "A2"],
                    [name, "--chambers", bad], [name, "--chambers", os.path.join(tmp, "no.json")]]
+    corpus += [[name, "--chambers", os.path.join(tmp, f"{stem}.json"), "--format", f]
+               for stem in CHAMBER_FILES for name in ("shelling-check", "is-shelling")
+               for f in ("json", "text")]
+    # chamber systems with a shuffled index or order: most chambers fail
+    for p, formats in (("F4", ("json", "text")), ("H4", ("json",))):
+        size = len(_shuffled_lengths(DEGREES[p], 0).split(","))
+        corpus += [[name, "--preset", p, flag, value, "--format", f]
+                   for name, flag, value in (
+                       ("shelling-check", "--index", _shuffled_lengths(DEGREES[p], 1)),
+                       ("is-shelling", "--order", _shuffled_order(size, 2)))
+                   for f in formats]
     corpus += [
         ["shelling-check", "--chambers", chambers, "--index", "0,2,1,1"],
         ["shelling-check", "--preset", "A2", "--index", "0,1"],
