@@ -395,21 +395,20 @@ def _cmd_shelling_check(d, args):
     if idx is None:
         raise ArtinError("no index function: add \"index\" to the JSON or pass --index")
     rep = shelling.verify_claims(cc, idx)
-    obj = rep.to_json_obj()
-    if rep.passed:
-        text = f"claims A and B pass at all levels; conclusion: {rep.conclusion}"
-    else:
+
+    def text():
+        if rep.passed:
+            return f"claims A and B pass at all levels; conclusion: {rep.conclusion}"
         first = (rep.claim_a + rep.claim_b)[0]
-        text = f"FAIL at level {first.level}, chambers {list(first.chambers)}: {first.witness}"
-    return obj, text, None
+        return f"FAIL at level {first.level}, chambers {list(first.chambers)}: {first.witness}"
+    return _asked(args, rep.to_json_obj, text, None)
 
 
 def _cmd_is_shelling(d, args):
     cc, _ = _chamber_input(d, args)
     chk = shelling.is_shelling(cc, args.order or tuple(range(len(cc.chambers))))
-    obj = chk.to_json_obj()
-    text = "true" if chk.ok else f"false ({chk.witness})"
-    return obj, text, None
+    return _asked(args, chk.to_json_obj,
+                  lambda: "true" if chk.ok else f"false ({chk.witness})", None)
 
 
 # ---------------------------------------------------------------- parser

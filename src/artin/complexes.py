@@ -4,7 +4,9 @@ Three posets are built: the Salvetti poset W x Sf with its T-minimality
 order, the Davis poset of cosets w W_T under inclusion, and the
 fundamental-domain poset Sf under subset order.  Each is built from the
 lower sets of its elements, so the work grows with the relations, not with
-the square of the size.  The Davis cells w W_T are the Salvetti cells
+the square of the size, and on integer keys: a cell (w, T) by the engine id
+of w, a member of Sf by its vertex bitmask, whose lower set is its proper
+submasks.  The Davis cells w W_T are the Salvetti cells
 (w, T) with w T-minimal, under the Salvetti order, so one builder lists
 both posets, already in order, without a sort.  A poset keeps one cover
 table, built when it is checked, and its covers, its maximal chains (walked
@@ -36,7 +38,7 @@ from dataclasses import asdict, dataclass
 from . import coxeter
 from .coxeter import DEFAULT_CAP
 from .diagram import (Abelianization, CoxeterDiagram, QuotientCells, _abelian_group,
-                      _sf_sorted, abelianization, salvetti_quotient_cells)
+                      _sf_masks, _sf_sorted, abelianization, salvetti_quotient_cells)
 from .errors import CapExceededError, FiniteTypeRequiredError
 
 DEFAULT_POSET_GUARD = 3000
@@ -151,15 +153,17 @@ class Poset:
         return "\n".join(lines)
 
 
-def _poset(elements, label, below, metadata=()) -> Poset:
-    """The poset on `elements`, each named by `label`, in which x < y for
-    every x that `below(y)` yields; `below(y)` lists the elements strictly
-    under y.  Elements are drawn from their iterable only one past the guard."""
-    elements = tuple(itertools.islice(elements, DEFAULT_POSET_GUARD + 1))
-    if len(elements) > DEFAULT_POSET_GUARD:
+def _poset(keys, element, label, below, metadata=()) -> Poset:
+    """The poset on the elements `element(k)` of the hashable `keys`, each
+    named by `label`, in which x < y for every key x that `below(y)` yields;
+    `below(y)` lists the keys of the elements strictly under y's.  Keys are
+    drawn from their iterable only one past the guard."""
+    keys = tuple(itertools.islice(keys, DEFAULT_POSET_GUARD + 1))
+    if len(keys) > DEFAULT_POSET_GUARD:
         raise CapExceededError("poset size", DEFAULT_POSET_GUARD)
-    index = {x: i for i, x in enumerate(elements)}
-    less = frozenset((index[x], j) for j, y in enumerate(elements) for x in below(y))
+    index = {x: i for i, x in enumerate(keys)}
+    less = frozenset((index[x], j) for j, y in enumerate(keys) for x in below(y))
+    elements = tuple(map(element, keys))
     return Poset(elements, tuple(map(label, elements)), less, tuple(metadata))
 
 
@@ -531,20 +535,19 @@ def _cell_poset(d: CoxeterDiagram, ball, cap: int, minimal: bool):
     sf = _sf_sorted(d)
     eng = coxeter._engine(d)
     eng.begin(cap, f"{kind}_poset")
-    ids = dict(zip(elements_w, ball_ids))
-    in_ball = set(ball_ids)
+    in_ball = dict(zip(ball_ids, elements_w))
     # v and v x in a ball of radius r need l(x) <= r + l(v) <= 2r, and
     # l(x) <= r - l(v) if v is R-minimal, for then l(v x) = l(v) + l(x).
     radius = math.inf if ball == "all" else ball
     walks = {}  # R -> W_R walk, built in `below`, so only past the poset guard
     subsets: dict[frozenset, list[frozenset]] = {}
 
-    cells = ((u, T) for T in sf for u, descents in zip(elements_w, down)
+    cells = ((e, T) for T in sf for e, descents in zip(ball_ids, down)
              if not (minimal and any(eng.names[t] in T for t, _ in descents)))
 
     def below(y):
         v, R = y
-        reach = radius - len(v.word) if minimal else radius + len(v.word)
+        reach = radius - len(eng.nf[v]) if minimal else radius + len(eng.nf[v])
         if R not in walks:
             letters = [eng.key[t] for t in eng.names if t in R]
             walk = coxeter._walk(eng, letters, radius if minimal else 2 * radius, math.inf)
@@ -555,19 +558,18 @@ def _cell_poset(d: CoxeterDiagram, ball, cap: int, minimal: bool):
         for length, (parent, s), free in walks[R]:
             if length > reach:
                 break
-            e = ids[v] if parent < 0 else eng.times(at[parent], s)
+            e = v if parent < 0 else eng.times(at[parent], s)
             at.append(e)
             if e in in_ball:
-                u = eng.element(e)
                 if free not in subsets:
                     subsets[free] = _subsets(free)
                 for T in subsets[free]:
                     if parent >= 0 or T != R:
-                        yield u, T
+                        yield e, T
 
     meta = (("complex", kind), ("ball", ball))
-    p = _poset(cells, lambda c: label.format("".join(c[0].word) or "e", _set_label(d, c[1])),
-               below, meta)
+    p = _poset(cells, lambda c: (in_ball[c[0]], c[1]),
+               lambda c: label.format("".join(c[0].word) or "e", _set_label(d, c[1])), below, meta)
     if ball == "all" and not minimal:  # the cells of Salvetti's complex, whole
         object.__setattr__(p, "_finite_salvetti", True)
     return p
@@ -594,7 +596,12 @@ def davis_poset(d: CoxeterDiagram, ball="all", cap: int = DEFAULT_CAP) -> Poset:
 def deligne_fundamental_domain(d: CoxeterDiagram) -> tuple[Poset, SimplicialComplex]:
     """The fundamental-domain poset {A_T : T in Sf} under inclusion (a copy
     of Sf ordered by subset), with its order complex."""
-    # Sf is closed under subsets, so every proper subset of R is in it.
-    p = _poset(_sf_sorted(d), lambda T: f"A{_set_label(d, T)}", lambda R: _subsets(R)[:-1],
+    def below(R):  # Sf is closed under subsets, so each proper submask of R is in it
+        sub = R
+        while sub:
+            yield (sub := (sub - 1) & R)
+
+    sf = _sf_masks(d)
+    p = _poset(sf, sf.__getitem__, lambda T: f"A{_set_label(d, T)}", below,
                (("complex", "deligne-fd"),))
     return p, order_complex(p)

@@ -14,9 +14,12 @@ The numeric signature test (module tits) is a cross-check, never the
 authority.
 
 One level-by-level search finds Sf and, as the candidates it rejects, the
-minimal subsets outside Sf; the taxonomy reads its flags off the two.  FC
-type means Sf is a flag complex: every minimal non-member is a pair, which
-then carries an infinite label.
+minimal subsets outside Sf; the taxonomy reads its flags off the two.  It
+runs on vertex bitmasks, tests a candidate's proper subsets by one lookup
+per vertex and its connectivity by its edge count, classifies only trees of
+three or more vertices, and lists Sf by size, then vertex positions, with
+no sort.  FC type means Sf is a flag complex: every minimal non-member is a
+pair, which then carries an infinite label.
 
 The invariants read off the diagram alone live here too: Sf in its listing
 order, the cell counts of the quotient Salvetti complex (one k-cell per T in
@@ -436,39 +439,53 @@ def is_finite_type(d: CoxeterDiagram):
     return (True, labels) if all(labels) else (False, None)
 
 
-def _sf_search(d: CoxeterDiagram) -> tuple[set[frozenset], list[frozenset]]:
-    """Sf, and the minimal subsets outside it, smallest first.
+def _sf_search(d: CoxeterDiagram) -> tuple[dict[int, frozenset], list[frozenset]]:
+    """Sf keyed by vertex bitmask, bit i for ``d.vertices[i]``, and the
+    minimal subsets outside it, each listed by size, then by vertex positions.
 
-    Built level by level; downward closure of the family prunes the search.
-    A candidate is tried only when every proper subset is in Sf, so the
-    candidates that fail are exactly the minimal non-members.
+    Built level by level, each member extended only by vertices after its
+    last, so each level comes out in lexicographic order.  A candidate is
+    tried only when every proper subset is in Sf, so the candidates that fail
+    are exactly the minimal non-members.  Those proper subsets are forests,
+    since finite-type components are trees, so a cycle spans its candidate,
+    and a candidate on k vertices is connected exactly when it has at least
+    k - 1 edges, then finite type exactly when a tree of a finite family.
     """
-    nbrs = d._nbrs
-    sf = {frozenset()}
+    nbrs, verts = d._nbrs, d.vertices
+    adj = [sum(1 << d._pos[u] for u in nbrs[v]) for v in verts]
+    inf = [sum(1 << d._pos[u] for u, m in nbrs[v].items() if m == INF) for v in verts]
+    sf = {0: ()}  # mask -> vertex positions, in listing order
     minimal = []
-    level = [(frozenset(), 0)]  # (T, index after its last vertex)
+    level = [(0, (), 0)]  # (mask, positions, edges)
     while level:
         nxt = []
-        for T, start in level:
-            for i, v in enumerate(d.vertices[start:], start):
-                T2 = T | {v}
-                if any(T2 - {u} not in sf for u in T2):
+        for T, at, edges in level:
+            for i in range(at[-1] + 1 if at else 0, len(verts)):
+                T2, at2, k = T | 1 << i, at + (i,), len(at) + 1
+                if any(T2 ^ 1 << j not in sf for j in at):
                     continue
-                # Every proper subset of T2 is finite type.  So a disconnected
-                # T2 is too, and a connected T2 is finite type exactly when
-                # it is a tree of a finite family.
-                reach, stack = {v}, [v]
-                while stack:
-                    for u in nbrs[stack.pop()].keys() & (T2 - reach):
-                        reach.add(u)
-                        stack.append(u)
-                if len(reach) < len(T2) or _tree_family(_induced(nbrs, T2)) is not None:
-                    sf.add(T2)
-                    nxt.append((T2, i + 1))
+                e2 = edges + (adj[i] & T).bit_count()
+                if e2 < k - 1 or k == 1:  # disconnected, or one vertex
+                    finite = True
+                elif k == 2:  # a connected pair
+                    finite = not inf[i] & T
+                else:  # connected, so finite type only as a tree of a finite family
+                    finite = e2 == k - 1 and _tree_family(
+                        _induced(nbrs, {verts[j] for j in at2})) is not None
+                if finite:
+                    sf[T2] = at2
+                    nxt.append((T2, at2, e2))
                 else:
-                    minimal.append(T2)
+                    minimal.append(frozenset(verts[j] for j in at2))
         level = nxt
-    return sf, minimal
+    return {T: frozenset(map(verts.__getitem__, at)) for T, at in sf.items()}, minimal
+
+
+def _sf_masks(d: CoxeterDiagram, rank_guard: int = DEFAULT_RANK_GUARD) -> dict[int, frozenset]:
+    """Sf keyed by vertex bitmask, by size, then by vertex positions."""
+    if d.rank > rank_guard:
+        raise RankGuardError("finite_type_subsets", d.rank, rank_guard)
+    return _sf_search(d)[0]
 
 
 def finite_type_subsets(
@@ -478,15 +495,11 @@ def finite_type_subsets(
 
     Always contains the empty set and every singleton.
     """
-    if d.rank > rank_guard:
-        raise RankGuardError("finite_type_subsets", d.rank, rank_guard)
-    return _sf_search(d)[0]
+    return set(_sf_masks(d, rank_guard).values())
 
 
 def _sf_sorted(d: CoxeterDiagram) -> list[frozenset]:
-    return sorted(
-        finite_type_subsets(d), key=lambda T: (len(T), sorted(map(d._pos.__getitem__, T)))
-    )
+    return list(_sf_masks(d).values())
 
 
 @dataclass(frozen=True)
@@ -565,14 +578,14 @@ def classify_taxonomy(
     return TaxonomyReport(
         finite_type=all(components),
         fc_type=all(len(T) == 2 for T in minimal),
-        two_dimensional=max(len(T) for T in sf) <= 2,
+        two_dimensional=max(map(len, sf.values())) <= 2,
         large_type=2 * len(d.edges) == d.rank * (d.rank - 1),
         # A component of a member of Sf is a member, so the connected members
         # with |T| >= 3 are the components with more than two vertices; a
         # disconnected member is no tree.
         locally_reducible=all(
             _tree_family(_induced(nbrs, T)) in (None, ("A", 3, None))
-            for T in sf
+            for T in sf.values()
             if len(T) >= 3
         ),
         free_of_infinity=free_inf,

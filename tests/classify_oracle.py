@@ -9,6 +9,10 @@ the tree and keeps its own component scan, so it checks the shape reader in
 artin.diagram from outside; the two must agree on the flag and on every
 TypeLabel, witness included.
 
+``spherical_subsets`` lists Sf by classifying every vertex subset that way,
+where the library searches Sf level by level on vertex bitmasks and reads
+the shape of a candidate tree.
+
 ``taxonomy`` evaluates every TaxonomyReport flag from its literal
 definition, by brute force over all vertex subsets, where the library reads
 the flags off Sf and its minimal non-members.
@@ -150,6 +154,14 @@ def is_finite_type(d):
             return False, None
         labels.append(lab)
     return True, labels
+
+
+def spherical_subsets(d):
+    """Sf by brute force, listed by size, then by vertex positions: every
+    vertex subset, taken by `itertools.combinations` in declared order and
+    classified on its own subdiagram by candidate trial."""
+    return [frozenset(T) for k in range(d.rank + 1) for T in itertools.combinations(d.vertices, k)
+            if not T or is_finite_type(d.subdiagram(T))[0]]
 
 
 def infinity_free_subsets(d):

@@ -8,12 +8,16 @@ of it; w W_T <= v W_R in the Davis poset iff T is a subset of R and v^-1 w
 has support in R.  Quadratic in the number of elements, but it reads the
 order straight from its definition, so it checks the lower-set
 constructions in `complexes` from outside.  Elements, labels and their
-order are built as `complexes` builds them.
+order are built as `complexes` builds them, but Sf comes from
+`classify_oracle.spherical_subsets`, which classifies every vertex subset on
+its own, not from the search the posets are built on.
 """
 
 from artin import coxeter
-from artin.complexes import Poset, _set_label, _sf_sorted, _w_elements
+from artin.complexes import Poset, _set_label, _w_elements
 from artin.coxeter import DEFAULT_CAP
+
+from classify_oracle import spherical_subsets
 
 
 def _pairwise_poset(elements, labels, leq, metadata) -> Poset:
@@ -33,7 +37,8 @@ def _sort_key(d, elem):
 
 def salvetti_poset(d, ball="all", cap=DEFAULT_CAP) -> Poset:
     elements_w = _w_elements(d, ball, cap)[0]
-    elems = [(u, frozenset(T)) for u in elements_w for T in _sf_sorted(d)]
+    sf = spherical_subsets(d)
+    elems = [(u, T) for u in elements_w for T in sf]
     elems.sort(key=lambda e: _sort_key(d, e))
     labels = [f"({''.join(u.word) or 'e'},{_set_label(d, T)})" for u, T in elems]
     inv = {u: coxeter.invert(u, cap) for u in elements_w}
@@ -57,8 +62,8 @@ def salvetti_poset(d, ball="all", cap=DEFAULT_CAP) -> Poset:
 def davis_poset(d, ball="all", cap=DEFAULT_CAP) -> Poset:
     elements_w = _w_elements(d, ball, cap)[0]
     elems = list(dict.fromkeys(
-        (coxeter.t_minimal_representative(d, w, T, cap), frozenset(T))
-        for T in _sf_sorted(d)
+        (coxeter.t_minimal_representative(d, w, T, cap), T)
+        for T in spherical_subsets(d)
         for w in elements_w
     ))
     elems.sort(key=lambda e: _sort_key(d, e))

@@ -28,6 +28,7 @@ from artin.diagram import CoxeterDiagram, INF, is_finite_type, preset
 from artin.errors import CapExceededError, FiniteTypeRequiredError
 
 import poset_oracle
+from classify_oracle import spherical_subsets
 from conftest import random_diagram
 from cw_oracle import cw_chains
 from homology_oracle import plain_homology
@@ -228,6 +229,25 @@ def test_cell_posets_walk_w_r_only_as_far_as_the_ball():
         assert len(eng.sig) - 1 == n
         assert len(salvetti_poset(d, 1)) == (n + 1) * 2**n
         assert len(eng.sig) - 1 <= seen
+
+
+def test_cell_posets_make_no_element_or_root_on_a_warm_engine():
+    # The cells are keyed by engine ids, and the walks of W_R step from v
+    # only along Cayley edges an enumeration set: a Davis cell over v x needs
+    # l(v x) <= r, a Salvetti cell needs l(x) <= r + l(v), so l(v x) <= 3r.
+    # Once those are enumerated, building a poset adds no element and no root.
+    cases = [(preset(name), "all") for name in ("A3", "B3", "H3", "I2(7)")]
+    cases += [(preset("Atilde2"), ball) for ball in (1, 2)]
+    cases += [(CoxeterDiagram(("a", "b", "c"), (("a", "b", INF), ("a", "c", 3), ("b", "c", 6))), 2)]
+    for d, ball in cases:
+        coxeter._engine.cache_clear()
+        eng = coxeter._engine(d)
+        far = ball if ball == "all" else 3 * ball
+        for build, radius in ((davis_poset, ball), (salvetti_poset, far)):
+            coxeter.enumerate_elements(d, radius)
+            sizes = len(eng.sig), len(eng.coords)
+            assert len(build(d, ball)) > 0
+            assert (len(eng.sig), len(eng.coords)) == sizes, (build, d, ball)
 
 
 def test_cell_posets_stop_at_the_poset_guard():
@@ -1018,6 +1038,25 @@ def test_deligne_fd_sizes():
     assert len(p) == 7
     p3, _ = deligne_fundamental_domain(preset("B3"))
     assert len(p3) == 8
+
+
+def test_deligne_order_is_strict_inclusion_of_sf(rng):
+    # Sf from classifying every subset, and its order from frozensets, against
+    # the poset keyed by vertex bitmasks; declared orders are shuffled
+    for _ in range(60):
+        d = random_diagram(rng, max_rank=7)
+        order = list(d.vertices)
+        rng.shuffle(order)
+        d = CoxeterDiagram(tuple(order), d.edges)
+        p, _ = deligne_fundamental_domain(d)
+        sf = spherical_subsets(d)
+        assert p.elements == tuple(sf), d
+        assert p.labels == tuple(f"A{complexes._set_label(d, T)}" for T in sf)
+        assert p.less == {(i, j) for i, S in enumerate(sf) for j, T in enumerate(sf) if S < T}
+    # A12's Sf is all 4,096 subsets, over the poset guard
+    with pytest.raises(CapExceededError) as err:
+        deligne_fundamental_domain(preset("A12"))
+    assert (err.value.what, err.value.cap) == ("poset size", 3000)
 
 
 def test_deligne_fd_is_contractible_like():

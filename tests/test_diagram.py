@@ -23,6 +23,7 @@ from artin.diagram import (
 from artin.errors import DiagramError, RankGuardError
 
 from classify_oracle import is_finite_type as trial_is_finite_type
+from classify_oracle import spherical_subsets
 from classify_oracle import taxonomy as literal_taxonomy
 from conftest import random_diagram
 
@@ -197,6 +198,43 @@ def test_finite_type_subsets_match_brute_force(rng):
             if not T or is_finite_type(d.subdiagram(T))[0]
         }
         assert finite_type_subsets(d) == brute, d
+
+
+def test_sf_search_matches_every_subset_classified_by_candidate_trial(rng):
+    # Sf, its listing order and its minimal non-members against an oracle
+    # that classifies each subset on its own by isomorphism, sharing no code
+    # with the mask search; names are declared out of sorted order, since the
+    # declared order fixes the bits and the listing
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        names = [f"v{i}" for i in range(n)]
+        rng.shuffle(names)
+        p_edge = rng.choice((0.2, 0.4, 0.7))
+        edges = tuple((a, b, rng.choice((3, 4, 5, 6, 7, 8, INF)))
+                      for a, b in itertools.combinations(names, 2) if rng.random() < p_edge)
+        d = CoxeterDiagram(tuple(names), edges)
+        brute = spherical_subsets(d)
+        members = set(brute)
+        subsets = [frozenset(T) for k in range(n + 1) for T in itertools.combinations(names, k)]
+        minimal = [T for T in subsets if T not in members and all(T - {v} in members for v in T)]
+        assert finite_type_subsets(d) == members, d
+        assert diagram._sf_sorted(d) == brute, d
+        sf, found = diagram._sf_search(d)
+        assert list(sf.values()) == brute and found == minimal, d
+        assert list(sf) == [sum(1 << d.index(v) for v in T) for T in brute]
+
+
+def test_sf_sorted_keeps_the_rank_guard():
+    d = CoxeterDiagram(tuple(f"s{i}" for i in range(21)), ())
+    errors = []
+    for sf in (finite_type_subsets, diagram._sf_sorted):
+        with pytest.raises(RankGuardError) as err:
+            sf(d)
+        e = err.value
+        errors.append((e.what, e.rank, e.guard, str(e)))
+    assert errors[0] == errors[1]
+    message = "finite_type_subsets: rank 21 exceeds guard 20"
+    assert errors[0] == ("finite_type_subsets", 21, 20, message)
 
 
 def test_unpickled_diagram_hashes_like_a_fresh_one(tmp_path):

@@ -34,7 +34,12 @@ vertex order and in the reverse one, since the order moves the signs.
 of F4 (json and text) and H4 (json) under a fixed shuffle of the length
 index or of the chambers, where most chambers fail, and both read
 `--chambers` files of points (n = 0), with a repeated chamber, and with a
-Claim B failure.  `homology --preset E8 --ball 1` with `--complex davis` and
+Claim B failure.  `sf`, `taxonomy`, `quotient-cells`, `deligne-fd` (json,
+text and dot) and `homology --complex deligne-fd` read seeded random diagram
+files of rank 6 to 12 in the cli-survey style (labels 3, 4, 5, 6 and inf, edge
+probability 0.45 and 0.9), each in its vertex order and in the reverse one,
+since the order fixes the listing of Sf and the Deligne poset's elements.
+`homology --preset E8 --ball 1` with `--complex davis` and
 `--complex salvetti` stop at the facet guard inside `homology`, which counts
 the 362,880 and 2,419,200 maximal chains without listing one.
 Exit code 1 if any argv differs, else 0.
@@ -43,6 +48,7 @@ Exit code 1 if any argv differs, else 0.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -119,6 +125,23 @@ SALVETTI_FILES = {
     "a1a2": {"vertices": ["a", "b", "c"], "edges": [{"a": "b", "b": "c", "m": 3}]},
 }
 
+# seeded random diagrams in the cli-survey style, ranks 6 to 12 at edge
+# probabilities 0.45 and 0.9, each also written in the reverse vertex order,
+# which moves the listing order of Sf and so the Deligne poset's elements
+SF_ARGV = (["sf"], ["taxonomy"], ["quotient-cells"], ["deligne-fd"],
+           ["homology", "--complex", "deligne-fd"])
+SF_RANKS, SF_EDGE_PROBABILITIES = range(6, 13), (0.45, 0.9)
+
+
+def _random_diagram(rank: int, p_edge: float, seed: int) -> dict:
+    """Each pair of the letters a, b, ... joined with probability `p_edge` by a
+    label drawn from 3, 3, 4, 5, 6 and inf."""
+    rng = random.Random(seed)
+    names = list("abcdfghijklmnopqrstuvwxyz"[:rank])
+    edges = [{"a": a, "b": b, "m": rng.choice((3, 3, 4, 5, 6, "inf"))}
+             for a, b in itertools.combinations(names, 2) if rng.random() < p_edge]
+    return {"vertices": names, "edges": edges}
+
 
 def _args(name: str, letters: list[str], infinite: bool) -> list[list[str]]:
     """The subcommand-specific arguments to try on a diagram with these
@@ -181,6 +204,13 @@ def _corpus(tmp: str) -> list[list[str]]:
     for stem, obj in SALVETTI_FILES.items():
         files[stem] = obj
         files[f"{stem}_reversed"] = {**obj, "vertices": obj["vertices"][::-1]}
+    sf_stems = []
+    for rank in SF_RANKS:
+        for k, p_edge in enumerate(SF_EDGE_PROBABILITIES):
+            obj = _random_diagram(rank, p_edge, 100 * rank + k)
+            files[f"random{rank}_{k}"] = obj
+            files[f"random{rank}_{k}_reversed"] = {**obj, "vertices": obj["vertices"][::-1]}
+            sf_stems += [f"random{rank}_{k}", f"random{rank}_{k}_reversed"]
     for stem, obj in files.items():
         with open(os.path.join(tmp, f"{stem}.json"), "w", encoding="utf-8") as fh:
             json.dump(obj, fh)
@@ -258,6 +288,9 @@ def _corpus(tmp: str) -> list[list[str]]:
     corpus += [["homology", "--file", os.path.join(tmp, f"{stem}{order}.json"), "--complex",
                 "salvetti", "--format", f]
                for stem in SALVETTI_FILES for order in ("", "_reversed") for f in ("json", "text")]
+    corpus += [[name, "--file", os.path.join(tmp, f"{stem}.json"), *extra, "--format", f]
+               for stem in sf_stems for name, *extra in SF_ARGV
+               for f in (("json", "text", "dot") if name in DOT else ("json", "text"))]
     corpus += [[name, "--preset", p, *extra, "--cap", str(cap)]
                for p in LOW_CAP_PRESETS for name, *extra in LOW_CAP_ARGS for cap in LOW_CAPS]
     return corpus
