@@ -2,23 +2,28 @@
 
 Three posets are built: the Salvetti poset W x Sf with its T-minimality
 order, the Davis poset of cosets w W_T under inclusion, and the
-fundamental-domain poset Sf under subset order.  Each is built from the
-lower sets of its elements, so the work grows with the relations, not with
-the square of the size, and on integer keys: a cell (w, T) by the engine id
-of w, a member of Sf by its vertex bitmask, whose lower set is its proper
-submasks.  The Davis cells w W_T are the Salvetti cells
-(w, T) with w T-minimal, under the Salvetti order, so one builder lists
-both posets, already in order, without a sort.  A poset keeps one cover
-table, built when it is checked, and its covers, its maximal chains (walked
-on the table in lexicographic order), its dot output and its order complex
-all read that table.  An order complex is a view of its poset, whose
-maximal chains are its facets, listed only when they are read.
+fundamental-domain poset Sf under subset order.  Each is the face poset of
+a regular CW complex, whose covers are the codimension-one faces, so each
+is built from its elements' faces, on integer keys: a cell (w, T) by the
+engine id of w, with the faces (w b, T - s) for b in W_T with no right
+descent but s, and a member of Sf by its vertex bitmask, with the faces
+that drop one vertex.  A Salvetti ball alone lists each cell's lower set
+and reduces it to covers, since there a cover can pass a face outside the
+ball.  The Davis cells w W_T are the Salvetti cells (w, T) with w
+T-minimal, under the Salvetti order, so one builder lists both posets,
+already in order, without a sort.  A poset keeps one cover table, and its
+covers, its maximal chains (walked on the table in lexicographic order),
+its dot output, its order complex and its homology all read that table; a
+built poset lists its order, the closure of its covers, only when `less`
+is read.  An order complex is a view of its poset, whose maximal chains
+are its facets, listed only when they are read.
 
 Homology is computed over Z on one sparse chain complex, which has two
 producers.  The simplicial one lists the faces of a complex.  The cellular
 one reads the cells (w, T) of a finite Salvetti poset, the face poset of
 Salvetti's complex, whose barycentric subdivision is the poset's order
-complex, so both give the same homology; its boundary is Salvetti's formula.
+complex, so both give the same homology; its boundary is Salvetti's
+formula on the faces the poset stored.
 `homology(order_complex(p))` runs a finite Salvetti poset on its cells and
 reads any other poset's facet count, cone point and f-vector off its
 chains before it lists one.  Otherwise coreduction pairs off cells without
@@ -36,7 +41,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from . import coxeter
-from .coxeter import DEFAULT_CAP
+from .coxeter import DEFAULT_CAP, _bits
 from .diagram import (Abelianization, CoxeterDiagram, QuotientCells, _abelian_group,
                       _sf_masks, _sf_sorted, abelianization, salvetti_quotient_cells)
 from .errors import CapExceededError, FiniteTypeRequiredError
@@ -48,7 +53,9 @@ DEFAULT_FACE_GUARD = 200_000
 @dataclass(frozen=True)
 class Poset:
     """Finite poset: opaque element labels plus the strict order as index pairs
-    (i, j) meaning elements[i] < elements[j], checked once into a cover table."""
+    (i, j) meaning elements[i] < elements[j].  A poset keeps one cover table:
+    the constructor checks `less` into it, and a poset that `_poset` builds
+    from its elements' faces lists `less` only when it is first read."""
 
     elements: tuple
     labels: tuple[str, ...]
@@ -74,6 +81,13 @@ class Poset:
             up.append(sorted(ups - beyond))
         object.__setattr__(self, "_up", up)
 
+    def __getattr__(self, name):  # reached while a built poset's order is unlisted
+        if name != "less" or "_up" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        less = frozenset((i, j) for i, above in enumerate(self._closure()) for j in _bits(above))
+        object.__setattr__(self, "less", less)
+        return less
+
     def __len__(self):
         return len(self.elements)
 
@@ -95,17 +109,52 @@ class Poset:
                 chains.append(path)
         return chains
 
+    def _linear_extension(self) -> list[int]:
+        """The indices with each element before every element above it."""
+        lower = [0] * len(self)
+        for ups in self._up:
+            for j in ups:
+                lower[j] += 1
+        order = [i for i, k in enumerate(lower) if not k]
+        for i in order:  # grows while it is read
+            for j in self._up[i]:
+                lower[j] -= 1
+                if not lower[j]:
+                    order.append(j)
+        return order
+
+    def _closure(self, down: bool = False) -> list[int]:
+        """Per element, the int bitset of the elements strictly above it (below
+        it, if `down`): the OR of its covers' bitsets and bits, taken along a
+        linear extension, from the top down (from the bottom up)."""
+        order, edges = self._linear_extension(), self._up
+        if down:
+            edges = [[] for _ in order]
+            for i, ups in enumerate(self._up):
+                for j in ups:
+                    edges[j].append(i)
+        else:
+            order.reverse()
+        reach = [0] * len(order)
+        for i in order:
+            for j in edges[i]:
+                reach[i] |= reach[j] | 1 << j
+        return reach
+
+    def _height(self) -> int:
+        """The number of elements of a longest chain: a longest cover path."""
+        height = [0] * len(self)
+        for i in reversed(self._linear_extension()):
+            height[i] = 1 + max((height[j] for j in self._up[i]), default=0)
+        return max(height, default=0)
+
     def _count_maximal_chains(self) -> int:
         """len(self.maximal_chains()) without listing a chain: paths[i] is
         the number of cover paths from i up to a maximal element."""
+        order = self._linear_extension()
         paths = [0] * len(self)
-        stack = list(range(len(self)))
-        while stack:
-            if todo := [j for j in self._up[stack[-1]] if not paths[j]]:
-                stack += todo
-            else:
-                i = stack.pop()
-                paths[i] = sum(paths[j] for j in self._up[i]) or 1
+        for i in reversed(order):
+            paths[i] = sum(paths[j] for j in self._up[i]) or 1
         has_lower = {j for ups in self._up for j in ups}
         return sum(n for i, n in enumerate(paths) if i not in has_lower)
 
@@ -115,10 +164,8 @@ class Poset:
         sum N_{k-1}(x) over x < y, and N_0(y) = 1.  Each N(y) is packed into
         one integer, digit k in base 2^b, where 2^b exceeds the number of
         all chains, which a first pass counts as 1 + sum N(x)."""
-        below = [[] for _ in self.elements]
-        for x, y in self.less:
-            below[y].append(x)
-        order = sorted(range(len(below)), key=lambda y: len(below[y]))  # x < y: fewer below x
+        below = [_bits(b) for b in self._closure(down=True)]
+        order = self._linear_extension()
         chains = [0] * len(below)
         for y in order:
             chains[y] = 1 + sum(chains[x] for x in below[y])
@@ -132,9 +179,14 @@ class Poset:
         return tuple(counts)
 
     def _has_cone_point(self) -> bool:
-        """Whether an element is comparable with all others (`less` is transitive)."""
-        comparable = collections.Counter(itertools.chain.from_iterable(self.less))
-        return len(self) == 1 or len(self) - 1 in comparable.values()
+        """Whether an element is comparable with all others.  A unique
+        minimal or maximal element is; otherwise the closures are read."""
+        n, up = len(self), self._up
+        if n - len({j for ups in up for j in ups}) == 1 or sum(not ups for ups in up) == 1:
+            return True
+        full = (1 << n) - 1
+        return any(a | b | 1 << i == full
+                   for i, (a, b) in enumerate(zip(self._closure(), self._closure(down=True))))
 
     def to_json_obj(self) -> dict:
         return {
@@ -153,18 +205,25 @@ class Poset:
         return "\n".join(lines)
 
 
-def _poset(keys, element, label, below, metadata=()) -> Poset:
+def _poset(keys, element, label, faces, metadata=()) -> Poset:
     """The poset on the elements `element(k)` of the hashable `keys`, each
-    named by `label`, in which x < y for every key x that `below(y)` yields;
-    `below(y)` lists the keys of the elements strictly under y's.  Keys are
-    drawn from their iterable only one past the guard."""
+    named by `label`, in which `faces(y)` yields the keys of the elements
+    that y covers, each once.  Keys are drawn from their iterable only one
+    past the guard, and the order is listed only when it is read."""
     keys = tuple(itertools.islice(keys, DEFAULT_POSET_GUARD + 1))
     if len(keys) > DEFAULT_POSET_GUARD:
         raise CapExceededError("poset size", DEFAULT_POSET_GUARD)
     index = {x: i for i, x in enumerate(keys)}
-    less = frozenset((index[x], j) for j, y in enumerate(keys) for x in below(y))
+    up = [[] for _ in keys]
+    for j, y in enumerate(keys):  # so each up[i] is sorted
+        for x in faces(y):
+            up[index[x]].append(j)
     elements = tuple(map(element, keys))
-    return Poset(elements, tuple(map(label, elements)), less, tuple(metadata))
+    p = object.__new__(Poset)
+    for name, value in (("elements", elements), ("labels", tuple(map(label, elements))),
+                        ("metadata", tuple(metadata)), ("_up", up)):
+        object.__setattr__(p, name, value)
+    return p
 
 
 @dataclass(frozen=True)
@@ -209,7 +268,7 @@ class SimplicialComplex:
     @property
     def dimension(self) -> int:
         if self._poset is not None:
-            return len(self._poset._chain_counts()) - 1
+            return self._poset._height() - 1
         return max((len(f) - 1 for f in self.facets), default=-1)
 
     def _faces(self) -> set[tuple[int, ...]]:
@@ -404,29 +463,22 @@ def _salvetti_chains(p: Poset) -> tuple[list[list[int]], list[tuple[int, ...]], 
     t < s in vertex order and W_T^(T-s) the b in W_T with no right descent
     in T - s.  Dropping (-1)^l(b) would only reorient each (w, T) by
     (-1)^l(w), but summed over w these signs are the quotient's
-    coefficients.  The w b are read off a walk of w W_T along the walk of
-    W_T, and on p's engine every step is a Cayley edge that p's walk of W
-    set."""
-    eng = coxeter._engine(p.elements[0][0].diagram)
-    ids = {u: eng.walk(0, u.word) for u, T in p.elements if not T}  # all of W
-    position = {(ids[u], T): a for a, (u, T) in enumerate(p.elements)}
-    steps, faces = {}, {}  # per T: the W_T walk's steps; (b, T - s, sign) per face
+    coefficients.  The faces (w b, T - s) are the cells that (w, T) covers
+    in p, and (-1)^l is a character of W, so (-1)^l(b) = (-1)^(l(w) + l(w b))."""
+    boundary = [[] for _ in p.elements]
+    for a, ups in enumerate(p._up):
+        for c in ups:
+            boundary[c].append(a)
+    names = p.elements[0][0].diagram.vertices
+    sign = {}  # per T, per face T - s: (-1)^#{t in T : t < s}
     for T in dict.fromkeys(T for _, T in p.elements):
-        letters = [eng.key[t] for t in eng.names if t in T]
-        walk, steps[T], down = coxeter._walk(eng, letters, math.inf, math.inf)
-        faces[T] = [(j, T - {eng.names[s]}, (-1) ** (i + len(eng.nf[walk[j]])))
-                    for i, s in enumerate(letters) for j, descents in enumerate(down)
-                    if all(t == s for t, _ in descents)]
-    boundary = []
-    for u, T in p.elements:
-        at = [ids[u]]
-        for parent, s in steps[T][1:]:
-            at.append(eng.times(at[parent], s))
-        boundary.append([position[at[j], R] for j, R, _ in faces[T]])
-    signs = {T: tuple(x for *_, x in fs) for T, fs in faces.items()}
+        sign[T] = {T - {s}: (-1) ** i for i, s in enumerate(t for t in names if t in T)}
+    parity = [(-1) ** u.length for u, _ in p.elements]
+    coefficients = [tuple(sign[T][p.elements[b][1]] * parity[a] * parity[b] for b in faces)
+                    for a, ((_, T), faces) in enumerate(zip(p.elements, boundary))]
     counts = collections.Counter(len(T) for _, T in p.elements)
     offset = list(itertools.accumulate((counts[k] for k in range(len(counts))), initial=0))
-    return boundary, [signs[T] for _, T in p.elements], offset
+    return boundary, coefficients, offset
 
 
 def _chain_homology(boundary: list[list[int]], coefficients: list, offset: list[int]
@@ -529,7 +581,14 @@ def _cell_poset(d: CoxeterDiagram, ball, cap: int, minimal: bool):
     """The cells (u, T) of W x Sf, u in the ball, T by T in `_sf_sorted` order
     and u in ShortLex order, under the Salvetti order; if `minimal`, only
     those with u T-minimal, named as Davis cosets.  For v R-minimal and x in
-    W_R, the right descents of v x in R are those of x, so walks meet no others."""
+    W_R, the right descents of v x in R are those of x, so walks meet no others.
+
+    A cell's faces are the (v b, R - s) for s in R and b in W_R with no right
+    descent but s, read off one walk of W_R.  They are its covers in a Davis
+    ball, where l(v b) = l(v) + l(b) and every coset between two in the ball
+    has a shorter representative, and in the whole Salvetti complex.  In a
+    Salvetti ball a cover can pass a face outside it, so there each cell's
+    lower set is listed and reduced to its covers."""
     kind, label = ("davis", "{}W{}") if minimal else ("salvetti", "({},{})")
     elements_w, ball_ids, down = _w_elements(d, ball, cap)
     sf = _sf_sorted(d)
@@ -539,37 +598,62 @@ def _cell_poset(d: CoxeterDiagram, ball, cap: int, minimal: bool):
     # v and v x in a ball of radius r need l(x) <= r + l(v) <= 2r, and
     # l(x) <= r - l(v) if v is R-minimal, for then l(v x) = l(v) + l(x).
     radius = math.inf if ball == "all" else ball
-    walks = {}  # R -> W_R walk, built in `below`, so only past the poset guard
+    walks = {}  # R -> W_R walk, built in `faces` and `below`, so only past the poset guard
     subsets: dict[frozenset, list[frozenset]] = {}
 
     cells = ((e, T) for T in sf for e, descents in zip(ball_ids, down)
              if not (minimal and any(eng.names[t] in T for t, _ in descents)))
 
-    def below(y):
-        v, R = y
-        reach = radius - len(eng.nf[v]) if minimal else radius + len(eng.nf[v])
+    def over(v, R, limit, reach):
+        """v x for each x in W_R of length at most `reach`, in ShortLex order,
+        and the walk of W_R to `limit`: per x its length, its parent step and
+        R minus its right descents, and the faces (j, R - s) for the x_j with
+        no right descent but s."""
         if R not in walks:
             letters = [eng.key[t] for t in eng.names if t in R]
-            walk = coxeter._walk(eng, letters, radius if minimal else 2 * radius, math.inf)
-            # per x in W_R: its length, its parent step, and R minus its right descents
-            walks[R] = [(len(eng.nf[x]), step, R.difference(eng.names[t] for t, _ in descents))
-                        for x, step, descents in zip(*walk)]
+            walk = coxeter._walk(eng, letters, limit, math.inf)
+            rows = [(len(eng.nf[x]), parent, s, R.difference(eng.names[t] for t, _ in descents))
+                    for x, (parent, s), descents in zip(*walk)]
+            walks[R] = rows, [(j, T) for T in (R - {t} for t in R)
+                              for j, (*_, free) in enumerate(rows) if free >= T]
+        rows, dropped = walks[R]
         at = []
-        for length, (parent, s), free in walks[R]:
+        for length, parent, s, _ in rows:
             if length > reach:
                 break
-            e = v if parent < 0 else eng.times(at[parent], s)
-            at.append(e)
+            e = v if parent < 0 else eng.right[at[parent] * eng.n + s]
+            at.append(e if e >= 0 else eng.times(at[parent], s))
+        return at, rows, dropped
+
+    def faces(y):
+        v, R = y
+        at, _, dropped = over(v, R, radius, radius - len(eng.nf[v]) if minimal else radius)
+        return [(at[j], T) for j, T in dropped if j < len(at)]
+
+    def below(y):
+        v, R = y
+        at, rows, _ = over(v, R, 2 * radius, radius + len(eng.nf[v]))
+        for e, (length, _, _, free) in zip(at, rows):
             if e in in_ball:
                 if free not in subsets:
                     subsets[free] = _subsets(free)
                 for T in subsets[free]:
-                    if parent >= 0 or T != R:
+                    if length or T != R:
                         yield e, T
 
+    if minimal or ball == "all":
+        covers = faces
+    else:
+        lower = {}  # y -> its lower set, read by the cells above y
+
+        def covers(y):
+            under = lower[y] = set(below(y))
+            return under.difference(*map(lower.__getitem__, under))
+
     meta = (("complex", kind), ("ball", ball))
+    set_labels = {T: _set_label(d, T) for T in sf}
     p = _poset(cells, lambda c: (in_ball[c[0]], c[1]),
-               lambda c: label.format("".join(c[0].word) or "e", _set_label(d, c[1])), below, meta)
+               lambda c: label.format("".join(c[0].word) or "e", set_labels[c[1]]), covers, meta)
     if ball == "all" and not minimal:  # the cells of Salvetti's complex, whole
         object.__setattr__(p, "_finite_salvetti", True)
     return p
@@ -596,12 +680,13 @@ def davis_poset(d: CoxeterDiagram, ball="all", cap: int = DEFAULT_CAP) -> Poset:
 def deligne_fundamental_domain(d: CoxeterDiagram) -> tuple[Poset, SimplicialComplex]:
     """The fundamental-domain poset {A_T : T in Sf} under inclusion (a copy
     of Sf ordered by subset), with its order complex."""
-    def below(R):  # Sf is closed under subsets, so each proper submask of R is in it
-        sub = R
-        while sub:
-            yield (sub := (sub - 1) & R)
+    def faces(R):  # Sf is closed under subsets, so each R minus a vertex is in it
+        rest = R
+        while rest:
+            rest ^= (bit := rest & -rest)
+            yield R ^ bit
 
     sf = _sf_masks(d)
-    p = _poset(sf, sf.__getitem__, lambda T: f"A{_set_label(d, T)}", below,
+    p = _poset(sf, sf.__getitem__, lambda T: f"A{_set_label(d, T)}", faces,
                (("complex", "deligne-fd"),))
     return p, order_complex(p)

@@ -73,6 +73,16 @@ def _low(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _bits(mask: int) -> list[int]:
+    """The places of the set bits of `mask`, lowest first."""
+    digits = bin(mask)[:1:-1]
+    out, i = [], digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
+
 def _check_letters(key: dict[str, int], word) -> tuple:
     """The word as a tuple; DiagramError on a letter that is not in `key`."""
     w = tuple(word)

@@ -32,7 +32,7 @@ import json
 from dataclasses import asdict, dataclass
 
 from . import coxeter
-from .coxeter import DEFAULT_CAP
+from .coxeter import DEFAULT_CAP, _bits
 from .diagram import CoxeterDiagram
 from .errors import DiagramError
 
@@ -126,16 +126,6 @@ def _meets_in_facet_union(chamber: frozenset, others, n: int):
                 maximal,
             )
     return None, maximal
-
-
-def _bits(mask: int) -> list[int]:
-    """The places of the set bits of `mask`, lowest first."""
-    digits = bin(mask)[:1:-1]
-    out, i = [], digits.find("1")
-    while i >= 0:
-        out.append(i)
-        i = digits.find("1", i + 1)
-    return out
 
 
 def _glued_vertices(cc: ChamberComplex, level, order):

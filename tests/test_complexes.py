@@ -173,7 +173,8 @@ def test_lower_set_posets_match_the_pairwise_oracle(rng):
     # every vertex order, Davis H3, balls of radius 1 to 3 in the affine
     # groups A~2, C~2 and G~2, and balls in random infinite rank-3 groups,
     # each also in a shuffled vertex order.  The oracle sorts its elements,
-    # so equal element tuples show that the lower-set builder needs no sort.
+    # so equal element tuples show that the cell builder needs no sort.  The
+    # Salvetti balls here are the posets still built from lower sets.
     finite = [preset(f"I2({m})") for m in range(3, 9)]
     finite += [CoxeterDiagram(("a", "b", "c"), ()),
                CoxeterDiagram(("a", "b", "c"), (("b", "c", 3),))]
@@ -195,6 +196,98 @@ def test_lower_set_posets_match_the_pairwise_oracle(rng):
         q = getattr(poset_oracle, f"{kind}_poset")(d, ball)
         assert (p.elements, p.labels, p.metadata) == (q.elements, q.labels, q.metadata)
         assert p.less == q.less, (kind, d, ball)
+
+
+def _assert_same_poset(p, q, case):
+    assert (p.elements, p.labels, p.metadata) == (q.elements, q.labels, q.metadata), case
+    assert p.covers() == q.covers(), case
+    assert p.maximal_chains() == q.maximal_chains(), case
+    assert "less" not in vars(p)  # covers and chains leave the order unlisted
+    assert p.less == q.less, case
+
+
+def _random_rank_three_or_four(rng):
+    names = ("a", "b", "c", "d")[:rng.randint(3, 4)]
+    return CoxeterDiagram(names, tuple(
+        (a, b, m) for a, b in itertools.combinations(names, 2)
+        if (m := rng.choice((2, 3, 4, 5, 6, INF))) != 2))
+
+
+def test_face_built_posets_match_the_pairwise_oracle(rng):
+    # The posets built from their faces: Deligne domains, Davis posets at
+    # every ball, and whole Salvetti posets, whose covers are the faces of
+    # a regular CW complex.
+    for _ in range(40):
+        d = random_diagram(rng, max_rank=8)
+        order = list(d.vertices)
+        rng.shuffle(order)
+        d = CoxeterDiagram(tuple(order), d.edges)
+        _assert_same_poset(deligne_fundamental_domain(d)[0], poset_oracle.deligne_poset(d), d)
+    finite = ["A1", "A2", "A3", "A4", "B2", "B3", "H3", "D4", "I2(7)"]
+    cases = [(preset(name), ball) for name in finite for ball in (0, 1, 2, 3, 4, "all")]
+    cases += [(preset(name), ball) for name in ("Atilde2", "F4", "H4") for ball in range(5)]
+    cases += [(preset("E6"), ball) for ball in range(4)]  # 1,736 cells at 3; over the guard at 4
+    for _ in range(6):
+        d = _random_rank_three_or_four(rng)
+        small = is_finite_type(d)[0] and sum(map(len, coxeter.enumerate_elements(d))) <= 200
+        cases += [(d, ball) for ball in (*range(5), "all")[:6 if small else 5]]
+    for d, ball in cases:
+        _assert_same_poset(davis_poset(d, ball), poset_oracle.davis_poset(d, ball), (d, ball))
+    for name, _ in _poset_guarded_presets():
+        d = preset(name)
+        _assert_same_poset(salvetti_poset(d), poset_oracle.salvetti_poset(d), name)
+
+
+def test_a_salvetti_ball_has_a_cover_that_is_not_a_face():
+    # In the radius-6 ball of B3 the cells between (stsuts, {s}) and
+    # (tsutst, {s,t,u}) in the whole complex lie outside the ball, so there
+    # a cover skips a dimension.  Salvetti balls reduce their lower sets to
+    # covers for this; the faces alone would miss it.  Davis balls are
+    # convex: every coset between two of the ball has a representative no
+    # longer than the lower one's, so their covers are faces.
+    p = salvetti_poset(preset("B3"), 6)
+    skips = [(p.labels[i], p.labels[j]) for i, j in p.covers()
+             if len(p.elements[j][1]) - len(p.elements[i][1]) > 1]
+    assert len(p.covers()) == 1737 and skips == [("(stsuts,{s})", "(tsutst,{s,t,u})")]
+    _assert_same_poset(p, poset_oracle.salvetti_poset(preset("B3"), 6), "B3 6")
+    q = davis_poset(preset("B3"), 6)
+    assert all(len(q.elements[j][1]) - len(q.elements[i][1]) == 1 for i, j in q.covers())
+
+
+def test_homology_of_a_built_poset_lists_no_relation(monkeypatch):
+    # A finite Salvetti poset runs on the faces it stored; a Deligne domain
+    # (a unique minimal element) and a whole Davis poset (a unique maximal
+    # one) are cones, seen before any order is read.
+    def unlisted(self, down=False):
+        raise AssertionError("the order was listed")
+
+    a4, b3, d4 = preset("A4"), preset("B3"), preset("D4")
+    cases = [(salvetti_poset(a4), poset_oracle.salvetti_poset(a4), (1, 10, 35, 50, 24)),
+             (davis_poset(b3), poset_oracle.davis_poset(b3), (1,)),
+             (deligne_fundamental_domain(d4)[0], poset_oracle.deligne_poset(d4), (1,))]
+    for p, q, betti in cases:
+        monkeypatch.setattr(Poset, "_closure", unlisted)
+        h = homology(order_complex(p))
+        assert h.betti[:len(betti)] == betti and not any(h.betti[len(betti):]) and not any(h.torsion)
+        assert "less" not in vars(p)
+        monkeypatch.undo()
+        assert p.less == q.less
+
+
+def test_a_lazily_listed_order_equals_a_checked_one():
+    def built():
+        return [salvetti_poset(preset("A3")), salvetti_poset(preset("Atilde2"), 2),
+                davis_poset(preset("B3")), deligne_fundamental_domain(preset("D4"))[0]]
+
+    for p in built():
+        copied, unpickled = copy.copy(p), pickle.loads(pickle.dumps(p))
+        assert not any("less" in vars(x) for x in (p, copied, unpickled))
+        q = Poset(p.elements, p.labels, p.less, p.metadata)
+        assert p == q and repr(p) == repr(q) and hash(p) == hash(q)
+        assert copied == q and unpickled == q and unpickled._finite_salvetti == p._finite_salvetti
+        assert p.to_dot() == q.to_dot()
+    for p in built():  # to_json_obj is the first read of the order
+        assert p.to_json_obj() == Poset(p.elements, p.labels, p.less, p.metadata).to_json_obj()
 
 
 def test_davis_poset_finds_no_coset_representative(monkeypatch):

@@ -39,7 +39,10 @@ text and dot) and `homology --complex deligne-fd` read seeded random diagram
 files of rank 6 to 12 in the cli-survey style (labels 3, 4, 5, 6 and inf, edge
 probability 0.45 and 0.9), each in its vertex order and in the reverse one,
 since the order fixes the listing of Sf and the Deligne poset's elements.
-`homology --preset E8 --ball 1` with `--complex davis` and
+`salvetti` and `davis` on `--preset B3 --ball 6` and `--ball 7` and on
+`--preset H3 --ball 10`, in json and dot, cover balls of a finite group, where
+a Salvetti cover can pass a face outside the ball and a Davis cell's covers
+are its faces.  `homology --preset E8 --ball 1` with `--complex davis` and
 `--complex salvetti` stop at the facet guard inside `homology`, which counts
 the 362,880 and 2,419,200 maximal chains without listing one.
 Exit code 1 if any argv differs, else 0.
@@ -281,6 +284,9 @@ def _corpus(tmp: str) -> list[list[str]]:
         ["deligne-fd", "--preset", "A8", "--format", "dot"],
         ["salvetti", "--preset", "A4", "--format", "text"],
         ["salvetti", "--preset", "A4", "--format", "dot"],
+        *([name, "--preset", p, "--ball", ball, "--format", f]
+          for name in ("salvetti", "davis") for p, ball in (("B3", "6"), ("B3", "7"), ("H3", "10"))
+          for f in ("json", "dot")),
         ["homology", "--preset", "E8", "--ball", "1", "--complex", "davis"],
         ["homology", "--preset", "E8", "--ball", "1", "--complex", "salvetti"],
         ["divides", "--preset", "A2", "--dvr", "s", "--word", "t", "--side", "up"],
