@@ -13,17 +13,20 @@ ball.  The Davis cells w W_T are the Salvetti cells (w, T) with w
 T-minimal, under the Salvetti order, so one builder lists both posets,
 already in order, without a sort.  A poset keeps one cover table, and its
 covers, its maximal chains (walked on the table in lexicographic order),
-its dot output, its order complex and its homology all read that table; a
-built poset lists its order, the closure of its covers, only when `less`
-is read.  An order complex is a view of its poset, whose maximal chains
-are its facets, listed only when they are read.
+its dot output, its order complex and its homology all read that table.  A
+built poset lists faces before cofaces, so its index order is a linear
+extension, and it lists its order, the closure of its covers, and its
+labels only when each is read.  An order complex is a view of its poset,
+whose maximal chains are its facets, listed only when they are read.
 
-Homology is computed over Z on one sparse chain complex, which has two
-producers.  The simplicial one lists the faces of a complex.  The cellular
-one reads the cells (w, T) of a finite Salvetti poset, the face poset of
-Salvetti's complex, whose barycentric subdivision is the poset's order
-complex, so both give the same homology; its boundary is Salvetti's
-formula on the faces the poset stored.
+Homology is computed over Z on one sparse chain complex, which has three
+producers.  The simplicial one lists the faces of a complex that has no
+poset.  An order complex lists its chains, by size, off its poset's
+up-closure bitsets.  The cellular one reads the cells (w, T) of a finite
+Salvetti poset, the face poset of Salvetti's complex, whose barycentric
+subdivision is the poset's order complex, so it gives the same homology;
+its boundary, Salvetti's formula, is stored with the faces as the poset is
+built, one sign tuple per T.
 `homology(order_complex(p))` runs a finite Salvetti poset on its cells and
 reads any other poset's facet count, cone point and f-vector off its
 chains before it lists one.  Otherwise coreduction pairs off cells without
@@ -36,6 +39,7 @@ alone live in `diagram`; this module imports them back.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass
@@ -54,14 +58,14 @@ DEFAULT_FACE_GUARD = 200_000
 class Poset:
     """Finite poset: opaque element labels plus the strict order as index pairs
     (i, j) meaning elements[i] < elements[j].  A poset keeps one cover table:
-    the constructor checks `less` into it, and a poset that `_poset` builds
-    from its elements' faces lists `less` only when it is first read."""
+    the constructor checks `less` into it.  A poset that `_poset` builds from
+    its elements' faces is indexed in a linear extension, and lists `less`
+    and its labels only when each is first read."""
 
     elements: tuple
     labels: tuple[str, ...]
     less: frozenset
     metadata: tuple = ()
-    _finite_salvetti = False  # set on salvetti_poset(d, "all"): homology runs on its cells
 
     def __post_init__(self):
         above: dict[int, set[int]] = {i: set() for i in range(len(self.elements))}
@@ -81,12 +85,16 @@ class Poset:
             up.append(sorted(ups - beyond))
         object.__setattr__(self, "_up", up)
 
-    def __getattr__(self, name):  # reached while a built poset's order is unlisted
-        if name != "less" or "_up" not in vars(self):
+    def __getattr__(self, name):  # reached while a built poset's order or labels are unlisted
+        state = vars(self)
+        if name == "less" and "_up" in state:
+            value = frozenset((i, j) for i, above in enumerate(self._closure()) for j in _bits(above))
+        elif name == "labels" and "_label" in state:
+            value = tuple(map(state["_label"], self.elements))
+        else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        less = frozenset((i, j) for i, above in enumerate(self._closure()) for j in _bits(above))
-        object.__setattr__(self, "less", less)
-        return less
+        object.__setattr__(self, name, value)
+        return value
 
     def __len__(self):
         return len(self.elements)
@@ -109,8 +117,11 @@ class Poset:
                 chains.append(path)
         return chains
 
-    def _linear_extension(self) -> list[int]:
-        """The indices with each element before every element above it."""
+    def _linear_extension(self):
+        """The indices with each element before every element above it: a
+        built poset's own index order, else Kahn's algorithm, run once."""
+        if (order := vars(self).get("_extension")) is not None:
+            return order
         lower = [0] * len(self)
         for ups in self._up:
             for j in ups:
@@ -121,12 +132,17 @@ class Poset:
                 lower[j] -= 1
                 if not lower[j]:
                     order.append(j)
+        object.__setattr__(self, "_extension", order)
         return order
 
     def _closure(self, down: bool = False) -> list[int]:
         """Per element, the int bitset of the elements strictly above it (below
         it, if `down`): the OR of its covers' bitsets and bits, taken along a
-        linear extension, from the top down (from the bottom up)."""
+        linear extension, from the top down (from the bottom up).  Kept once
+        listed."""
+        name = "_below" if down else "_above"
+        if (reach := vars(self).get(name)) is not None:
+            return reach
         order, edges = self._linear_extension(), self._up
         if down:
             edges = [[] for _ in order]
@@ -134,12 +150,25 @@ class Poset:
                 for j in ups:
                     edges[j].append(i)
         else:
-            order.reverse()
-        reach = [0] * len(order)
+            order = reversed(order)
+        reach = [0] * len(edges)
         for i in order:
             for j in edges[i]:
                 reach[i] |= reach[j] | 1 << j
+        object.__setattr__(self, name, reach)
         return reach
+
+    def _chains(self) -> list[list[tuple[int, ...]]]:
+        """Every chain, by size, as index tuples bottom to top: the chains of
+        k + 1 elements extend those of k, in turn, by each element above
+        their top, read off the up-closure bitsets, so each size is listed
+        in lexicographic order."""
+        above = [_bits(b) for b in self._closure()]
+        chains, layer = [], [(i,) for i in range(len(above))]
+        while layer:
+            chains.append(layer)
+            layer = [c + (j,) for c in layer for j in above[c[-1]]]
+        return chains
 
     def _height(self) -> int:
         """The number of elements of a longest chain: a longest cover path."""
@@ -151,9 +180,8 @@ class Poset:
     def _count_maximal_chains(self) -> int:
         """len(self.maximal_chains()) without listing a chain: paths[i] is
         the number of cover paths from i up to a maximal element."""
-        order = self._linear_extension()
         paths = [0] * len(self)
-        for i in reversed(order):
+        for i in reversed(self._linear_extension()):
             paths[i] = sum(paths[j] for j in self._up[i]) or 1
         has_lower = {j for ups in self._up for j in ups}
         return sum(n for i, n in enumerate(paths) if i not in has_lower)
@@ -205,23 +233,34 @@ class Poset:
         return "\n".join(lines)
 
 
-def _poset(keys, element, label, faces, metadata=()) -> Poset:
-    """The poset on the elements `element(k)` of the hashable `keys`, each
-    named by `label`, in which `faces(y)` yields the keys of the elements
-    that y covers, each once.  Keys are drawn from their iterable only one
-    past the guard, and the order is listed only when it is read."""
+def _poset(keys, element, label, faces, metadata=(), signs=None) -> Poset:
+    """The poset on the elements `element(k)` of the hashable `keys`, in
+    which `faces(y)` yields the keys of the elements that y covers, each
+    once and each before y, so that the index order is a linear extension.
+    Keys are drawn from their iterable only one past the guard.  The order
+    is listed only when it is read, and so are the labels, by `label`, a
+    picklable function of an element.  If `signs(y)` gives the signs of y's
+    faces, in the order that `faces(y)` yields them, the poset keeps both:
+    the boundary of the CW complex whose face poset it is."""
     keys = tuple(itertools.islice(keys, DEFAULT_POSET_GUARD + 1))
     if len(keys) > DEFAULT_POSET_GUARD:
         raise CapExceededError("poset size", DEFAULT_POSET_GUARD)
     index = {x: i for i, x in enumerate(keys)}
     up = [[] for _ in keys]
-    for j, y in enumerate(keys):  # so each up[i] is sorted
-        for x in faces(y):
-            up[index[x]].append(j)
-    elements = tuple(map(element, keys))
+    state = {"elements": tuple(map(element, keys)), "metadata": tuple(metadata), "_up": up,
+             "_extension": range(len(keys)), "_label": label}
+    if signs is None:
+        for j, y in enumerate(keys):  # so each up[i] is sorted
+            for x in faces(y):
+                up[index[x]].append(j)
+    else:
+        down = [[index[x] for x in faces(y)] for y in keys]
+        for j, below in enumerate(down):
+            for i in below:
+                up[i].append(j)
+        state.update(_faces=down, _signs=list(map(signs, keys)))
     p = object.__new__(Poset)
-    for name, value in (("elements", elements), ("labels", tuple(map(label, elements))),
-                        ("metadata", tuple(metadata)), ("_up", up)):
+    for name, value in state.items():
         object.__setattr__(p, name, value)
     return p
 
@@ -418,12 +457,13 @@ class HomologyResult:
 def homology(c: SimplicialComplex, face_guard: int = DEFAULT_FACE_GUARD) -> HomologyResult:
     """Integer simplicial homology by discrete Morse reduction.  A finite
     Salvetti order complex runs on its poset's cells, which it subdivides,
-    with Salvetti's boundary, under the poset guard alone.  Otherwise more
-    facets than `face_guard` stop it, a cone (a vertex in every facet) is
-    contractible, and the faces are counted before they are listed; an order
-    complex reads all three off its poset's chains.  Then `_chain_homology`
-    reduces the chain complex."""
-    if (p := c._poset) is not None and p._finite_salvetti:
+    with the Salvetti boundary the poset stored, under the poset guard
+    alone.  Otherwise more facets than `face_guard` stop it, a cone (a
+    vertex in every facet) is contractible, and the faces are counted before
+    they are listed; an order complex reads all three off its poset's
+    chains, and then lists the chains themselves off the poset.  Then
+    `_chain_homology` reduces the chain complex."""
+    if (p := c._poset) is not None and "_signs" in vars(p):
         return _chain_homology(*_salvetti_chains(p))
     if (len(c.facets) if p is None else p._count_maximal_chains()) > face_guard:
         raise CapExceededError("homology face count", face_guard)
@@ -431,14 +471,17 @@ def homology(c: SimplicialComplex, face_guard: int = DEFAULT_FACE_GUARD) -> Homo
         return HomologyResult((), ())
     if frozenset.intersection(*c.facets) if p is None else p._has_cone_point():
         return HomologyResult((1,) + (0,) * (k := c.dimension), ((),) * (k + 1))
-    if p is not None and sum(p._chain_counts()) > face_guard:
-        raise CapExceededError("homology face count", face_guard)
-    index = {v: i for i, v in enumerate(c.vertices)}
-    faces = SimplicialComplex(
-        tuple(range(len(index))), tuple(frozenset(map(index.__getitem__, f)) for f in c.facets)
-    ).faces_by_dim()
-    if sum(len(fs) for fs in faces) > face_guard:
-        raise CapExceededError("homology face count", face_guard)
+    if p is not None:
+        if sum(p._chain_counts()) > face_guard:
+            raise CapExceededError("homology face count", face_guard)
+        faces = p._chains()
+    else:
+        index = {v: i for i, v in enumerate(c.vertices)}
+        faces = SimplicialComplex(
+            tuple(range(len(index))), tuple(frozenset(map(index.__getitem__, f)) for f in c.facets)
+        ).faces_by_dim()
+        if sum(len(fs) for fs in faces) > face_guard:
+            raise CapExceededError("homology face count", face_guard)
     offset = list(itertools.accumulate((len(fs) for fs in faces), initial=0))
     position = {f: offset[len(f) - 1] + i for fs in faces for i, f in enumerate(fs)}
     # combinations drop the last vertex first, so the i-th face drops vertex i
@@ -464,21 +507,10 @@ def _salvetti_chains(p: Poset) -> tuple[list[list[int]], list[tuple[int, ...]], 
     in T - s.  Dropping (-1)^l(b) would only reorient each (w, T) by
     (-1)^l(w), but summed over w these signs are the quotient's
     coefficients.  The faces (w b, T - s) are the cells that (w, T) covers
-    in p, and (-1)^l is a character of W, so (-1)^l(b) = (-1)^(l(w) + l(w b))."""
-    boundary = [[] for _ in p.elements]
-    for a, ups in enumerate(p._up):
-        for c in ups:
-            boundary[c].append(a)
-    names = p.elements[0][0].diagram.vertices
-    sign = {}  # per T, per face T - s: (-1)^#{t in T : t < s}
-    for T in dict.fromkeys(T for _, T in p.elements):
-        sign[T] = {T - {s}: (-1) ** i for i, s in enumerate(t for t in names if t in T)}
-    parity = [(-1) ** u.length for u, _ in p.elements]
-    coefficients = [tuple(sign[T][p.elements[b][1]] * parity[a] * parity[b] for b in faces)
-                    for a, ((_, T), faces) in enumerate(zip(p.elements, boundary))]
+    in p, and `_cell_poset` stored them with their signs as it built p."""
     counts = collections.Counter(len(T) for _, T in p.elements)
     offset = list(itertools.accumulate((counts[k] for k in range(len(counts))), initial=0))
-    return boundary, coefficients, offset
+    return p._faces, p._signs, offset
 
 
 def _chain_homology(boundary: list[list[int]], coefficients: list, offset: list[int]
@@ -557,6 +589,16 @@ def _set_label(d: CoxeterDiagram, T) -> str:
     return "{" + ",".join(sorted(T, key=d._pos.__getitem__)) + "}"
 
 
+def _cell_label(form: str, cell) -> str:
+    """The label of a Salvetti cell (u, T) or a Davis coset, by `form`."""
+    u, T = cell
+    return form.format("".join(u.word) or "e", _set_label(u.diagram, T))
+
+
+def _domain_label(d: CoxeterDiagram, T) -> str:
+    return f"A{_set_label(d, T)}"
+
+
 def _w_elements(d: CoxeterDiagram, ball, cap: int):
     """`coxeter._ball` for the cell posets, whose size guard it is."""
     if ball == "all" and not coxeter._engine(d).finite:
@@ -586,10 +628,13 @@ def _cell_poset(d: CoxeterDiagram, ball, cap: int, minimal: bool):
     A cell's faces are the (v b, R - s) for s in R and b in W_R with no right
     descent but s, read off one walk of W_R.  They are its covers in a Davis
     ball, where l(v b) = l(v) + l(b) and every coset between two in the ball
-    has a shorter representative, and in the whole Salvetti complex.  In a
+    has a shorter representative, and in the whole Salvetti complex.  The
+    whole complex also keeps them as its boundary, signed as in
+    `_salvetti_chains`: one sign tuple per R, in the order of R's faces,
+    (-1)^#{t in R : t < s} (-1)^l(b), with l(b) read off the walk.  In a
     Salvetti ball a cover can pass a face outside it, so there each cell's
     lower set is listed and reduced to its covers."""
-    kind, label = ("davis", "{}W{}") if minimal else ("salvetti", "({},{})")
+    kind, form = ("davis", "{}W{}") if minimal else ("salvetti", "({},{})")
     elements_w, ball_ids, down = _w_elements(d, ball, cap)
     sf = _sf_sorted(d)
     eng = coxeter._engine(d)
@@ -608,15 +653,17 @@ def _cell_poset(d: CoxeterDiagram, ball, cap: int, minimal: bool):
         """v x for each x in W_R of length at most `reach`, in ShortLex order,
         and the walk of W_R to `limit`: per x its length, its parent step and
         R minus its right descents, and the faces (j, R - s) for the x_j with
-        no right descent but s."""
+        no right descent but s, s in vertex order, with their signs."""
         if R not in walks:
-            letters = [eng.key[t] for t in eng.names if t in R]
-            walk = coxeter._walk(eng, letters, limit, math.inf)
+            named = [t for t in eng.names if t in R]
+            walk = coxeter._walk(eng, [eng.key[t] for t in named], limit, math.inf)
             rows = [(len(eng.nf[x]), parent, s, R.difference(eng.names[t] for t, _ in descents))
                     for x, (parent, s), descents in zip(*walk)]
-            walks[R] = rows, [(j, T) for T in (R - {t} for t in R)
-                              for j, (*_, free) in enumerate(rows) if free >= T]
-        rows, dropped = walks[R]
+            dropped = [(i, j, R - {t}) for i, t in enumerate(named)
+                       for j, (*_, free) in enumerate(rows) if free >= R - {t}]
+            walks[R] = (rows, [(j, T) for _, j, T in dropped],
+                        tuple((-1) ** (i + rows[j][0]) for i, j, _ in dropped))
+        rows, dropped, _ = walks[R]
         at = []
         for length, parent, s, _ in rows:
             if length > reach:
@@ -651,12 +698,10 @@ def _cell_poset(d: CoxeterDiagram, ball, cap: int, minimal: bool):
             return under.difference(*map(lower.__getitem__, under))
 
     meta = (("complex", kind), ("ball", ball))
-    set_labels = {T: _set_label(d, T) for T in sf}
-    p = _poset(cells, lambda c: (in_ball[c[0]], c[1]),
-               lambda c: label.format("".join(c[0].word) or "e", set_labels[c[1]]), covers, meta)
-    if ball == "all" and not minimal:  # the cells of Salvetti's complex, whole
-        object.__setattr__(p, "_finite_salvetti", True)
-    return p
+    # the cells of Salvetti's complex, whole, keep their boundary
+    signs = (lambda y: walks[y[1]][2]) if ball == "all" and not minimal else None
+    return _poset(cells, lambda c: (in_ball[c[0]], c[1]), functools.partial(_cell_label, form),
+                  covers, meta, signs)
 
 
 def salvetti_poset(d: CoxeterDiagram, ball="all", cap: int = DEFAULT_CAP) -> Poset:
@@ -687,6 +732,6 @@ def deligne_fundamental_domain(d: CoxeterDiagram) -> tuple[Poset, SimplicialComp
             yield R ^ bit
 
     sf = _sf_masks(d)
-    p = _poset(sf, sf.__getitem__, lambda T: f"A{_set_label(d, T)}", faces,
+    p = _poset(sf, sf.__getitem__, functools.partial(_domain_label, d), faces,
                (("complex", "deligne-fd"),))
     return p, order_complex(p)

@@ -1,7 +1,8 @@
-"""The diamond sign walk: a second producer of cellular chains for a
-regular CW complex, from its face poset alone, kept as the oracle for
-Salvetti's boundary formula in `complexes._salvetti_chains`.  It shares
-only `Poset`'s cover table with the library.
+"""Two producers of cellular chains, kept as oracles for the Salvetti
+boundary that `complexes._salvetti_chains` reads off a finite Salvetti
+poset.  The diamond sign walk, `cw_chains`, works on the face poset of any
+regular CW complex; `salvetti_chains` evaluates Salvetti's formula face by
+face.  Both share only `Poset`'s cover table and elements with the library.
 
     boundary, coefficients, offset = cw_chains(p)
     complexes._chain_homology(boundary, coefficients, offset)
@@ -78,3 +79,27 @@ def cw_chains(p) -> tuple[list[list[int]], list[list[int]], list[int]]:
     boundary = [[position[t] for t in down[s]] for s in cells]
     return boundary, [[incidence[s][t] for t in down[s]] for s in cells], offset
 
+
+def salvetti_chains(p) -> tuple[list[list[int]], list[tuple[int, ...]], list[int]]:
+    """Salvetti's boundary on a finite Salvetti poset p, face by face, in
+    `_chain_homology`'s form: the cells (w, T) in p's order, which is by
+    dimension |T|, each with the cells it covers in index order, and
+
+        [(w, T) : (w b, T - s)] = (-1)^#{t in T : t < s} (-1)^l(b),
+
+    t < s in vertex order.  (-1)^l is a character of W, so (-1)^l(b) is
+    (-1)^(l(w) + l(w b)), read off the two cells' elements."""
+    boundary = [[] for _ in p.elements]
+    for a, ups in enumerate(p._up):
+        for c in ups:
+            boundary[c].append(a)
+    names = p.elements[0][0].diagram.vertices
+    sign = {}  # per T, per face T - s: (-1)^#{t in T : t < s}
+    for T in dict.fromkeys(T for _, T in p.elements):
+        sign[T] = {T - {s}: (-1) ** i for i, s in enumerate(t for t in names if t in T)}
+    parity = [(-1) ** u.length for u, _ in p.elements]
+    coefficients = [tuple(sign[T][p.elements[b][1]] * parity[a] * parity[b] for b in faces)
+                    for a, ((_, T), faces) in enumerate(zip(p.elements, boundary))]
+    counts = collections.Counter(len(T) for _, T in p.elements)
+    offset = list(itertools.accumulate((counts[k] for k in range(len(counts))), initial=0))
+    return boundary, coefficients, offset

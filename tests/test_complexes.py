@@ -30,7 +30,7 @@ from artin.errors import CapExceededError, FiniteTypeRequiredError
 import poset_oracle
 from classify_oracle import spherical_subsets
 from conftest import random_diagram
-from cw_oracle import cw_chains
+from cw_oracle import cw_chains, salvetti_chains
 from homology_oracle import plain_homology
 
 
@@ -274,20 +274,81 @@ def test_homology_of_a_built_poset_lists_no_relation(monkeypatch):
         assert p.less == q.less
 
 
+def _keeps_its_boundary(p):
+    """Whether p is a whole Salvetti poset, which `homology` runs on its cells."""
+    return "_signs" in vars(p)
+
+
 def test_a_lazily_listed_order_equals_a_checked_one():
+    # A built poset lists its order and its labels when each is first read,
+    # and so do its copies, made while both are unread; they keep the
+    # boundary a whole Salvetti poset stored.
     def built():
         return [salvetti_poset(preset("A3")), salvetti_poset(preset("Atilde2"), 2),
                 davis_poset(preset("B3")), deligne_fundamental_domain(preset("D4"))[0]]
 
-    for p in built():
-        copied, unpickled = copy.copy(p), pickle.loads(pickle.dumps(p))
-        assert not any("less" in vars(x) for x in (p, copied, unpickled))
-        q = Poset(p.elements, p.labels, p.less, p.metadata)
-        assert p == q and repr(p) == repr(q) and hash(p) == hash(q)
-        assert copied == q and unpickled == q and unpickled._finite_salvetti == p._finite_salvetti
-        assert p.to_dot() == q.to_dot()
-    for p in built():  # to_json_obj is the first read of the order
-        assert p.to_json_obj() == Poset(p.elements, p.labels, p.less, p.metadata).to_json_obj()
+    checked = [Poset(p.elements, p.labels, p.less, p.metadata) for p in built()]
+    copies = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+              "pickle": lambda p: pickle.loads(pickle.dumps(p))}
+    for name, make in copies.items():
+        for p, q in zip(built(), checked):
+            x = make(p)
+            assert not any(k in vars(y) for k in ("less", "labels") for y in (p, x)), name
+            assert all(vars(x).get(k) == vars(p).get(k) for k in ("_faces", "_signs")), name
+            # a deep copy may iterate its frozensets in another order, so no repr here
+            assert x == q and hash(x) == hash(q) and x.to_dot() == q.to_dot(), name
+    reads = {"==": lambda p, q: p == q, "repr": lambda p, q: repr(p) == repr(q),
+             "hash": lambda p, q: hash(p) == hash(q),
+             "to_json_obj": lambda p, q: p.to_json_obj() == q.to_json_obj(),
+             "to_dot": lambda p, q: p.to_dot() == q.to_dot()}
+    for name, same in reads.items():  # each the first read of the labels, and of the order
+        for p, q in zip(built(), checked):
+            assert same(p, q), (name, p.metadata)
+
+
+def test_builders_and_homology_list_no_label(monkeypatch):
+    # Labels are listed when first read: every builder, and the homology of
+    # each route (stored boundary, cone, listed chains), runs with the label
+    # function failing.
+    def unlisted(d, T):
+        raise AssertionError("a label was listed")
+
+    a3, b3, d4, affine = preset("A3"), preset("B3"), preset("D4"), preset("Atilde2")
+    cases = [(lambda: salvetti_poset(a3), poset_oracle.salvetti_poset(a3)),
+             (lambda: salvetti_poset(affine, 2), poset_oracle.salvetti_poset(affine, 2)),
+             (lambda: davis_poset(b3), poset_oracle.davis_poset(b3)),
+             (lambda: davis_poset(affine, 3), poset_oracle.davis_poset(affine, 3)),
+             (lambda: deligne_fundamental_domain(d4)[0], poset_oracle.deligne_poset(d4))]
+    for build, q in cases:
+        monkeypatch.setattr(complexes, "_set_label", unlisted)
+        p = build()
+        h = homology(order_complex(p))
+        assert "labels" not in vars(p)
+        monkeypatch.undo()
+        assert p.labels == q.labels and h == homology(order_complex(q)), q.metadata
+
+
+def test_built_posets_are_indexed_in_a_linear_extension(rng):
+    # Faces come before cofaces, so every cover (i, j) of a built poset has
+    # i < j; a public-constructor poset runs Kahn's algorithm instead, here
+    # on shuffled indices, where the index order is seldom an extension.
+    built = [deligne_fundamental_domain(random_diagram(rng, 6))[0]
+             for _ in range(20)]
+    for d in (preset("B3"), preset("H3"), preset("Atilde2"), _rank_three_ball(rng)):
+        for build in (salvetti_poset, davis_poset):
+            built += [build(d, ball) for ball in (0, 1, 2, 3)]
+        if is_finite_type(d)[0]:
+            built += [salvetti_poset(d), davis_poset(d)]
+    built.append(deligne_fundamental_domain(preset("D4"))[0])
+    for p in built:
+        assert all(i < j for i, j in p.covers()), p.metadata
+    shuffled = 0
+    for p in _chain_cases(rng):
+        position = {i: k for k, i in enumerate(p._linear_extension())}
+        assert sorted(position) == list(range(len(p)))
+        assert all(position[i] < position[j] for i, j in p.covers())
+        shuffled += any(i > j for i, j in p.covers())
+    assert shuffled > 100
 
 
 def test_davis_poset_finds_no_coset_representative(monkeypatch):
@@ -712,6 +773,7 @@ def test_cones_answer_without_listing_faces(monkeypatch):
         raise AssertionError("a cone listed its faces")
 
     monkeypatch.setattr(SimplicialComplex, "faces_by_dim", unlisted)
+    monkeypatch.setattr(Poset, "_chains", unlisted)  # an order complex lists its chains here
     assert homology(cone) == _point(3)
     assert homology(cone, face_guard=len(cone.facets)) == _point(3)  # below its face count
     with pytest.raises(CapExceededError, match="homology face count"):
@@ -787,6 +849,7 @@ def test_salvetti_order_complex_answers_on_the_cells(monkeypatch, name, betti):
         raise AssertionError("a Salvetti complex listed its chains or faces")
 
     monkeypatch.setattr(SimplicialComplex, "faces_by_dim", unlisted)
+    monkeypatch.setattr(Poset, "_chains", unlisted)  # an order complex lists its chains here
     monkeypatch.setattr(Poset, "maximal_chains", unlisted)
     t0 = time.perf_counter()
     h = homology(order_complex(salvetti_poset(preset(name))))
@@ -804,6 +867,7 @@ def test_face_guard_counts_facets_before_listing_faces(monkeypatch):
         raise AssertionError("faces listed past the face guard")
 
     monkeypatch.setattr(SimplicialComplex, "faces_by_dim", unlisted)
+    monkeypatch.setattr(Poset, "_chains", unlisted)  # an order complex lists its chains here
     monkeypatch.setattr(Poset, "maximal_chains", unlisted)
     with pytest.raises(CapExceededError, match="homology face count"):
         homology(c, face_guard=count - 1)
@@ -820,6 +884,7 @@ def test_face_guard_counts_the_chains_of_a_ball_before_listing_faces(monkeypatch
         raise AssertionError("faces listed past the face guard")
 
     monkeypatch.setattr(SimplicialComplex, "faces_by_dim", unlisted)
+    monkeypatch.setattr(Poset, "_chains", unlisted)  # an order complex lists its chains here
     with pytest.raises(CapExceededError, match="homology face count"):
         homology(c, face_guard=count - 1)
 
@@ -828,6 +893,45 @@ def test_chain_count_equals_the_order_complex_face_count(rng):
     for p in _chain_cases(rng):
         c = order_complex(p)
         assert c.f_vector() == SimplicialComplex(c.vertices, c.facets).f_vector()
+
+
+def test_chains_listed_off_a_poset_are_the_faces_of_its_order_complex(rng):
+    # `_chain_cases` holds public-constructor posets on shuffled indices,
+    # whose index order is seldom a linear extension, and built posets
+    posets = _chain_cases(rng) + [_bowtie(), salvetti_poset(preset("A2")),
+                                  davis_poset(preset("B3")), davis_poset(preset("Atilde2"), 4),
+                                  deligne_fundamental_domain(preset("A4"))[0]]
+    for p in posets:
+        chains = p._chains()
+        want = SimplicialComplex.from_faces(p.maximal_chains()).faces_by_dim()
+        assert [set(map(frozenset, layer)) for layer in chains] == [set(map(frozenset, fs))
+                                                                    for fs in want]
+        for layer in chains:  # each once, bottom to top, in lexicographic order
+            assert layer == sorted(set(layer))
+            assert all((a, b) in p.less for c in layer for a, b in zip(c, c[1:]))
+
+
+def _affine_and_random_balls(rng):
+    """Davis and Salvetti balls of radius 1 to 3 on the affine groups A~2,
+    C~2 and G~2 and on random rank-3 and rank-4 diagrams."""
+    ds = [preset("Atilde2"), CoxeterDiagram(("s", "t", "u"), (("s", "t", 4), ("t", "u", 4))),
+          CoxeterDiagram(("s", "t", "u"), (("s", "t", 6), ("t", "u", 3)))]
+    ds += [_rank_three_ball(rng) for _ in range(3)]
+    names = ("s", "t", "u", "v")
+    ds += [CoxeterDiagram(names, tuple((a, b, m) for a, b in itertools.combinations(names, 2)
+                                       if (m := rng.choice((2, 2, 3, 4, 5, 6, INF))) != 2))
+           for _ in range(3)]
+    return [(build, d, ball) for d in ds for ball in (1, 2, 3)
+            for build in (salvetti_poset, davis_poset)]
+
+
+def test_order_complex_homology_equals_the_generic_route(rng):
+    # the chains listed off the poset against the faces of its maximal chains
+    for build, d, ball in _affine_and_random_balls(rng):
+        p = build(d, ball)
+        generic = SimplicialComplex.from_faces(p.maximal_chains())
+        assert generic._poset is None
+        assert homology(order_complex(p)) == homology(generic), (build.__name__, d, ball)
 
 
 # ---------------------------------------------------------------- cellular homology
@@ -854,10 +958,18 @@ def test_cell_homology_equals_the_order_complex_homology():
     for p in _cw_cases():
         c = order_complex(p)
         simplicial = SimplicialComplex(c.vertices, c.facets)  # no poset: lists its faces
-        assert simplicial._poset is None and c._poset is p and p._finite_salvetti
+        assert simplicial._poset is None and c._poset is p and _keeps_its_boundary(p)
         cells = complexes._chain_homology(*complexes._salvetti_chains(p))
         assert cells == complexes._chain_homology(*cw_chains(p)), p.labels[-1]
         assert homology(c) == cells == homology(simplicial), p.labels[-1]
+
+
+def _boundary_squares_to_zero(boundary, coefficients, a):
+    square = collections.Counter()
+    for b, x in zip(boundary[a], coefficients[a]):
+        for y, z in zip(boundary[b], coefficients[b]):
+            square[y] += x * z
+    return not any(square.values())
 
 
 def test_cell_boundaries_square_to_zero():
@@ -867,11 +979,7 @@ def test_cell_boundaries_square_to_zero():
         assert offset[-1] == len(p) == len(boundary) == len(coefficients)
         for a in range(len(p)):
             assert all(x in (1, -1) for x in coefficients[a])
-            square = collections.Counter()
-            for b, x in zip(boundary[a], coefficients[a]):
-                for y, z in zip(boundary[b], coefficients[b]):
-                    square[y] += x * z
-            assert not any(square.values()), (p.labels[-1], a)
+            assert _boundary_squares_to_zero(boundary, coefficients, a), (p.labels[-1], a)
 
 
 def test_formula_signs_are_the_diamond_signs_up_to_orientation():
@@ -925,6 +1033,22 @@ def test_poset_guarded_presets_are_listed_to_the_guard():
         assert len(salvetti_poset(preset(name))) == math.prod(degrees) << len(degrees)
     with pytest.raises(CapExceededError, match="poset size"):  # 3,072 cells, the next
         salvetti_poset(preset("D4"))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _poset_guarded_presets()])
+def test_stored_salvetti_boundary_is_the_formula_face_by_face(name):
+    # The faces and signs a whole Salvetti poset stored as it was built,
+    # against Salvetti's formula evaluated on each cover, in both vertex orders
+    for d in _both_orientations(preset(name)):
+        p = salvetti_poset(d)
+        boundary, coefficients, offset = complexes._salvetti_chains(p)
+        want_boundary, want_coefficients, want_offset = salvetti_chains(p)
+        assert offset == want_offset and len(boundary) == len(coefficients) == len(p)
+        for a in range(len(p)):
+            assert len(boundary[a]) == len(coefficients[a]) == len(set(boundary[a]))
+            assert (dict(zip(boundary[a], coefficients[a]))
+                    == dict(zip(want_boundary[a], want_coefficients[a]))), (d.vertices, p.labels[a])
+            assert _boundary_squares_to_zero(boundary, coefficients, a), (d.vertices, p.labels[a])
 
 
 @pytest.mark.parametrize("name, degrees", _poset_guarded_presets(),
@@ -1007,7 +1131,7 @@ def test_cli_salvetti_homology_runs_on_the_cells(capsys, monkeypatch, name, degr
 @pytest.mark.parametrize("build", [salvetti_poset, davis_poset])
 def test_the_sign_walk_rejects_balls(build, ball):
     p = build(preset("Atilde2"), ball)
-    assert not p._finite_salvetti
+    assert not _keeps_its_boundary(p)
     with pytest.raises(ValueError, match="an edge without two ends"):
         cw_chains(p)
 
@@ -1059,13 +1183,14 @@ def test_salvetti_order_complex_homology_lists_no_faces(monkeypatch):
         raise AssertionError("a Salvetti complex listed its faces")
 
     monkeypatch.setattr(SimplicialComplex, "faces_by_dim", unlisted)
+    monkeypatch.setattr(Poset, "_chains", unlisted)  # an order complex lists its chains here
     assert homology(c).betti == (1, 6, 11, 6)
 
 
 def test_an_equal_hand_built_poset_takes_the_simplicial_path(monkeypatch):
     p = salvetti_poset(preset("A2"))
     q = Poset(p.elements, p.labels, p.less, p.metadata)
-    assert q == p and repr(q) == repr(p) and p._finite_salvetti and not q._finite_salvetti
+    assert q == p and repr(q) == repr(p) and _keeps_its_boundary(p) and not _keeps_its_boundary(q)
     c, want = order_complex(p), homology(order_complex(p))
     # the poset an order complex keeps is outside its fields
     assert order_complex(q) == c and repr(order_complex(q)) == repr(c)

@@ -45,6 +45,9 @@ a Salvetti cover can pass a face outside the ball and a Davis cell's covers
 are its faces.  `homology --preset E8 --ball 1` with `--complex davis` and
 `--complex salvetti` stop at the facet guard inside `homology`, which counts
 the 362,880 and 2,419,200 maximal chains without listing one.
+`homology --complex davis --preset Atilde2 --ball 6` and `homology --complex
+salvetti --preset Atilde2 --ball 3`, in json and text, list the chains of an
+order complex that is not a cone, off its poset's up-closure bitsets.
 Exit code 1 if any argv differs, else 0.
 """
 
@@ -289,6 +292,8 @@ def _corpus(tmp: str) -> list[list[str]]:
           for f in ("json", "dot")),
         ["homology", "--preset", "E8", "--ball", "1", "--complex", "davis"],
         ["homology", "--preset", "E8", "--ball", "1", "--complex", "salvetti"],
+        *(["homology", "--complex", name, "--preset", "Atilde2", "--ball", ball, "--format", f]
+          for name, ball in (("davis", "6"), ("salvetti", "3")) for f in ("json", "text")),
         ["divides", "--preset", "A2", "--dvr", "s", "--word", "t", "--side", "up"],
     ]
     corpus += [["homology", "--file", os.path.join(tmp, f"{stem}{order}.json"), "--complex",
